@@ -155,7 +155,7 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
             (i, g, ratio[i])
             for i in active
             for g in pool_items
-            if inst.valuations[i].value(1 << g) == inst.valuations[i].a
+            if inst.valuations[i]._value(1 << g) == inst.valuations[i]._a
         )
         graph = RoundGraph(tuple(active), pool_items, edges)
         matching = max_cardinality_max_weight_matching(graph)
@@ -199,7 +199,7 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
         last = 0
         for rnd in rounds:
             allocated = [g for _, g in rnd.matching] + [g for _, g in rnd.leftovers]
-            if any(inst.valuations[i].value(1 << g) == inst.valuations[i].a for g in allocated):
+            if any(inst.valuations[i]._value(1 << g) == inst.valuations[i]._a for g in allocated):
                 last = rnd.round
         r_star.append(last)
 
@@ -225,7 +225,7 @@ def sufficient_no_envy(v: PersonalizedBivalued, own_bundle: int, other_bundle: i
 
     Returns (efx_safe, pmms_safe); False means inconclusive, not a violation.
     """
-    efx_safe = v.value(own_bundle) >= v.value(other_bundle) - v.b
+    efx_safe = v._value(own_bundle) >= v._value(other_bundle) - v._b
     return efx_safe, efx_safe and v.is_factored()
 
 
@@ -258,7 +258,7 @@ def build_cut_and_choose_graph(inst: Instance, bundles, s: int) -> tuple[int, ..
     pi = []
     for i in range(inst.n):
         vi = inst.valuations[i]
-        vs = vi.value(bundles[s])
+        vs = vi._value(bundles[s])
         target = s
         for j in range(inst.n):
             if j == s:
@@ -266,7 +266,7 @@ def build_cut_and_choose_graph(inst: Instance, bundles, s: int) -> tuple[int, ..
                 # for non-normalized values it would mask the real witness
                 # when i == s (a bundle can lose to its own best split there)
                 continue
-            if vs < mu(vi, bundles[s] | bundles[j], 2).mu:
+            if vs < mu(vi, bundles[s] | bundles[j], 2).scaled:
                 target = j
                 break
         pi.append(target)
@@ -280,9 +280,9 @@ def _pmms_state(inst: Instance, bundles) -> tuple[int, int, Optional[int]]:
     s: Optional[int] = None
     for i in range(inst.n):
         vi = inst.valuations[i]
-        own = vi.value(bundles[i])
-        W += int(own)
-        ok = all(own >= mu(vi, bundles[i] | bundles[j], 2).mu
+        own = vi._value(bundles[i])
+        W += own  # binary tables have scale 1
+        ok = all(own >= mu(vi, bundles[i] | bundles[j], 2).scaled
                  for j in range(inst.n) if j != i)
         if ok:
             E += 1
@@ -335,7 +335,7 @@ def cut_and_choose_graph_procedure(inst: Instance) -> tuple[tuple[int, ...], Ccg
             A, B = part.witness
             swap_applied = False
             prev = walk[w_pos - 1]
-            if inst.valuations[prev].value(A) < inst.valuations[prev].value(B):
+            if inst.valuations[prev]._value(A) < inst.valuations[prev]._value(B):
                 A, B = B, A
                 swap_applied = True
             for i in walk[:max(w_pos - 1, 0)] + walk[w_pos:k_pos]:
@@ -377,14 +377,15 @@ def reversed_round_robin(inst: Instance, leftover_agent: int = 0) -> tuple[int, 
         raise ValueError("leftover_agent out of range")
     n, m = inst.n, inst.m
     padded = max(m, 2 * n)
-    singles = [list(v.values) + [Fraction(0)] * (padded - m) for v in inst.valuations]
+    singles = [list(v._ints) + [0] * (padded - m) for v in inst.valuations]
 
     pool = full_mask(padded)
     bundles = [0] * n
 
     def pick(agent: int) -> None:
+        nonlocal pool
         best_g = -1
-        best_v: Optional[Fraction] = None
+        best_v: Optional[int] = None
         rest = pool
         while rest:
             low = rest & -rest
@@ -394,11 +395,7 @@ def reversed_round_robin(inst: Instance, leftover_agent: int = 0) -> tuple[int, 
                 best_v = singles[agent][g]
                 best_g = g
         bundles[agent] |= 1 << best_g
-        nonlocal_pool_remove(best_g)
-
-    def nonlocal_pool_remove(g: int) -> None:
-        nonlocal pool
-        pool &= ~(1 << g)
+        pool &= ~(1 << best_g)
 
     for i in range(n):
         pick(i)
@@ -409,18 +406,3 @@ def reversed_round_robin(inst: Instance, leftover_agent: int = 0) -> tuple[int, 
     real = full_mask(m)
     return tuple(mask & real for mask in bundles)
 
-
-def pair_demand_mu_closed_form(v: PairDemand) -> Fraction:
-    """Closed form for the 2-part fair share of a pair-demand valuation on
-    four items a <= b <= c <= d (by singleton value):
-    mu = min(v({a, d}), v({b, c})). Cross-checked against the brute-force
-    oracle before returning."""
-    if v.num_items != 4:
-        raise ValueError("closed form is for exactly four items")
-    order = sorted(range(4), key=lambda g: (v.values[g], g))
-    a, b, c, d = order
-    closed = min(v.value((1 << a) | (1 << d)), v.value((1 << b) | (1 << c)))
-    brute = mu(v, full_mask(4), 2).mu
-    if closed != brute:
-        raise AssertionError(f"closed form {closed} != brute force {brute}")
-    return closed

@@ -8,6 +8,7 @@ Exit codes: 0 success / property holds, 1 fairness property fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -24,9 +25,17 @@ EXIT_BUDGET = 3
 AGENT_COLORS = ("red", "blue", "green", "orange", "purple", "brown", "cyan", "magenta")
 
 
+class UsageError(Exception):
+    """Malformed input outside the argument parser; exits 2 with one line."""
+
+
 def _budget() -> Optional[int]:
     raw = os.environ.get("FAIRDIV_BUDGET")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    if not raw.isdecimal():
+        raise UsageError(f"FAIRDIV_BUDGET must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -237,6 +246,9 @@ def cmd_export_graph(args) -> int:
 # parser
 
 
+# Built once per process: a build takes about as long as a small command's
+# own work, and each parser is a reference cycle left to the collector.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fairdiv")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -292,7 +304,11 @@ def main(argv: Optional[list] = None) -> int:
     if args.command == "check" and args.notion != "feasible" and not args.alloc:
         print("error: --alloc is required unless --notion feasible", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

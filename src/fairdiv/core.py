@@ -1,12 +1,15 @@
 """Domain model: bundles, valuations, instances and allocations.
 
 Bundles are plain ints used as bitmasks over item indices ``0..m-1``.
-All arithmetic is exact (``fractions.Fraction``); fairness verdicts are
-equality-sensitive, so floats are never used.
+All arithmetic is exact; fairness verdicts are equality-sensitive, so
+floats are never used. Each valuation is scaled to integers once, at
+construction: ``_value(mask)`` returns v(S) * ``scale`` as an ``int``, and
+``value(mask)`` is the only place a ``Fraction`` is built from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -66,15 +69,42 @@ class FairnessNotion(Enum):
     MMS = "mms"
 
 
+def _scaled(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(scale, ints): the LCM of the values' denominators, and each value
+    times it."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in values)
+
+
 @dataclass(frozen=True)
 class Valuation:
-    """Base class. Subclasses answer ``value(bundle)`` for bitmask bundles."""
+    """Base class. Subclasses answer ``value(bundle)`` for bitmask bundles.
+
+    Every subclass calls ``_set_kernel`` from ``__post_init__`` and
+    implements ``_value(mask)``, which returns v(S) * ``scale`` as an int.
+    Comparisons within one valuation can use ``_value`` directly, because
+    scaling by a positive constant preserves order and equality.
+    Subclasses set ``__hash__ = Valuation.__hash__``; otherwise
+    ``@dataclass`` would generate one that rehashes every field.
+    """
+
+    scale: int = field(init=False, repr=False, compare=False)
+    # The fair-share memo hashes its valuation on every lookup, so the hash
+    # is computed once, from the integer data that determines equality.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def _set_kernel(self, scale: int, data) -> None:
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_hash", hash((scale, data)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def num_items(self) -> int:
         raise NotImplementedError
 
-    def _value(self, mask: int) -> Fraction:
+    def _value(self, mask: int) -> int:
         raise NotImplementedError
 
     def value(self, mask: int) -> Fraction:
@@ -82,7 +112,7 @@ class Valuation:
             raise InvalidBundleError(
                 f"bundle {bin(mask)} addresses items outside 0..{self.num_items - 1}"
             )
-        return self._value(mask)
+        return Fraction(self._value(mask), self.scale)
 
     def is_additive(self) -> bool:
         return False
@@ -102,11 +132,15 @@ class Additive(Valuation):
     """
 
     values: tuple[Fraction, ...]
+    __hash__ = Valuation.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(as_fraction(x) for x in self.values))
         if any(x < 0 for x in self.values):
             raise ValueError("item values must be non-negative")
+        scale, ints = _scaled(self.values)
+        object.__setattr__(self, "_ints", ints)
+        self._set_kernel(scale, ints)
 
     @classmethod
     def of(cls, values: Sequence[RationalLike]) -> "Additive":
@@ -116,10 +150,13 @@ class Additive(Valuation):
     def num_items(self) -> int:
         return len(self.values)
 
-    def _value(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        for g in items_of(mask):
-            total += self.values[g]
+    def _value(self, mask: int) -> int:
+        ints = self._ints
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += ints[low.bit_length() - 1]
+            mask ^= low
         return total
 
     def is_additive(self) -> bool:
@@ -137,6 +174,7 @@ class PersonalizedBivalued(Valuation):
     b: Fraction
     high_items: int
     m: int
+    __hash__ = Valuation.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", as_fraction(self.a))
@@ -145,6 +183,10 @@ class PersonalizedBivalued(Valuation):
             raise ValueError("personalized bivalued requires a > b >= 0")
         if self.high_items >> self.m:
             raise InvalidBundleError("high_items addresses items outside 0..m-1")
+        scale, (a, b) = _scaled((self.a, self.b))
+        object.__setattr__(self, "_a", a)  # a * scale
+        object.__setattr__(self, "_b", b)  # b * scale
+        self._set_kernel(scale, (a, b, self.high_items, self.m))
 
     @property
     def num_items(self) -> int:
@@ -154,10 +196,9 @@ class PersonalizedBivalued(Valuation):
         """True iff b = 0 or a is an integer multiple of b."""
         return self.b == 0 or (self.a / self.b).denominator == 1
 
-    def _value(self, mask: int) -> Fraction:
+    def _value(self, mask: int) -> int:
         high = (mask & self.high_items).bit_count()
-        low = mask.bit_count() - high
-        return self.a * high + self.b * low
+        return self._a * high + self._b * (mask.bit_count() - high)
 
     def is_additive(self) -> bool:
         return True
@@ -168,11 +209,15 @@ class PairDemand(Valuation):
     """Bundle value is the sum of the two highest item values in the bundle."""
 
     values: tuple[Fraction, ...]
+    __hash__ = Valuation.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(as_fraction(x) for x in self.values))
         if any(x < 0 for x in self.values):
             raise ValueError("item values must be non-negative")
+        scale, ints = _scaled(self.values)
+        object.__setattr__(self, "_ints", ints)
+        self._set_kernel(scale, ints)
 
     @classmethod
     def of(cls, values: Sequence[RationalLike]) -> "PairDemand":
@@ -182,10 +227,13 @@ class PairDemand(Valuation):
     def num_items(self) -> int:
         return len(self.values)
 
-    def _value(self, mask: int) -> Fraction:
-        best = second = Fraction(0)
-        for g in items_of(mask):
-            x = self.values[g]
+    def _value(self, mask: int) -> int:
+        ints = self._ints
+        best = second = 0
+        while mask:
+            low = mask & -mask
+            x = ints[low.bit_length() - 1]
+            mask ^= low
             if x > best:
                 best, second = x, best
             elif x > second:
@@ -198,6 +246,7 @@ class ExplicitTable(Valuation):
     """Arbitrary set function stored as a 2^m table indexed by bundle mask."""
 
     table: tuple[Fraction, ...]
+    __hash__ = Valuation.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", tuple(as_fraction(x) for x in self.table))
@@ -206,6 +255,9 @@ class ExplicitTable(Valuation):
             raise ValueError("table length must be a power of two")
         if self.num_items > MAX_TABLE_ITEMS:
             raise ValueError(f"explicit tables are capped at {MAX_TABLE_ITEMS} items")
+        scale, ints = _scaled(self.table)
+        object.__setattr__(self, "_ints", ints)
+        self._set_kernel(scale, ints)
 
     @classmethod
     def of(cls, table: Sequence[RationalLike]) -> "ExplicitTable":
@@ -215,12 +267,8 @@ class ExplicitTable(Valuation):
     def num_items(self) -> int:
         return len(self.table).bit_length() - 1
 
-    def _value(self, mask: int) -> Fraction:
-        return self.table[mask]
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+    def _value(self, mask: int) -> int:
+        return self._ints[mask]
 
 
 @dataclass(frozen=True)
@@ -230,6 +278,7 @@ class BinaryTable(Valuation):
 
     m: int
     ones: frozenset[int]
+    __hash__ = Valuation.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ones", frozenset(self.ones))
@@ -237,18 +286,14 @@ class BinaryTable(Valuation):
             raise ValueError(f"binary tables are capped at {MAX_TABLE_ITEMS} items")
         if any(mask < 0 or mask >> self.m for mask in self.ones):
             raise InvalidBundleError("ones contains a mask outside the item range")
+        self._set_kernel(1, (self.m, self.ones))
 
     @property
     def num_items(self) -> int:
         return self.m
 
-    def _value(self, mask: int) -> Fraction:
-        return _ONE if mask in self.ones else _ZERO
-
-
-def value(v: Valuation, mask: int) -> Fraction:
-    """Evaluate v(S) for a bundle bitmask S."""
-    return v.value(mask)
+    def _value(self, mask: int) -> int:
+        return 1 if mask in self.ones else 0
 
 
 def to_explicit_table(v: Valuation) -> ExplicitTable:
@@ -262,11 +307,13 @@ def to_explicit_table(v: Valuation) -> ExplicitTable:
 def is_monotone(v: Valuation, m: Optional[int] = None) -> bool:
     """Scan S subset-of T => v(S) <= v(T) over single-item extensions."""
     m = v.num_items if m is None else m
+    if m > v.num_items:
+        raise InvalidBundleError(f"valuation addresses only {v.num_items} items, not {m}")
     for mask in range(1 << m):
-        base = v.value(mask)
+        base = v._value(mask)
         for g in range(m):
             bit = 1 << g
-            if not mask & bit and v.value(mask | bit) < base:
+            if not mask & bit and v._value(mask | bit) < base:
                 return False
     return True
 
@@ -297,7 +344,7 @@ class Instance:
                 raise ValueError("need exactly one label per item")
         if self.normalized_required:
             for i, v in enumerate(self.valuations):
-                if v.value(0) != 0:
+                if v._value(0) != 0:
                     raise ValueError(f"valuation of agent {i} is not normalized")
         if self.monotone_required:
             for i, v in enumerate(self.valuations):

@@ -3,12 +3,17 @@
 Everything here is exhaustive and exact: maximin shares enumerate all
 labeled partitions, allocation scans enumerate all n^m assignments.
 Exceeding the enumeration budget is a hard error, never an approximation.
+
+Every comparison is between two values of one agent's valuation, so it is
+made on that valuation's scaled integers (``Valuation._value``); a
+``Fraction`` is built only for a result handed back to the caller.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -42,6 +47,7 @@ def _check_budget(count: int, budget: Optional[int]) -> None:
 class MaximinResult:
     mu: Fraction
     witness: tuple[int, ...]  # k part masks, a labeled partition of S
+    scaled: int = field(repr=False, compare=False)  # mu * v.scale, to compare with v._value
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,8 @@ class FairnessReport:
 @lru_cache(maxsize=1 << 18)
 def _mu_search(v: Valuation, S: int, k: int) -> MaximinResult:
     items = list(items_of(S))
-    best_min: Optional[Fraction] = None
+    value = v._value
+    best_min: Optional[int] = None
     best_parts: tuple[int, ...] = ()
     parts = [0] * k
 
@@ -71,7 +78,7 @@ def _mu_search(v: Valuation, S: int, k: int) -> MaximinResult:
     def assign(idx: int) -> None:
         nonlocal best_min, best_parts
         if idx == len(items):
-            worst = min(v._value(p) for p in parts)
+            worst = min(map(value, parts))
             if best_min is None or worst > best_min:
                 best_min = worst
                 best_parts = tuple(parts)
@@ -84,7 +91,7 @@ def _mu_search(v: Valuation, S: int, k: int) -> MaximinResult:
 
     assign(0)
     assert best_min is not None
-    return MaximinResult(best_min, best_parts)
+    return MaximinResult(Fraction(best_min, v.scale), best_parts, best_min)
 
 
 def mu(v: Valuation, S: int, k: int, budget: Optional[int] = None) -> MaximinResult:
@@ -110,16 +117,14 @@ def _efx_violations(inst: Instance, bundles, positive_only: bool, first_only: bo
     out = []
     for i in range(inst.n):
         vi = inst.valuations[i]
-        own = vi.value(bundles[i])
-        if positive_only:
-            singles = vi.singleton_values()
+        own = vi._value(bundles[i])
         for j in range(inst.n):
             if i == j:
                 continue
             for g in items_of(bundles[j]):
-                if positive_only and singles[g] <= 0:
+                if positive_only and vi._value(1 << g) <= 0:
                     continue
-                if own < vi.value(bundles[j] & ~(1 << g)):
+                if own < vi._value(bundles[j] & ~(1 << g)):
                     out.append(FairnessViolation(i, j, g))
                     if first_only:
                         return out
@@ -152,12 +157,12 @@ def check_pmms(inst: Instance, bundles, budget: Optional[int] = None) -> Fairnes
     violations = []
     for i in range(inst.n):
         vi = inst.valuations[i]
-        own = vi.value(bundles[i])
+        own = vi._value(bundles[i])
         for j in range(inst.n):
             if i == j:
                 continue
             result = mu(vi, bundles[i] | bundles[j], 2, budget)
-            if own < result.mu:
+            if own < result.scaled:
                 violations.append(FairnessViolation(i, j, result.witness))
     return FairnessReport(FairnessNotion.PMMS, not violations, tuple(violations))
 
@@ -167,7 +172,7 @@ def check_mms(inst: Instance, bundles, budget: Optional[int] = None) -> Fairness
     violations = []
     for i in range(inst.n):
         result = mu(inst.valuations[i], inst.all_items, inst.n, budget)
-        if inst.valuations[i].value(bundles[i]) < result.mu:
+        if inst.valuations[i]._value(bundles[i]) < result.scaled:
             violations.append(FairnessViolation(i, None, result.witness))
     return FairnessReport(FairnessNotion.MMS, not violations, tuple(violations))
 
@@ -179,16 +184,17 @@ def _is_efx(inst, bundles, positive_only=False) -> bool:
 def _is_pmms(inst, bundles, budget=None) -> bool:
     for i in range(inst.n):
         vi = inst.valuations[i]
-        own = vi.value(bundles[i])
+        own = vi._value(bundles[i])
         for j in range(inst.n):
-            if i != j and own < mu(vi, bundles[i] | bundles[j], 2, budget).mu:
+            if i != j and own < mu(vi, bundles[i] | bundles[j], 2, budget).scaled:
                 return False
     return True
 
 
 def _is_mms(inst, bundles, budget=None) -> bool:
     for i in range(inst.n):
-        if inst.valuations[i].value(bundles[i]) < mu(inst.valuations[i], inst.all_items, inst.n, budget).mu:
+        vi = inst.valuations[i]
+        if vi._value(bundles[i]) < mu(vi, inst.all_items, inst.n, budget).scaled:
             return False
     return True
 
@@ -249,21 +255,26 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion,
 
 def nash_welfare_maximizers(inst: Instance, budget: Optional[int] = None):
     """Exact maximum of the product of utilities over all allocations,
-    with every maximizer (in lexicographic order)."""
+    with every maximizer (in lexicographic order).
+
+    Products are taken over scaled values; every allocation's product is
+    scaled by the same constant, the product of the scales, so the order
+    is unchanged and the maximum is divided by it once."""
     _check_budget(inst.n ** inst.m, budget)
-    best: Optional[Fraction] = None
+    values = [v._value for v in inst.valuations]
+    best: Optional[int] = None
     argmax: list[tuple[int, ...]] = []
     for bundles in iter_allocations(inst.n, inst.m):
-        product = Fraction(1)
-        for i in range(inst.n):
-            product *= inst.valuations[i].value(bundles[i])
+        product = 1
+        for value, mask in zip(values, bundles):
+            product *= value(mask)
         if best is None or product > best:
             best = product
             argmax = [bundles]
         elif product == best:
             argmax.append(bundles)
     assert best is not None
-    return best, argmax
+    return Fraction(best, math.prod(v.scale for v in inst.valuations)), argmax
 
 
 def check_mms_feasible(v: Valuation, budget: Optional[int] = None) -> bool:
@@ -273,8 +284,8 @@ def check_mms_feasible(v: Valuation, budget: Optional[int] = None) -> bool:
     m = v.num_items
     _check_budget(3**m, budget)
     for S in range(1 << m):
-        maxmin: Optional[Fraction] = None
-        minmax: Optional[Fraction] = None
+        maxmin: Optional[int] = None
+        minmax: Optional[int] = None
         sub = S
         while True:
             a = v._value(sub)
@@ -306,9 +317,6 @@ class CompatGraph:
     nodes: tuple[tuple[int, int], ...]
     edges: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
-    def degree(self, node) -> int:
-        return sum(1 for e in self.edges if node in e)
-
     def isolated_nodes(self) -> tuple[tuple[int, int], ...]:
         touched = {u for e in self.edges for u in e}
         return tuple(node for node in self.nodes if node not in touched)
@@ -337,7 +345,8 @@ def pair_compatibility_graph(inst: Instance, budget: Optional[int] = None) -> Co
         if i == j or S & T:
             continue
         union = S | T
-        if (inst.valuations[i].value(S) >= mu(inst.valuations[i], union, 2, budget).mu
-                and inst.valuations[j].value(T) >= mu(inst.valuations[j], union, 2, budget).mu):
+        vi, vj = inst.valuations[i], inst.valuations[j]
+        if (vi._value(S) >= mu(vi, union, 2, budget).scaled
+                and vj._value(T) >= mu(vj, union, 2, budget).scaled):
             edges.append(((i, S), (j, T)))
     return CompatGraph(inst.n, inst.m, nodes, tuple(edges))

@@ -1,12 +1,24 @@
 """Shared verification helpers: per-round matching properties and
-match-and-freeze trace invariants, asserted on every randomized run."""
+match-and-freeze trace invariants, asserted on every randomized run, and
+the Fraction brute-force references the integer kernel is checked against."""
 
+import itertools
 import math
 from fractions import Fraction
 
 from fairdiv.algorithms import MafTrace, alternating_reach, ratio_substitute
-from fairdiv.core import Instance
+from fairdiv.core import (
+    Additive,
+    BinaryTable,
+    ExplicitTable,
+    Instance,
+    PairDemand,
+    PersonalizedBivalued,
+    full_mask,
+    items_of,
+)
 from fairdiv.matching import RoundGraph
+from fairdiv.oracles import iter_allocations, mu
 
 
 def agent_ratios(inst: Instance) -> list[Fraction]:
@@ -87,3 +99,119 @@ def check_maf_trace_invariants(inst: Instance, trace: MafTrace) -> None:
                         f"round {rnd.round}: agents {i},{j} both took items high for "
                         f"{i} but {i} froze longer"
                     )
+
+
+def pair_demand_mu_closed_form(v: PairDemand) -> Fraction:
+    """Closed form for the 2-part fair share of a pair-demand valuation on
+    four items a <= b <= c <= d (by singleton value):
+    mu = min(v({a, d}), v({b, c})). Cross-checked against the brute-force
+    oracle before returning."""
+    if v.num_items != 4:
+        raise ValueError("closed form is for exactly four items")
+    order = sorted(range(4), key=lambda g: (v.values[g], g))
+    a, b, c, d = order
+    closed = min(v.value((1 << a) | (1 << d)), v.value((1 << b) | (1 << c)))
+    brute = mu(v, full_mask(4), 2).mu
+    if closed != brute:
+        raise AssertionError(f"closed form {closed} != brute force {brute}")
+    return closed
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer kernel: each recomputes from the
+# public Fraction fields what fairdiv computes on scaled integers.
+
+
+def reference_value(v, mask: int) -> Fraction:
+    if isinstance(v, (Additive, PairDemand)):
+        picked = sorted((v.values[g] for g in items_of(mask)), reverse=True)
+        return sum(picked[:2] if isinstance(v, PairDemand) else picked, Fraction(0))
+    if isinstance(v, PersonalizedBivalued):
+        high = (mask & v.high_items).bit_count()
+        return v.a * high + v.b * (mask.bit_count() - high)
+    if isinstance(v, ExplicitTable):
+        return v.table[mask]
+    if isinstance(v, BinaryTable):
+        return Fraction(int(mask in v.ones))
+    raise TypeError(type(v).__name__)
+
+
+def reference_mu(v, S: int, k: int) -> tuple[Fraction, tuple[int, ...]]:
+    """Fair share and lexicographically smallest witness by exhaustive
+    search on Fraction values, in fairdiv's search order."""
+    items = list(items_of(S))
+    best_min = None
+    best_parts: tuple[int, ...] = ()
+    parts = [0] * k
+
+    def assign(idx: int) -> None:
+        nonlocal best_min, best_parts
+        if idx == len(items):
+            worst = min(reference_value(v, p) for p in parts)
+            if best_min is None or worst > best_min:
+                best_min = worst
+                best_parts = tuple(parts)
+            return
+        bit = 1 << items[idx]
+        for label in range(k):
+            parts[label] |= bit
+            assign(idx + 1)
+            parts[label] ^= bit
+
+    assign(0)
+    return best_min, best_parts
+
+
+def reference_efx_violations(inst: Instance, bundles) -> list:
+    out = []
+    for i, j in itertools.permutations(range(inst.n), 2):
+        vi = inst.valuations[i]
+        own = reference_value(vi, bundles[i])
+        for g in items_of(bundles[j]):
+            if own < reference_value(vi, bundles[j] & ~(1 << g)):
+                out.append((i, j, g))
+                break
+    return out
+
+
+def reference_pmms_violations(inst: Instance, bundles) -> list:
+    out = []
+    for i, j in itertools.permutations(range(inst.n), 2):
+        vi = inst.valuations[i]
+        share, witness = reference_mu(vi, bundles[i] | bundles[j], 2)
+        if reference_value(vi, bundles[i]) < share:
+            out.append((i, j, witness))
+    return out
+
+
+def reference_mms_violations(inst: Instance, bundles) -> list:
+    out = []
+    for i, vi in enumerate(inst.valuations):
+        share, witness = reference_mu(vi, inst.all_items, inst.n)
+        if reference_value(vi, bundles[i]) < share:
+            out.append((i, None, witness))
+    return out
+
+
+def reference_mms_feasible(v) -> bool:
+    """For every S, the smallest larger side over bipartitions of S is at
+    least the largest smaller side, mu(v, S, 2)."""
+    for S in range(1 << v.num_items):
+        splits = [(reference_value(v, A), reference_value(v, S ^ A))
+                  for A in range(S + 1) if A & S == A]
+        if min(map(max, splits)) < max(map(min, splits)):
+            return False
+    return True
+
+
+def reference_nash_welfare(inst: Instance) -> tuple[Fraction, list]:
+    best = None
+    argmax: list = []
+    for bundles in iter_allocations(inst.n, inst.m):
+        product = math.prod((reference_value(v, X) for v, X in zip(inst.valuations, bundles)),
+                            start=Fraction(1))
+        if best is None or product > best:
+            best, argmax = product, [bundles]
+        elif product == best:
+            argmax.append(bundles)
+    return best, argmax

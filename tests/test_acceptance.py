@@ -17,7 +17,6 @@ from fairdiv.algorithms import (
     cut_and_choose_graph_procedure,
     maf_trace_lines,
     match_and_freeze,
-    pair_demand_mu_closed_form,
     reversed_round_robin,
 )
 from fairdiv.core import (
@@ -58,7 +57,11 @@ from fairdiv.oracles import (
     pair_compatibility_graph,
 )
 
-from helpers import check_maf_trace_invariants, check_matching_round_property
+from helpers import (
+    check_maf_trace_invariants,
+    check_matching_round_property,
+    pair_demand_mu_closed_form,
+)
 
 GOLDEN_TRACE = os.path.join(os.path.dirname(__file__), "data", "table1_trace.txt")
 

@@ -9,7 +9,6 @@ from fairdiv.algorithms import (
     cut_and_choose_graph_procedure,
     match_and_freeze,
     maf_trace_lines,
-    pair_demand_mu_closed_form,
     ratio_substitute,
     reversed_round_robin,
     sufficient_no_envy,
@@ -27,7 +26,11 @@ from fairdiv.instances import gen_table1_example, random_binary_mms_feasible
 from fairdiv.matching import connected_components
 from fairdiv.oracles import check_efx, check_pmms, mu
 
-from helpers import check_maf_trace_invariants, check_matching_round_property
+from helpers import (
+    check_maf_trace_invariants,
+    check_matching_round_property,
+    pair_demand_mu_closed_form,
+)
 
 
 # ---------------------------------------------------------------------------

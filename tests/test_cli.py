@@ -158,6 +158,18 @@ def test_verify_budget_exceeded_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3 and "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["abc", "-1", "1.5"])
+def test_malformed_budget_exits_2(tmp_path, capsys, monkeypatch, budget):
+    inst = Instance(2, 3, (Additive.of([0, 0, 2]),) * 2)
+    inst_path = write_instance(tmp_path, inst)
+    alloc_path = write_allocation(tmp_path, (0b001, 0b110))
+    monkeypatch.setenv("FAIRDIV_BUDGET", budget)
+    code, _, err = run(capsys, "check", "--notion", "pmms", "--in", inst_path,
+                       "--alloc", alloc_path)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: FAIRDIV_BUDGET")
+
+
 def _parse_dot_edges(text):
     edges = []
     for line in text.splitlines():

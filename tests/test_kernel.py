@@ -1,0 +1,145 @@
+"""The scaled-integer kernel against Fraction brute-force references.
+
+Values are drawn with denominators 1, 2, 3 and 6, so every class but
+BinaryTable runs with a scale above 1; personalized bivalued valuations
+include b = 0.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairdiv.core import (
+    Additive,
+    BinaryTable,
+    ExplicitTable,
+    FairnessNotion,
+    Instance,
+    PairDemand,
+    PersonalizedBivalued,
+)
+from fairdiv.oracles import (
+    allocation_satisfies,
+    check_efx,
+    check_mms,
+    check_mms_feasible,
+    check_pmms,
+    mu,
+    nash_welfare_maximizers,
+)
+
+from helpers import (
+    reference_efx_violations,
+    reference_mms_feasible,
+    reference_mms_violations,
+    reference_mu,
+    reference_nash_welfare,
+    reference_pmms_violations,
+    reference_value,
+)
+
+KERNEL = settings(max_examples=150, deadline=None, database=None)
+
+rationals = st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 3, 6]))
+positive_rationals = st.builds(Fraction, st.integers(1, 12), st.sampled_from([1, 2, 3, 6]))
+
+
+@st.composite
+def valuations(draw, m: int):
+    kind = draw(st.sampled_from(["additive", "bivalued", "pair", "table", "binary"]))
+    if kind == "additive":
+        return Additive(tuple(draw(st.lists(rationals, min_size=m, max_size=m))))
+    if kind == "pair":
+        return PairDemand(tuple(draw(st.lists(rationals, min_size=m, max_size=m))))
+    if kind == "bivalued":
+        b = draw(st.one_of(st.just(Fraction(0)), rationals))
+        a = b + draw(positive_rationals)
+        return PersonalizedBivalued(a, b, draw(st.integers(0, (1 << m) - 1)), m)
+    if kind == "table":
+        size = 1 << m
+        return ExplicitTable(tuple(draw(st.lists(rationals, min_size=size, max_size=size))))
+    return BinaryTable(m, draw(st.frozensets(st.integers(0, (1 << m) - 1))))
+
+
+@st.composite
+def valuation_and_subset(draw):
+    m = draw(st.integers(1, 5))
+    return draw(valuations(m)), draw(st.integers(0, (1 << m) - 1))
+
+
+@st.composite
+def instance_and_allocation(draw, max_m: int = 5):
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(1, max_m))
+    vals = tuple(draw(valuations(m)) for _ in range(n))
+    inst = Instance(n, m, vals, monotone_required=False, normalized_required=False)
+    owners = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    bundles = tuple(sum(1 << g for g, o in enumerate(owners) if o == i) for i in range(n))
+    return inst, bundles
+
+
+def test_scale_is_the_lcm_of_the_denominators():
+    v = Additive.of(["1/2", "1/3", "5/6", 2])
+    assert v.scale == 6
+    assert v.value(0b0111) == Fraction(5, 3)
+    assert PersonalizedBivalued(Fraction(3, 2), Fraction(0), 0b01, 2).scale == 2
+    assert BinaryTable(2, frozenset({0b11})).scale == 1
+
+
+def test_hash_follows_equality_and_stays_out_of_repr():
+    v, w = PairDemand.of(["1/2", 3]), PairDemand.of([Fraction(1, 2), Fraction(3)])
+    assert v is not w and v == w and hash(v) == hash(w)
+    assert "_hash" not in repr(v) and "scale" not in repr(v)
+    assert v != PairDemand.of([1, 3])
+
+
+@KERNEL
+@given(valuation_and_subset())
+def test_value_matches_reference(case):
+    v, _ = case
+    for mask in range(1 << v.num_items):
+        got = v.value(mask)
+        assert type(got) is Fraction
+        assert got == reference_value(v, mask)
+        assert v._value(mask) == got * v.scale
+
+
+@KERNEL
+@given(valuation_and_subset(), st.sampled_from([2, 3]))
+def test_mu_matches_reference(case, k):
+    v, S = case
+    result = mu(v, S, k)
+    assert type(result.mu) is Fraction
+    assert (result.mu, result.witness) == reference_mu(v, S, k)
+    assert result.scaled == result.mu * v.scale
+
+
+@KERNEL
+@given(instance_and_allocation())
+def test_fairness_checks_match_reference(case):
+    inst, bundles = case
+    for check, reference, notion in (
+        (check_efx, reference_efx_violations, FairnessNotion.EFX),
+        (check_pmms, reference_pmms_violations, FairnessNotion.PMMS),
+        (check_mms, reference_mms_violations, FairnessNotion.MMS),
+    ):
+        report = check(inst, bundles)
+        want = reference(inst, bundles)
+        assert [(f.envier, f.envied, f.witness) for f in report.violations] == want
+        assert report.holds == (not want) == allocation_satisfies(inst, bundles, notion)
+
+
+@KERNEL
+@given(st.integers(1, 4).flatmap(valuations))
+def test_mms_feasible_matches_reference(v):
+    assert check_mms_feasible(v) == reference_mms_feasible(v)
+
+
+@KERNEL
+@given(instance_and_allocation(max_m=4))
+def test_nash_welfare_matches_reference(case):
+    inst, _ = case
+    best, argmax = nash_welfare_maximizers(inst)
+    assert type(best) is Fraction
+    assert (best, argmax) == reference_nash_welfare(inst)
