@@ -60,17 +60,6 @@ class MafTrace:
     priorities_w: tuple[int, ...]
     r_star: tuple[int, ...]  # per agent: last round a high-value item was allocated
 
-    def inactive_rounds(self, agent: int) -> frozenset[int]:
-        """Rounds during which the agent was frozen (within the run)."""
-        total = len(self.rounds)
-        out = set()
-        for rnd in self.rounds:
-            for a, duration in rnd.frozen_now:
-                if a == agent:
-                    out.update(r for r in range(rnd.round + 1, rnd.round + duration + 1)
-                               if r <= total)
-        return frozenset(out)
-
     def round_item(self, agent: int, round_no: int) -> Optional[int]:
         rnd = self.rounds[round_no - 1]
         for a, g in rnd.matching:

@@ -15,7 +15,13 @@ import time
 from typing import Optional
 
 from . import algorithms, instances, oracles, serialize
-from .core import FairnessNotion, Instance, UnsupportedValuationError, items_of
+from .core import (
+    FairnessNotion,
+    Instance,
+    UnsupportedValuationError,
+    items_of,
+    validate_allocation,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -46,14 +52,36 @@ def _write(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _load(path: str, from_doc, what: str):
+    """Read and parse one JSON document; anything wrong with the file or
+    its contents is a usage error, never a traceback."""
+    try:
+        with open(path) as fh:
+            return from_doc(serialize.loads(fh.read()))
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} file {path!r}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise UsageError(f"{what} document {path!r} is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid {what} document {path!r}: {exc}") from None
+
+
 def _load_instance(path: str) -> Instance:
-    with open(path) as fh:
-        return serialize.instance_from_doc(serialize.loads(fh.read()))
+    return _load(path, serialize.instance_from_doc, "instance")
 
 
-def _load_allocation(path: str) -> tuple:
-    with open(path) as fh:
-        return serialize.allocation_from_doc(serialize.loads(fh.read()))
+def _load_allocation(path: str, inst: Instance) -> tuple:
+    bundles = _load(path, serialize.allocation_from_doc, "allocation")
+    violation = validate_allocation(inst, bundles)
+    if violation is not None:
+        raise UsageError(f"invalid allocation {path!r}: {violation}")
+    return bundles
+
+
+def _agent_index(flag: str, agent: int, inst: Instance) -> int:
+    if not 0 <= agent < inst.n:
+        raise UsageError(f"{flag} must be an agent index in 0..{inst.n - 1}, got {agent}")
+    return agent
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +122,8 @@ def cmd_solve(args) -> int:
             bundles, trace = algorithms.cut_and_choose_graph_procedure(inst)
             trace_lines = algorithms.ccg_trace_lines(trace)
         else:
-            bundles = algorithms.reversed_round_robin(inst, args.leftover_agent)
+            agent = _agent_index("--leftover-agent", args.leftover_agent, inst)
+            bundles = algorithms.reversed_round_robin(inst, agent)
             trace_lines = []
     except UnsupportedValuationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -118,7 +147,7 @@ def cmd_check(args) -> int:
             doc = {"notion": "feasible", "holds": all(verdicts), "per_agent": verdicts}
         else:
             notion = FairnessNotion(args.notion)
-            bundles = _load_allocation(args.alloc)
+            bundles = _load_allocation(args.alloc, inst)
             report = oracles.check(inst, bundles, notion, budget)
             doc = {
                 "notion": args.notion,
@@ -236,8 +265,8 @@ def cmd_export_graph(args) -> int:
         if args.alloc is None or args.agent is None:
             print("error: --kind ccg requires --alloc and --agent", file=sys.stderr)
             return EXIT_USAGE
-        bundles = _load_allocation(args.alloc)
-        text = _ccg_dot(inst, bundles, args.agent)
+        bundles = _load_allocation(args.alloc, inst)
+        text = _ccg_dot(inst, bundles, _agent_index("--agent", args.agent, inst))
     _write(text, args.dot)
     return EXIT_OK
 

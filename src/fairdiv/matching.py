@@ -1,19 +1,19 @@
 """Bipartite matching machinery for the match-and-freeze round structure.
 
-Each agent's edges all carry that agent's uniform weight (a ratio of
-high to low value), so a maximum-cardinality maximum-weight matching can
-be found exactly with rational arithmetic at desk scale.
+Each agent's edges all carry that agent's uniform weight (a ratio of high
+to low value). The matcher returns the maximum-cardinality matching of
+maximum total weight, ties broken toward the lexicographically smallest
+sorted pair list. It folds all three criteria into one integer key per
+edge and solves a single maximum-weight assignment, exactly on Python ints,
+in O(A^2 (A + I)) key operations for A agents and I items that have edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .core import as_fraction
-
-BRUTE_FORCE_EDGE_LIMIT = 20
+from .core import _scaled, as_fraction
 
 
 @dataclass(frozen=True)
@@ -37,126 +37,98 @@ class RoundGraph:
             if weight_of.setdefault(a, w) != w:
                 raise ValueError(f"agent {a} has edges with differing weights")
 
-    def agent_weight(self, agent: int) -> Optional[Fraction]:
-        for a, _, w in self.edges:
-            if a == agent:
-                return w
-        return None
-
 
 Matching = tuple  # sorted (agent, item) pairs
-
-
-def _adjacency(graph: RoundGraph) -> dict[int, list[tuple[int, Fraction]]]:
-    adj: dict[int, list[tuple[int, Fraction]]] = {a: [] for a in graph.agents}
-    for a, g, w in graph.edges:
-        adj[a].append((g, w))
-    for a in adj:
-        adj[a].sort()
-    return adj
 
 
 def max_cardinality_max_weight_matching(graph: RoundGraph) -> Matching:
     """Among maximum-cardinality matchings, one of maximum total weight;
     ties broken toward the lexicographically smallest sorted pair list.
 
-    Uses cardinality-boosted weights (every edge gains a constant C larger
-    than any achievable weight total), so maximizing boosted weight selects
-    a maximum-cardinality maximum-weight matching.
+    With agents p = 0..A-1 and items j = 0..I-1 (those with edges, sorted),
+    edge (p, j) of scaled integer weight w gets the key
+
+        card_unit + w * w_unit + (I + 1) ** (A - 1 - p) * (I - j).
+
+    The last term reads a matching as an A-digit number in base I + 1, one
+    digit per agent (I - j if matched to item j, else 0), so among matchings
+    of one size the lexicographically smallest pair list has the largest
+    number. ``w_unit`` exceeds every such number, and ``card_unit`` exceeds
+    the spread of weight terms over any two matchings, so the matching of
+    largest key total is the unique answer. Every key is positive, so the
+    pairs of gain 0 (non-edges and dummy columns) are the unmatched agents.
     """
     if not graph.edges:
         return ()
     agents = sorted({a for a, _, _ in graph.edges})
-    edge_items = sorted({g for _, g, _ in graph.edges})
-    item_bit = {g: 1 << idx for idx, g in enumerate(edge_items)}
-    adj = _adjacency(graph)
-    max_w = max(w for _, _, w in graph.edges)
-    boost = 1 + min(len(agents), len(edge_items)) * max(max_w, Fraction(0))
+    items = sorted({g for _, g, _ in graph.edges})
+    row = {a: p for p, a in enumerate(agents)}
+    col = {g: j for j, g in enumerate(items)}
+    agent_weight = {a: w for a, _, w in graph.edges}
+    _, scaled = _scaled(tuple(agent_weight.values()))
+    weight = dict(zip(agent_weight, scaled))
 
-    memo: dict[tuple[int, int], tuple[Fraction, tuple]] = {}
-
-    def solve(pos: int, used: int) -> tuple[Fraction, tuple]:
-        if pos == len(agents):
-            return Fraction(0), ()
-        key = (pos, used)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        agent = agents[pos]
-        best_w, best_pairs = solve(pos + 1, used)  # leave this agent unmatched
-        for g, w in adj[agent]:
-            bit = item_bit[g]
-            if used & bit:
-                continue
-            sub_w, sub_pairs = solve(pos + 1, used | bit)
-            cand_w = boost + w + sub_w
-            cand_pairs = ((agent, g),) + sub_pairs
-            if cand_w > best_w or (cand_w == best_w and cand_pairs < best_pairs):
-                best_w, best_pairs = cand_w, cand_pairs
-        memo[key] = (best_w, best_pairs)
-        return best_w, best_pairs
-
-    return solve(0, 0)[1]
-
-
-def brute_force_matching_oracle(graph: RoundGraph) -> Matching:
-    """Test oracle: enumerate every matching and pick the optimum under
-    the same criteria and tie-break as the production matcher."""
-    if len(graph.edges) > BRUTE_FORCE_EDGE_LIMIT:
-        raise ValueError(f"oracle limited to {BRUTE_FORCE_EDGE_LIMIT} edges")
-    adj = _adjacency(graph)
-    agents = sorted(adj)
-    best: Optional[tuple[int, Fraction, tuple]] = None  # (-card, -weight, pairs), minimized
-
-    def walk(pos: int, used_items: frozenset, pairs: tuple, weight: Fraction) -> None:
-        nonlocal best
-        if pos == len(agents):
-            key = (-len(pairs), -weight, pairs)
-            if best is None or key < best:
-                best = key
-            return
-        walk(pos + 1, used_items, pairs, weight)
-        agent = agents[pos]
-        for g, w in adj[agent]:
-            if g not in used_items:
-                walk(pos + 1, used_items | {g}, pairs + ((agent, g),), weight + w)
-
-    walk(0, frozenset(), (), Fraction(0))
-    assert best is not None
-    return best[2]
-
-
-def connected_components(graph: RoundGraph) -> list[dict]:
-    """Partition of graph nodes into connected components, each reported as
-    {"agents": [...], "items": [...]}; isolated nodes form singletons."""
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for a in graph.agents:
-        parent[("a", a)] = ("a", a)
-    for g in graph.items:
-        parent[("g", g)] = ("g", g)
+    base = len(items) + 1
+    w_unit = base ** len(agents)
+    card_unit = w_unit * (2 * min(len(agents), len(items)) * max(map(abs, scaled)) + 1)
+    # One zero-gain dummy column per agent lets every agent stay unmatched.
+    gain = [[0] * (len(items) + len(agents)) for _ in agents]
     for a, g, _ in graph.edges:
-        union(("a", a), ("g", g))
+        p, j = row[a], col[g]
+        tie_break = base ** (len(agents) - 1 - p) * (len(items) - j)
+        gain[p][j] = card_unit + weight[a] * w_unit + tie_break
 
-    groups: dict = {}
-    for node in parent:
-        groups.setdefault(find(node), []).append(node)
-    components = []
-    for members in groups.values():
-        components.append({
-            "agents": sorted(a for kind, a in members if kind == "a"),
-            "items": sorted(g for kind, g in members if kind == "g"),
-        })
-    components.sort(key=lambda c: (c["agents"], c["items"]))
-    return components
+    assigned = _max_gain_assignment(gain)
+    return tuple((agents[p], items[j]) for p, j in enumerate(assigned) if gain[p][j])
+
+
+def _max_gain_assignment(gain: list[list[int]]) -> list[int]:
+    """Column of each row in an assignment of maximum total gain, for at
+    most as many rows as columns: Kuhn's Hungarian method in its shortest
+    augmenting path form, with row and column potentials, on exact ints.
+
+    Rows are added one at a time; each addition runs a Dijkstra-like search
+    over reduced costs from the new row to a free column and flips the path.
+    Row 0 and column 0 are a virtual root, so real rows and columns are
+    1-based inside.
+    """
+    rows, cols = len(gain), len(gain[0])
+    u = [0] * (rows + 1)  # row potentials
+    v = [0] * (cols + 1)  # column potentials
+    owner = [0] * (cols + 1)  # row holding each column; 0 when free
+    for i in range(1, rows + 1):
+        owner[0] = i
+        j0 = 0
+        slack: list = [None] * (cols + 1)
+        via = [0] * (cols + 1)
+        done = [False] * (cols + 1)
+        while owner[j0]:
+            done[j0] = True
+            i0 = owner[j0]
+            costs = gain[i0 - 1]
+            base = -u[i0]
+            delta = None
+            for j in range(1, cols + 1):
+                if done[j]:
+                    continue
+                reduced = base - costs[j - 1] - v[j]
+                if slack[j] is None or reduced < slack[j]:
+                    slack[j], via[j] = reduced, j0
+                if delta is None or slack[j] < delta:
+                    delta, j1 = slack[j], j
+            for j in range(cols + 1):
+                if done[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = via[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    assigned = [0] * rows
+    for j in range(1, cols + 1):
+        if owner[j]:
+            assigned[owner[j] - 1] = j - 1
+    return assigned

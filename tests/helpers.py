@@ -1,10 +1,12 @@
 """Shared verification helpers: per-round matching properties and
-match-and-freeze trace invariants, asserted on every randomized run, and
-the Fraction brute-force references the integer kernel is checked against."""
+match-and-freeze trace invariants, asserted on every randomized run; the
+matching oracles the polynomial matcher is checked against; and the
+Fraction brute-force references the integer kernel is checked against."""
 
 import itertools
 import math
 from fractions import Fraction
+from typing import Optional
 
 from fairdiv.algorithms import MafTrace, alternating_reach, ratio_substitute
 from fairdiv.core import (
@@ -26,6 +28,25 @@ def agent_ratios(inst: Instance) -> list[Fraction]:
     return [v.a / v.b if v.b > 0 else K for v in inst.valuations]
 
 
+def agent_weight(graph: RoundGraph, agent: int) -> Optional[Fraction]:
+    for a, _, w in graph.edges:
+        if a == agent:
+            return w
+    return None
+
+
+def inactive_rounds(trace: MafTrace, agent: int) -> frozenset[int]:
+    """Rounds during which the agent was frozen (within the run)."""
+    total = len(trace.rounds)
+    out = set()
+    for rnd in trace.rounds:
+        for a, duration in rnd.frozen_now:
+            if a == agent:
+                out.update(r for r in range(rnd.round + 1, rnd.round + duration + 1)
+                           if r <= total)
+    return frozenset(out)
+
+
 def check_matching_round_property(graph: RoundGraph, matching) -> None:
     """Every matched agent reachable from an unmatched agent by an
     alternating path weighs at least as much as that unmatched agent
@@ -39,11 +60,11 @@ def check_matching_round_property(graph: RoundGraph, matching) -> None:
     for u in graph.agents:
         if u in matched_agents:
             continue
-        wu = graph.agent_weight(u)
+        wu = agent_weight(graph, u)
         if wu is None:
             continue
         for a in alternating_reach(graph, matching, u):
-            wa = graph.agent_weight(a)
+            wa = agent_weight(graph, a)
             assert wa is not None and wu <= wa, (
                 f"unmatched agent {u} (weight {wu}) reaches matched agent "
                 f"{a} (weight {wa}) by an alternating path"
@@ -99,6 +120,132 @@ def check_maf_trace_invariants(inst: Instance, trace: MafTrace) -> None:
                         f"round {rnd.round}: agents {i},{j} both took items high for "
                         f"{i} but {i} froze longer"
                     )
+
+
+# ---------------------------------------------------------------------------
+# Matching oracles: exhaustive enumeration for small graphs, and the
+# bitmask DP that was the production matcher, for mid-size graphs.
+
+BRUTE_FORCE_EDGE_LIMIT = 20
+
+
+def _adjacency(graph: RoundGraph) -> dict[int, list[tuple[int, Fraction]]]:
+    adj: dict[int, list[tuple[int, Fraction]]] = {a: [] for a in graph.agents}
+    for a, g, w in graph.edges:
+        adj[a].append((g, w))
+    for a in adj:
+        adj[a].sort()
+    return adj
+
+
+def bitmask_dp_matching(graph: RoundGraph):
+    """Among maximum-cardinality matchings, one of maximum total weight;
+    ties broken toward the lexicographically smallest sorted pair list.
+
+    Uses cardinality-boosted weights (every edge gains a constant C larger
+    than any achievable weight total), so maximizing boosted weight selects
+    a maximum-cardinality maximum-weight matching.
+
+    Exponential in the number of items (memo over agent position and used-
+    item bitmask), and only exact for positive weights: the boost
+    1 + k * max(max_w, 0) can leave a boosted weight below zero.
+    """
+    if not graph.edges:
+        return ()
+    agents = sorted({a for a, _, _ in graph.edges})
+    edge_items = sorted({g for _, g, _ in graph.edges})
+    item_bit = {g: 1 << idx for idx, g in enumerate(edge_items)}
+    adj = _adjacency(graph)
+    max_w = max(w for _, _, w in graph.edges)
+    boost = 1 + min(len(agents), len(edge_items)) * max(max_w, Fraction(0))
+
+    memo: dict[tuple[int, int], tuple[Fraction, tuple]] = {}
+
+    def solve(pos: int, used: int) -> tuple[Fraction, tuple]:
+        if pos == len(agents):
+            return Fraction(0), ()
+        key = (pos, used)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        agent = agents[pos]
+        best_w, best_pairs = solve(pos + 1, used)  # leave this agent unmatched
+        for g, w in adj[agent]:
+            bit = item_bit[g]
+            if used & bit:
+                continue
+            sub_w, sub_pairs = solve(pos + 1, used | bit)
+            cand_w = boost + w + sub_w
+            cand_pairs = ((agent, g),) + sub_pairs
+            if cand_w > best_w or (cand_w == best_w and cand_pairs < best_pairs):
+                best_w, best_pairs = cand_w, cand_pairs
+        memo[key] = (best_w, best_pairs)
+        return best_w, best_pairs
+
+    return solve(0, 0)[1]
+
+
+def brute_force_matching_oracle(graph: RoundGraph):
+    """Test oracle: enumerate every matching and pick the optimum under
+    the same criteria and tie-break as the production matcher."""
+    if len(graph.edges) > BRUTE_FORCE_EDGE_LIMIT:
+        raise ValueError(f"oracle limited to {BRUTE_FORCE_EDGE_LIMIT} edges")
+    adj = _adjacency(graph)
+    agents = sorted(adj)
+    best: Optional[tuple[int, Fraction, tuple]] = None  # (-card, -weight, pairs), minimized
+
+    def walk(pos: int, used_items: frozenset, pairs: tuple, weight: Fraction) -> None:
+        nonlocal best
+        if pos == len(agents):
+            key = (-len(pairs), -weight, pairs)
+            if best is None or key < best:
+                best = key
+            return
+        walk(pos + 1, used_items, pairs, weight)
+        agent = agents[pos]
+        for g, w in adj[agent]:
+            if g not in used_items:
+                walk(pos + 1, used_items | {g}, pairs + ((agent, g),), weight + w)
+
+    walk(0, frozenset(), (), Fraction(0))
+    assert best is not None
+    return best[2]
+
+
+def connected_components(graph: RoundGraph) -> list[dict]:
+    """Partition of graph nodes into connected components, each reported as
+    {"agents": [...], "items": [...]}; isolated nodes form singletons."""
+    parent: dict = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for a in graph.agents:
+        parent[("a", a)] = ("a", a)
+    for g in graph.items:
+        parent[("g", g)] = ("g", g)
+    for a, g, _ in graph.edges:
+        union(("a", a), ("g", g))
+
+    groups: dict = {}
+    for node in parent:
+        groups.setdefault(find(node), []).append(node)
+    components = []
+    for members in groups.values():
+        components.append({
+            "agents": sorted(a for kind, a in members if kind == "a"),
+            "items": sorted(g for kind, g in members if kind == "g"),
+        })
+    components.sort(key=lambda c: (c["agents"], c["items"]))
+    return components
 
 
 def pair_demand_mu_closed_form(v: PairDemand) -> Fraction:

@@ -39,11 +39,7 @@ from fairdiv.instances import (
     random_pair_demand,
     stars_partition_size,
 )
-from fairdiv.matching import (
-    RoundGraph,
-    brute_force_matching_oracle,
-    max_cardinality_max_weight_matching,
-)
+from fairdiv.matching import RoundGraph, max_cardinality_max_weight_matching
 from fairdiv.oracles import (
     check_efx,
     check_efx_positive,
@@ -58,8 +54,10 @@ from fairdiv.oracles import (
 )
 
 from helpers import (
+    brute_force_matching_oracle,
     check_maf_trace_invariants,
     check_matching_round_property,
+    inactive_rounds,
     pair_demand_mu_closed_form,
 )
 
@@ -87,8 +85,8 @@ def test_criterion_1_table1_trace(capsys):
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
         golden = open(GOLDEN_TRACE).read().splitlines()
         assert lines == golden
-        assert trace.inactive_rounds(1) == {2}
-        assert trace.inactive_rounds(3) == {2, 3, 4}
+        assert inactive_rounds(trace, 1) == {2}
+        assert inactive_rounds(trace, 3) == {2, 3, 4}
         assert sorted(a for a, _ in trace.rounds[5].leftovers) == [0, 2]
         assert [inst.value(i, bundles[i]) for i in range(4)] == [6, 6, 6, 6]
 

@@ -23,12 +23,13 @@ from fairdiv.core import (
     full_mask,
 )
 from fairdiv.instances import gen_table1_example, random_binary_mms_feasible
-from fairdiv.matching import connected_components
 from fairdiv.oracles import check_efx, check_pmms, mu
 
 from helpers import (
     check_maf_trace_invariants,
     check_matching_round_property,
+    connected_components,
+    inactive_rounds,
     pair_demand_mu_closed_form,
 )
 
@@ -50,8 +51,8 @@ def test_maf_table1_round1_matching_and_components():
 def test_maf_table1_freezes_and_values():
     inst = gen_table1_example()
     bundles, trace = match_and_freeze(inst)
-    assert trace.inactive_rounds(1) == {2}
-    assert trace.inactive_rounds(3) == {2, 3, 4}
+    assert inactive_rounds(trace, 1) == {2}
+    assert inactive_rounds(trace, 3) == {2, 3, 4}
     round6 = trace.rounds[5]
     assert sorted(a for a, _ in round6.leftovers) == [0, 2]
     assert [inst.value(i, bundles[i]) for i in range(4)] == [6, 6, 6, 6]

@@ -170,6 +170,33 @@ def test_malformed_budget_exits_2(tmp_path, capsys, monkeypatch, budget):
     assert err.count("\n") == 1 and err.startswith("error: FAIRDIV_BUDGET")
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check", "--notion", "feasible", "--in", "{absent}"], id="check-no-file"),
+    pytest.param(["solve", "--algo", "rrr", "--in", "{absent}"], id="solve-no-file"),
+    pytest.param(["verify", "--claim", "no-pmms", "--in", "{absent}"], id="verify-no-file"),
+    pytest.param(["check", "--notion", "feasible", "--in", "{partial}"], id="missing-key"),
+    pytest.param(["check", "--notion", "efx", "--in", "{inst}", "--alloc", "{overlap}"],
+                 id="overlapping-alloc"),
+    pytest.param(["solve", "--algo", "rrr", "--in", "{inst}", "--leftover-agent", "9"],
+                 id="leftover-agent"),
+    pytest.param(["export-graph", "--in", "{inst}", "--kind", "ccg", "--alloc", "{alloc}",
+                  "--agent", "9"], id="export-agent"),
+])
+def test_malformed_input_exits_2(tmp_path, capsys, argv):
+    partial = tmp_path / "partial.json"
+    partial.write_text('{"n": 1}')
+    paths = {
+        "absent": str(tmp_path / "absent.json"),
+        "partial": str(partial),
+        "inst": write_instance(tmp_path, Instance(2, 3, (PairDemand.of([1, 2, 3]),) * 2)),
+        "overlap": write_allocation(tmp_path, (0b011, 0b110), "overlap.json"),
+        "alloc": write_allocation(tmp_path, (0b001, 0b110)),
+    }
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def _parse_dot_edges(text):
     edges = []
     for line in text.splitlines():

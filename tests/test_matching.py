@@ -1,13 +1,22 @@
+import math
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairdiv.matching import (
-    RoundGraph,
+from fairdiv.algorithms import match_and_freeze
+from fairdiv.instances import random_bivalued
+from fairdiv.matching import RoundGraph, max_cardinality_max_weight_matching
+from fairdiv.oracles import check_efx
+
+from helpers import (
+    BRUTE_FORCE_EDGE_LIMIT,
+    bitmask_dp_matching,
     brute_force_matching_oracle,
     connected_components,
-    max_cardinality_max_weight_matching,
 )
 
 
@@ -81,3 +90,68 @@ def test_matcher_agrees_with_oracle_on_random_graphs():
         fast = max_cardinality_max_weight_matching(g)
         slow = brute_force_matching_oracle(g)
         assert fast == slow
+
+
+@pytest.mark.parametrize("graph, expected", [
+    (RoundGraph((0, 1), (5,), ((0, 5, Fraction(-3)), (1, 5, Fraction(-1)))),
+     ((1, 5),)),
+    (RoundGraph((0, 1), (5, 6),
+                ((0, 5, Fraction(-3)), (0, 6, Fraction(-3)), (1, 5, Fraction(-1)))),
+     ((0, 6), (1, 5))),
+])
+def test_negative_weights_keep_max_cardinality(graph, expected):
+    assert brute_force_matching_oracle(graph) == expected
+    assert max_cardinality_max_weight_matching(graph) == expected
+
+
+@st.composite
+def round_graphs(draw, max_agents, max_items, numerators, max_edges=None):
+    """Agents 0, 2, 4, ... and items 100, 101, ...; each agent one weight
+    with denominator 1, 2 or 3, and each edge present with one drawn
+    density."""
+    agents = tuple(range(0, 2 * draw(st.integers(1, max_agents)), 2))
+    items = tuple(range(100, 100 + draw(st.integers(1, max_items))))
+    density = draw(st.sampled_from((0.2, 0.5, 0.8)))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = []
+    for a in agents:
+        w = Fraction(draw(numerators), draw(st.sampled_from((1, 2, 3))))
+        edges += [(a, g, w) for g in items if rng.random() < density]
+    return RoundGraph(agents, items, tuple(edges[:max_edges]))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(round_graphs(8, 12, st.integers(1, 12)))
+def test_matcher_equals_bitmask_dp(graph):
+    assert max_cardinality_max_weight_matching(graph) == bitmask_dp_matching(graph)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(round_graphs(6, 6, st.integers(-6, 6), max_edges=BRUTE_FORCE_EDGE_LIMIT))
+def test_matcher_equals_brute_force_with_zero_and_negative_weights(graph):
+    assert max_cardinality_max_weight_matching(graph) == brute_force_matching_oracle(graph)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(round_graphs(30, 60, st.integers(-6, 12)))
+def test_matcher_cardinality_and_weight_match_networkx(graph):
+    matching = max_cardinality_max_weight_matching(graph)
+    weight = {a: w for a, _, w in graph.edges}
+    edges = {(a, g) for a, g, _ in graph.edges}
+    assert list(matching) == sorted(matching) and set(matching) <= edges
+    assert len({g for _, g in matching}) == len(matching)
+
+    scale = math.lcm(*(w.denominator for w in weight.values()), 1)
+    reference = nx.Graph()
+    reference.add_weighted_edges_from(
+        (("agent", a), ("item", g), int(weight[a] * scale)) for a, g in edges)
+    pairs = nx.max_weight_matching(reference, maxcardinality=True)
+    agent_of = (min(pair)[1] for pair in pairs)  # ("agent", a) < ("item", g)
+    assert len(matching) == len(pairs)
+    assert sum(weight[a] for a, _ in matching) == sum(weight[a] for a in agent_of)
+
+
+def test_match_and_freeze_efx_at_ten_agents_24_items():
+    inst = random_bivalued(10, 24, 1)
+    bundles, _ = match_and_freeze(inst)
+    assert check_efx(inst, bundles).holds
