@@ -143,8 +143,7 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
         edges = tuple(
             (i, g, ratio[i])
             for i in active
-            for g in pool_items
-            if inst.valuations[i]._value(1 << g) == inst.valuations[i]._a
+            for g in items_of(pool & inst.valuations[i].high_items)
         )
         graph = RoundGraph(tuple(active), pool_items, edges)
         matching = max_cardinality_max_weight_matching(graph)
@@ -183,14 +182,12 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
 
         rounds.append(MafRound(r, graph, matching, tuple(frozen_now), tuple(leftovers)))
 
-    r_star = []
-    for i in range(n):
-        last = 0
-        for rnd in rounds:
-            allocated = [g for _, g in rnd.matching] + [g for _, g in rnd.leftovers]
-            if any(inst.valuations[i]._value(1 << g) == inst.valuations[i]._a for g in allocated):
-                last = rnd.round
-        r_star.append(last)
+    r_star = [0] * n
+    for rnd in rounds:
+        allocated_mask = sum(1 << g for _, g in rnd.matching + rnd.leftovers)
+        for i, v in enumerate(inst.valuations):
+            if allocated_mask & v.high_items:
+                r_star[i] = rnd.round
 
     trace = MafTrace(tuple(rounds), tuple(w), tuple(r_star))
     return tuple(bundles), trace
@@ -206,16 +203,6 @@ def maf_trace_lines(trace: MafTrace) -> list[str]:
         leftovers = ",".join(f"{a}:{g}" for a, g in rnd.leftovers)
         lines.append(f"round={rnd.round} matched={matched} frozen={frozen} leftovers={leftovers}")
     return lines
-
-
-def sufficient_no_envy(v: PersonalizedBivalued, own_bundle: int, other_bundle: int) -> tuple[bool, bool]:
-    """Fast certificate: if v_i(X_i) >= v_i(X_j) - b_i then i does not
-    EFX-envy j, and not PMMS-envy j either when v_i is factored.
-
-    Returns (efx_safe, pmms_safe); False means inconclusive, not a violation.
-    """
-    efx_safe = v._value(own_bundle) >= v._value(other_bundle) - v._b
-    return efx_safe, efx_safe and v.is_factored()
 
 
 # ---------------------------------------------------------------------------

@@ -103,66 +103,59 @@ def cmd_gen(args) -> int:
             instances.GeneratorSpec(args.kind, args.seed, params)
         )
     except KeyError as exc:
-        print(f"error: generator '{args.kind}' requires parameter {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"generator '{args.kind}' requires parameter {exc}") from None
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from None
     _write(serialize.dumps(serialize.instance_to_doc(inst)), args.out)
     return EXIT_OK
 
 
+def _rrr(inst: Instance, args):
+    agent = _agent_index("--leftover-agent", args.leftover_agent, inst)
+    return algorithms.reversed_round_robin(inst, agent), None
+
+
+# --algo → (run on (instance, args) giving (bundles, trace), trace → lines).
+# Algorithms are looked up when they run, so a wrapper installed on the
+# algorithms module (a profiler, a tracer) sees the call.
+SOLVERS = {
+    "maf": (lambda inst, args: algorithms.match_and_freeze(inst), algorithms.maf_trace_lines),
+    "ccg": (lambda inst, args: algorithms.cut_and_choose_graph_procedure(inst),
+            algorithms.ccg_trace_lines),
+    "rrr": (_rrr, lambda trace: []),
+}
+
+
 def cmd_solve(args) -> int:
     inst = _load_instance(getattr(args, "in"))
-    try:
-        if args.algo == "maf":
-            bundles, trace = algorithms.match_and_freeze(inst)
-            trace_lines = algorithms.maf_trace_lines(trace)
-        elif args.algo == "ccg":
-            bundles, trace = algorithms.cut_and_choose_graph_procedure(inst)
-            trace_lines = algorithms.ccg_trace_lines(trace)
-        else:
-            agent = _agent_index("--leftover-agent", args.leftover_agent, inst)
-            bundles = algorithms.reversed_round_robin(inst, agent)
-            trace_lines = []
-    except UnsupportedValuationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except algorithms.CutAndChooseStuckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    run, render = SOLVERS[args.algo]
+    bundles, trace = run(inst, args)
     if args.trace:
-        for line in trace_lines:
+        for line in render(trace):
             print(line)
     _write(serialize.dumps(serialize.allocation_to_doc(bundles)), args.out)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
+    if args.notion != "feasible" and not args.alloc:
+        raise UsageError("--alloc is required unless --notion feasible")
     inst = _load_instance(getattr(args, "in"))
     budget = _budget()
-    try:
-        if args.notion == "feasible":
-            verdicts = [oracles.check_mms_feasible(v, budget) for v in inst.valuations]
-            doc = {"notion": "feasible", "holds": all(verdicts), "per_agent": verdicts}
-        else:
-            notion = FairnessNotion(args.notion)
-            bundles = _load_allocation(args.alloc, inst)
-            report = oracles.check(inst, bundles, notion, budget)
-            doc = {
-                "notion": args.notion,
-                "holds": report.holds,
-                "violations": [
-                    {"envier": f.envier, "envied": f.envied, "witness": _witness_doc(f.witness)}
-                    for f in report.violations
-                ],
-            }
-    except UnsupportedValuationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except oracles.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    if args.notion == "feasible":
+        verdicts = [oracles.check_mms_feasible(v, budget) for v in inst.valuations]
+        doc = {"notion": "feasible", "holds": all(verdicts), "per_agent": verdicts}
+    else:
+        bundles = _load_allocation(args.alloc, inst)
+        report = oracles.check(inst, bundles, FairnessNotion(args.notion), budget)
+        doc = {
+            "notion": args.notion,
+            "holds": report.holds,
+            "violations": [
+                {"envier": f.envier, "envied": f.envied, "witness": _witness_doc(f.witness)}
+                for f in report.violations
+            ],
+        }
     _write(serialize.dumps(doc), args.out)
     return EXIT_OK if doc["holds"] else EXIT_FAIL
 
@@ -173,48 +166,48 @@ def _witness_doc(witness):
     return [sorted(items_of(mask)) for mask in witness]
 
 
+def _scan(notion: FairnessNotion, holds_if_found: bool, inst: Instance, budget) -> dict:
+    found = oracles.exists_fair_allocation(inst, notion, budget)
+    return {
+        "scanned": inst.n ** inst.m,
+        "found": None if found is None else serialize.allocation_to_doc(found)["bundles"],
+        "holds": (found is not None) == holds_if_found,
+    }
+
+
+def _mnw_not_efx(inst: Instance, budget) -> dict:
+    best, argmax = oracles.nash_welfare_maximizers(inst, budget)
+    return {
+        "max_nash_welfare": serialize.rational_to_json(best),
+        "maximizers": [serialize.allocation_to_doc(b)["bundles"] for b in argmax],
+        "holds": all(not oracles.check_efx(inst, b).holds for b in argmax),
+    }
+
+
+def _triangle_free(inst: Instance, budget) -> dict:
+    graph = oracles.pair_compatibility_graph(inst, budget)
+    return {
+        "nodes": len(graph.nodes) - len(graph.isolated_nodes()),
+        "edges": len(graph.edges),
+        "triangle": graph.has_triangle(),
+        "holds": not graph.has_triangle(),
+    }
+
+
+# --claim → (instance, budget) → the claim's document, with "holds".
+CLAIMS = {
+    "no-pmms": functools.partial(_scan, FairnessNotion.PMMS, False),
+    "mms-exists": functools.partial(_scan, FairnessNotion.MMS, True),
+    "mnw-not-efx": _mnw_not_efx,
+    "triangle-free": _triangle_free,
+}
+
+
 def cmd_verify(args) -> int:
     inst = _load_instance(getattr(args, "in"))
     budget = _budget()
     start = time.monotonic()
-    try:
-        if args.claim == "no-pmms":
-            found = oracles.exists_fair_allocation(inst, FairnessNotion.PMMS, budget)
-            doc = {
-                "claim": "no-pmms",
-                "scanned": inst.n ** inst.m,
-                "found": None if found is None else serialize.allocation_to_doc(found)["bundles"],
-                "holds": found is None,
-            }
-        elif args.claim == "mms-exists":
-            found = oracles.exists_fair_allocation(inst, FairnessNotion.MMS, budget)
-            doc = {
-                "claim": "mms-exists",
-                "scanned": inst.n ** inst.m,
-                "found": None if found is None else serialize.allocation_to_doc(found)["bundles"],
-                "holds": found is not None,
-            }
-        elif args.claim == "mnw-not-efx":
-            best, argmax = oracles.nash_welfare_maximizers(inst, budget)
-            all_fail = all(not oracles.check_efx(inst, b).holds for b in argmax)
-            doc = {
-                "claim": "mnw-not-efx",
-                "max_nash_welfare": serialize.rational_to_json(best),
-                "maximizers": [serialize.allocation_to_doc(b)["bundles"] for b in argmax],
-                "holds": all_fail,
-            }
-        else:  # triangle-free
-            graph = oracles.pair_compatibility_graph(inst, budget)
-            doc = {
-                "claim": "triangle-free",
-                "nodes": len(graph.nodes) - len(graph.isolated_nodes()),
-                "edges": len(graph.edges),
-                "triangle": graph.has_triangle(),
-                "holds": not graph.has_triangle(),
-            }
-    except oracles.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    doc = {"claim": args.claim, **CLAIMS[args.claim](inst, budget)}
     doc["seconds"] = round(time.monotonic() - start, 3)
     _write(serialize.dumps(doc), args.out)
     return EXIT_OK if doc["holds"] else EXIT_FAIL
@@ -263,8 +256,7 @@ def cmd_export_graph(args) -> int:
         text = _compat_dot(inst)
     else:
         if args.alloc is None or args.agent is None:
-            print("error: --kind ccg requires --alloc and --agent", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("--kind ccg requires --alloc and --agent")
         bundles = _load_allocation(args.alloc, inst)
         text = _ccg_dot(inst, bundles, _agent_index("--agent", args.agent, inst))
     _write(text, args.dot)
@@ -295,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="run an allocation algorithm")
-    p.add_argument("--algo", required=True, choices=("maf", "ccg", "rrr"))
+    p.add_argument("--algo", required=True, choices=tuple(SOLVERS))
     p.add_argument("--in", required=True)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--leftover-agent", type=int, default=0)
@@ -304,15 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check a fairness notion on an allocation")
     p.add_argument("--notion", required=True,
-                   choices=("efx", "efx+", "pmms", "mms", "feasible"))
+                   choices=(*(notion.value for notion in FairnessNotion), "feasible"))
     p.add_argument("--in", required=True)
     p.add_argument("--alloc")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="run an exhaustive verification claim")
-    p.add_argument("--claim", required=True,
-                   choices=("no-pmms", "mms-exists", "mnw-not-efx", "triangle-free"))
+    p.add_argument("--claim", required=True, choices=tuple(CLAIMS))
     p.add_argument("--in", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
@@ -328,16 +319,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Errors a command can raise, with the exit code each maps to; every one
+# is reported as a single "error: ..." line.
+ERROR_EXITS = {
+    UsageError: EXIT_USAGE,
+    UnsupportedValuationError: EXIT_USAGE,
+    oracles.BudgetExceededError: EXIT_BUDGET,
+    algorithms.CutAndChooseStuckError: EXIT_BUDGET,
+}
+
+
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "check" and args.notion != "feasible" and not args.alloc:
-        print("error: --alloc is required unless --notion feasible", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
+    except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in ERROR_EXITS.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -19,13 +19,10 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .core import (
-    Additive,
     FairnessNotion,
     Instance,
-    PersonalizedBivalued,
     UnsupportedValuationError,
     Valuation,
-    full_mask,
     items_of,
     require_valid_allocation,
 )
@@ -110,51 +107,38 @@ def clear_caches() -> None:
 
 
 # ---------------------------------------------------------------------------
-# fairness predicates (short-circuiting) and full reports
+# fairness checks: one violation generator per notion, one dispatch table
+#
+# Each generator yields (envier, envied, witness) tuples: per (i, j) pair for
+# EFX and PMMS, with one witness per pair, and per agent for MMS (envied is
+# None). ``check`` collects all of them; ``allocation_satisfies`` stops at
+# the first.
 
 
-def _efx_violations(inst: Instance, bundles, positive_only: bool, first_only: bool):
-    out = []
+def _efx(inst: Instance, bundles, budget=None, positive_only: bool = False):
     for i in range(inst.n):
-        vi = inst.valuations[i]
-        own = vi._value(bundles[i])
+        value = inst.valuations[i]._value
+        own = value(bundles[i])
         for j in range(inst.n):
             if i == j:
                 continue
             for g in items_of(bundles[j]):
-                if positive_only and vi._value(1 << g) <= 0:
+                if positive_only and value(1 << g) <= 0:
                     continue
-                if own < vi._value(bundles[j] & ~(1 << g)):
-                    out.append(FairnessViolation(i, j, g))
-                    if first_only:
-                        return out
+                if own < value(bundles[j] & ~(1 << g)):
+                    yield i, j, g
                     break  # one witness item per pair
-    return out
 
 
-def check_efx(inst: Instance, bundles) -> FairnessReport:
-    """EFX: v_i(X_i) >= v_i(X_j \\ {g}) for all pairs i,j and all g in X_j."""
-    bundles = require_valid_allocation(inst, bundles)
-    violations = tuple(_efx_violations(inst, bundles, positive_only=False, first_only=False))
-    return FairnessReport(FairnessNotion.EFX, not violations, violations)
-
-
-def check_efx_positive(inst: Instance, bundles) -> FairnessReport:
-    """EFX restricted to removal of items the envier values positively.
-
-    Defined for additive valuations only.
-    """
+def _efx_positive(inst: Instance, bundles, budget=None):
+    # A plain function, not a generator, so the class check runs on call.
     for v in inst.valuations:
         if not v.is_additive():
             raise UnsupportedValuationError("EFX+ is defined for additive valuations only")
-    bundles = require_valid_allocation(inst, bundles)
-    violations = tuple(_efx_violations(inst, bundles, positive_only=True, first_only=False))
-    return FairnessReport(FairnessNotion.EFX_POSITIVE, not violations, violations)
+    return _efx(inst, bundles, positive_only=True)
 
 
-def check_pmms(inst: Instance, bundles, budget: Optional[int] = None) -> FairnessReport:
-    bundles = require_valid_allocation(inst, bundles)
-    violations = []
+def _pmms(inst: Instance, bundles, budget=None):
     for i in range(inst.n):
         vi = inst.valuations[i]
         own = vi._value(bundles[i])
@@ -163,69 +147,61 @@ def check_pmms(inst: Instance, bundles, budget: Optional[int] = None) -> Fairnes
                 continue
             result = mu(vi, bundles[i] | bundles[j], 2, budget)
             if own < result.scaled:
-                violations.append(FairnessViolation(i, j, result.witness))
-    return FairnessReport(FairnessNotion.PMMS, not violations, tuple(violations))
+                yield i, j, result.witness
 
 
-def check_mms(inst: Instance, bundles, budget: Optional[int] = None) -> FairnessReport:
-    bundles = require_valid_allocation(inst, bundles)
-    violations = []
-    for i in range(inst.n):
-        result = mu(inst.valuations[i], inst.all_items, inst.n, budget)
-        if inst.valuations[i]._value(bundles[i]) < result.scaled:
-            violations.append(FairnessViolation(i, None, result.witness))
-    return FairnessReport(FairnessNotion.MMS, not violations, tuple(violations))
-
-
-def _is_efx(inst, bundles, positive_only=False) -> bool:
-    return not _efx_violations(inst, bundles, positive_only, first_only=True)
-
-
-def _is_pmms(inst, bundles, budget=None) -> bool:
+def _mms(inst: Instance, bundles, budget=None):
     for i in range(inst.n):
         vi = inst.valuations[i]
-        own = vi._value(bundles[i])
-        for j in range(inst.n):
-            if i != j and own < mu(vi, bundles[i] | bundles[j], 2, budget).scaled:
-                return False
-    return True
+        result = mu(vi, inst.all_items, inst.n, budget)
+        if vi._value(bundles[i]) < result.scaled:
+            yield i, None, result.witness
 
 
-def _is_mms(inst, bundles, budget=None) -> bool:
-    for i in range(inst.n):
-        vi = inst.valuations[i]
-        if vi._value(bundles[i]) < mu(vi, inst.all_items, inst.n, budget).scaled:
-            return False
-    return True
-
-
-def allocation_satisfies(inst: Instance, bundles, notion: FairnessNotion,
-                         budget: Optional[int] = None) -> bool:
-    if notion is FairnessNotion.EFX:
-        return _is_efx(inst, bundles)
-    if notion is FairnessNotion.EFX_POSITIVE:
-        for v in inst.valuations:
-            if not v.is_additive():
-                raise UnsupportedValuationError("EFX+ is defined for additive valuations only")
-        return _is_efx(inst, bundles, positive_only=True)
-    if notion is FairnessNotion.PMMS:
-        return _is_pmms(inst, bundles, budget)
-    if notion is FairnessNotion.MMS:
-        return _is_mms(inst, bundles, budget)
-    raise ValueError(f"unknown notion {notion}")
+_VIOLATIONS = {
+    FairnessNotion.EFX: _efx,
+    FairnessNotion.EFX_POSITIVE: _efx_positive,
+    FairnessNotion.PMMS: _pmms,
+    FairnessNotion.MMS: _mms,
+}
 
 
 def check(inst: Instance, bundles, notion: FairnessNotion,
           budget: Optional[int] = None) -> FairnessReport:
-    if notion is FairnessNotion.EFX:
-        return check_efx(inst, bundles)
-    if notion is FairnessNotion.EFX_POSITIVE:
-        return check_efx_positive(inst, bundles)
-    if notion is FairnessNotion.PMMS:
-        return check_pmms(inst, bundles, budget)
-    if notion is FairnessNotion.MMS:
-        return check_mms(inst, bundles, budget)
-    raise ValueError(f"unknown notion {notion}")
+    """Every violation of the notion, after validating the allocation.
+    EFX+ rejects a non-additive instance before that."""
+    violations = _VIOLATIONS[notion](inst, bundles, budget)  # lazy but for EFX+'s class check
+    require_valid_allocation(inst, bundles)
+    found = tuple(FairnessViolation(*v) for v in violations)
+    return FairnessReport(notion, not found, found)
+
+
+def allocation_satisfies(inst: Instance, bundles, notion: FairnessNotion,
+                         budget: Optional[int] = None) -> bool:
+    """Whether the notion holds, stopping at the first violation. The
+    allocation is not validated."""
+    return next(_VIOLATIONS[notion](inst, bundles, budget), None) is None
+
+
+def check_efx(inst: Instance, bundles) -> FairnessReport:
+    """EFX: v_i(X_i) >= v_i(X_j \\ {g}) for all pairs i,j and all g in X_j."""
+    return check(inst, bundles, FairnessNotion.EFX)
+
+
+def check_efx_positive(inst: Instance, bundles) -> FairnessReport:
+    """EFX restricted to removal of items the envier values positively.
+
+    Defined for additive valuations only.
+    """
+    return check(inst, bundles, FairnessNotion.EFX_POSITIVE)
+
+
+def check_pmms(inst: Instance, bundles, budget: Optional[int] = None) -> FairnessReport:
+    return check(inst, bundles, FairnessNotion.PMMS, budget)
+
+
+def check_mms(inst: Instance, bundles, budget: Optional[int] = None) -> FairnessReport:
+    return check(inst, bundles, FairnessNotion.MMS, budget)
 
 
 # ---------------------------------------------------------------------------

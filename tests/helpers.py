@@ -248,6 +248,16 @@ def connected_components(graph: RoundGraph) -> list[dict]:
     return components
 
 
+def sufficient_no_envy(v: PersonalizedBivalued, own_bundle: int, other_bundle: int) -> tuple[bool, bool]:
+    """Fast certificate: if v_i(X_i) >= v_i(X_j) - b_i then i does not
+    EFX-envy j, and not PMMS-envy j either when v_i is factored.
+
+    Returns (efx_safe, pmms_safe); False means inconclusive, not a violation.
+    """
+    efx_safe = v._value(own_bundle) >= v._value(other_bundle) - v._b
+    return efx_safe, efx_safe and v.is_factored()
+
+
 def pair_demand_mu_closed_form(v: PairDemand) -> Fraction:
     """Closed form for the 2-part fair share of a pair-demand valuation on
     four items a <= b <= c <= d (by singleton value):
@@ -309,12 +319,16 @@ def reference_mu(v, S: int, k: int) -> tuple[Fraction, tuple[int, ...]]:
     return best_min, best_parts
 
 
-def reference_efx_violations(inst: Instance, bundles) -> list:
+def reference_efx_violations(inst: Instance, bundles, positive_only: bool = False) -> list:
+    """EFX violations, one witness item per pair; with ``positive_only``
+    (EFX+), only items the envier values above zero may be removed."""
     out = []
     for i, j in itertools.permutations(range(inst.n), 2):
         vi = inst.valuations[i]
         own = reference_value(vi, bundles[i])
         for g in items_of(bundles[j]):
+            if positive_only and reference_value(vi, 1 << g) <= 0:
+                continue
             if own < reference_value(vi, bundles[j] & ~(1 << g)):
                 out.append((i, j, g))
                 break

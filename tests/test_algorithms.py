@@ -11,7 +11,6 @@ from fairdiv.algorithms import (
     maf_trace_lines,
     ratio_substitute,
     reversed_round_robin,
-    sufficient_no_envy,
 )
 from fairdiv.core import (
     Additive,
@@ -31,6 +30,7 @@ from helpers import (
     connected_components,
     inactive_rounds,
     pair_demand_mu_closed_form,
+    sufficient_no_envy,
 )
 
 

@@ -255,3 +255,24 @@ def test_export_ccg_requires_alloc_and_agent(tmp_path, capsys):
     inst_path = write_instance(tmp_path, inst)
     code, _, err = run(capsys, "export-graph", "--in", inst_path, "--kind", "ccg")
     assert code == 2 and "--alloc" in err
+
+
+@pytest.mark.parametrize("kind", ["compat", "ccg"])
+def test_export_budget_exceeded_exits_3(tmp_path, capsys, monkeypatch, kind):
+    if kind == "compat":
+        # every fair share in separation3's compatibility graph enumerates 2^4 splits
+        inst_path = str(tmp_path / "sep.json")
+        main(["gen", "--kind", "separation3", "--out", inst_path])
+        monkeypatch.setenv("FAIRDIV_BUDGET", "1")
+        argv = ["export-graph", "--in", inst_path, "--kind", "compat"]
+    else:
+        # mu over all 28 items enumerates 2^28 splits, past the default budget
+        inst_path = str(tmp_path / "additive.json")
+        main(["gen", "--kind", "random-additive", "--n", "2", "--m", "28", "--out", inst_path])
+        alloc_path = write_allocation(tmp_path, ((1 << 28) - 1, 0))
+        argv = ["export-graph", "--in", inst_path, "--kind", "ccg",
+                "--alloc", alloc_path, "--agent", "0"]
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "budget" in err

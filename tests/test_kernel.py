@@ -6,7 +6,9 @@ include b = 0.
 """
 
 from fractions import Fraction
+from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,10 +20,13 @@ from fairdiv.core import (
     Instance,
     PairDemand,
     PersonalizedBivalued,
+    UnsupportedValuationError,
 )
 from fairdiv.oracles import (
     allocation_satisfies,
+    check,
     check_efx,
+    check_efx_positive,
     check_mms,
     check_mms_feasible,
     check_pmms,
@@ -119,15 +124,30 @@ def test_mu_matches_reference(case, k):
 @given(instance_and_allocation())
 def test_fairness_checks_match_reference(case):
     inst, bundles = case
-    for check, reference, notion in (
+    cases = [
         (check_efx, reference_efx_violations, FairnessNotion.EFX),
         (check_pmms, reference_pmms_violations, FairnessNotion.PMMS),
         (check_mms, reference_mms_violations, FairnessNotion.MMS),
-    ):
-        report = check(inst, bundles)
+    ]
+    if all(v.is_additive() for v in inst.valuations):
+        cases.append((check_efx_positive, partial(reference_efx_violations, positive_only=True),
+                      FairnessNotion.EFX_POSITIVE))
+    for check_notion, reference, notion in cases:
+        report = check_notion(inst, bundles)
         want = reference(inst, bundles)
         assert [(f.envier, f.envied, f.witness) for f in report.violations] == want
         assert report.holds == (not want) == allocation_satisfies(inst, bundles, notion)
+
+
+def test_efx_positive_rejects_non_additive_before_validation():
+    inst = Instance(2, 2, (Additive.of([1, 0]), PairDemand.of([1, 1])))
+    overlapping = (0b11, 0b01)
+    with pytest.raises(UnsupportedValuationError):
+        check(inst, overlapping, FairnessNotion.EFX_POSITIVE)
+    with pytest.raises(UnsupportedValuationError):
+        allocation_satisfies(inst, overlapping, FairnessNotion.EFX_POSITIVE)
+    with pytest.raises(ValueError, match="invalid allocation"):
+        check(inst, overlapping, FairnessNotion.EFX)
 
 
 @KERNEL
