@@ -60,16 +60,6 @@ class MafTrace:
     priorities_w: tuple[int, ...]
     r_star: tuple[int, ...]  # per agent: last round a high-value item was allocated
 
-    def round_item(self, agent: int, round_no: int) -> Optional[int]:
-        rnd = self.rounds[round_no - 1]
-        for a, g in rnd.matching:
-            if a == agent:
-                return g
-        for a, g in rnd.leftovers:
-            if a == agent:
-                return g
-        return None
-
 
 def ratio_substitute(inst: Instance) -> Fraction:
     """The 'sufficiently large' stand-in K for a_i / b_i when b_i = 0:

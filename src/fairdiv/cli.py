@@ -46,8 +46,11 @@ def _budget() -> Optional[int]:
 
 def _write(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -99,9 +102,7 @@ def cmd_gen(args) -> int:
     if args.non_normalized:
         params["normalized"] = False
     try:
-        inst = instances.sample_random(
-            instances.GeneratorSpec(args.kind, args.seed, params)
-        )
+        inst = instances.sample_random(args.kind, args.seed, params)
     except KeyError as exc:
         raise UsageError(f"generator '{args.kind}' requires parameter {exc}") from None
     except ValueError as exc:
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance document")
-    p.add_argument("--kind", required=True, choices=instances.GENERATOR_KINDS)
+    p.add_argument("--kind", required=True, choices=tuple(instances.GENERATORS))
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--seed", type=int, default=0)

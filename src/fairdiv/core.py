@@ -17,7 +17,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
-#: Table-backed valuations materialize 2^m entries; generators enforce this cap.
+#: Table-backed valuations materialize 2^m entries; generators enforce this cap
+#: through ``require_table_items`` before they build any entry.
 MAX_TABLE_ITEMS = 24
 
 
@@ -60,6 +61,12 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not allowed; pass int, Fraction or 'p/q'")
     return Fraction(x)
+
+
+def require_table_items(m: int, kind: str) -> None:
+    """Raise the cap error for a table over m items, before it is built."""
+    if m > MAX_TABLE_ITEMS:
+        raise ValueError(f"{kind} tables are capped at {MAX_TABLE_ITEMS} items")
 
 
 class FairnessNotion(Enum):
@@ -117,19 +124,12 @@ class Valuation:
     def is_additive(self) -> bool:
         return False
 
-    def singleton_values(self) -> tuple[Fraction, ...]:
-        """Per-item values v({g}); defined for every class."""
-        return tuple(self.value(1 << g) for g in range(self.num_items))
-
 
 @dataclass(frozen=True)
-class Additive(Valuation):
-    """Additive valuation given by per-item values.
-
-    >>> v = Additive.of([1, 2, 3])
-    >>> v.value(0b101)
-    Fraction(4, 1)
-    """
+class _ItemValues(Valuation):
+    """A valuation given by one non-negative value per item. Subclasses
+    define only how a bundle combines them; they inherit the dataclass
+    ``__init__``, ``__eq__`` (same class only) and ``repr``."""
 
     values: tuple[Fraction, ...]
     __hash__ = Valuation.__hash__
@@ -143,12 +143,21 @@ class Additive(Valuation):
         self._set_kernel(scale, ints)
 
     @classmethod
-    def of(cls, values: Sequence[RationalLike]) -> "Additive":
-        return cls(tuple(as_fraction(x) for x in values))
+    def of(cls, values: Sequence[RationalLike]):
+        return cls(tuple(values))
 
     @property
     def num_items(self) -> int:
         return len(self.values)
+
+
+class Additive(_ItemValues):
+    """Additive valuation given by per-item values.
+
+    >>> v = Additive.of([1, 2, 3])
+    >>> v.value(0b101)
+    Fraction(4, 1)
+    """
 
     def _value(self, mask: int) -> int:
         ints = self._ints
@@ -204,28 +213,8 @@ class PersonalizedBivalued(Valuation):
         return True
 
 
-@dataclass(frozen=True)
-class PairDemand(Valuation):
+class PairDemand(_ItemValues):
     """Bundle value is the sum of the two highest item values in the bundle."""
-
-    values: tuple[Fraction, ...]
-    __hash__ = Valuation.__hash__
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(as_fraction(x) for x in self.values))
-        if any(x < 0 for x in self.values):
-            raise ValueError("item values must be non-negative")
-        scale, ints = _scaled(self.values)
-        object.__setattr__(self, "_ints", ints)
-        self._set_kernel(scale, ints)
-
-    @classmethod
-    def of(cls, values: Sequence[RationalLike]) -> "PairDemand":
-        return cls(tuple(as_fraction(x) for x in values))
-
-    @property
-    def num_items(self) -> int:
-        return len(self.values)
 
     def _value(self, mask: int) -> int:
         ints = self._ints
@@ -253,8 +242,7 @@ class ExplicitTable(Valuation):
         size = len(self.table)
         if size == 0 or size & (size - 1):
             raise ValueError("table length must be a power of two")
-        if self.num_items > MAX_TABLE_ITEMS:
-            raise ValueError(f"explicit tables are capped at {MAX_TABLE_ITEMS} items")
+        require_table_items(self.num_items, "explicit")
         scale, ints = _scaled(self.table)
         object.__setattr__(self, "_ints", ints)
         self._set_kernel(scale, ints)
@@ -282,8 +270,7 @@ class BinaryTable(Valuation):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ones", frozenset(self.ones))
-        if self.m > MAX_TABLE_ITEMS:
-            raise ValueError(f"binary tables are capped at {MAX_TABLE_ITEMS} items")
+        require_table_items(self.m, "binary")
         if any(mask < 0 or mask >> self.m for mask in self.ones):
             raise InvalidBundleError("ones contains a mask outside the item range")
         self._set_kernel(1, (self.m, self.ones))
@@ -304,11 +291,9 @@ def to_explicit_table(v: Valuation) -> ExplicitTable:
     return ExplicitTable(tuple(v.value(mask) for mask in range(1 << m)))
 
 
-def is_monotone(v: Valuation, m: Optional[int] = None) -> bool:
+def is_monotone(v: Valuation) -> bool:
     """Scan S subset-of T => v(S) <= v(T) over single-item extensions."""
-    m = v.num_items if m is None else m
-    if m > v.num_items:
-        raise InvalidBundleError(f"valuation addresses only {v.num_items} items, not {m}")
+    m = v.num_items
     for mask in range(1 << m):
         base = v._value(mask)
         for g in range(m):

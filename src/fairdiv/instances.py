@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -19,6 +18,7 @@ from .core import (
     PersonalizedBivalued,
     full_mask,
     mask_of,
+    require_table_items,
 )
 from .oracles import check_mms_feasible
 
@@ -52,6 +52,7 @@ def gen_nonexistence_stars(n: int) -> Instance:
     k = stars_partition_size(n)
     num_stars = n - 2
     m = 2 * k + num_stars
+    require_table_items(m, "explicit")
     stars_mask = full_mask(num_stars)
     commons = list(range(num_stars, m))
     commons_mask = full_mask(m) & ~stars_mask
@@ -167,18 +168,15 @@ def gen_table1_example() -> Instance:
 # random samplers (deterministic given the seed)
 
 
-def random_bivalued(n: int, m: int, seed: int, factored: bool = False,
-                    allow_b_zero: bool = True) -> Instance:
+def random_bivalued(n: int, m: int, seed: int, factored: bool = False) -> Instance:
     rng = random.Random(seed)
     valuations = []
     for _ in range(n):
         if factored:
-            b = Fraction(rng.choice([0, 1, 1, 2] if allow_b_zero else [1, 1, 2]))
+            b = Fraction(rng.choice([0, 1, 1, 2]))
             a = Fraction(rng.randint(1, 6)) if b == 0 else b * rng.randint(2, 6)
         else:
-            b = Fraction(rng.randint(0, 8 if allow_b_zero else 7) if allow_b_zero else rng.randint(1, 8), rng.choice([1, 2]))
-            if not allow_b_zero and b == 0:
-                b = Fraction(1, 2)
+            b = Fraction(rng.randint(0, 8), rng.choice([1, 2]))
             a = b + Fraction(rng.randint(1, 6), rng.choice([1, 2]))
         high = rng.getrandbits(m)
         valuations.append(PersonalizedBivalued(a, b, high, m))
@@ -201,10 +199,10 @@ def random_binary_additive(n: int, m: int, seed: int) -> Instance:
     return Instance(n, m, valuations)
 
 
-def random_additive(n: int, m: int, seed: int, max_value: int = 9) -> Instance:
+def random_additive(n: int, m: int, seed: int) -> Instance:
     rng = random.Random(seed)
     valuations = tuple(
-        Additive.of([rng.randint(0, max_value) for _ in range(m)]) for _ in range(n)
+        Additive.of([rng.randint(0, 9) for _ in range(m)]) for _ in range(n)
     )
     return Instance(n, m, valuations)
 
@@ -237,32 +235,23 @@ def _draw_binary_table(rng: random.Random, m: int, monotone: bool, normalized: b
     return BinaryTable(m, frozenset(ones))
 
 
-@dataclass
-class RejectionStats:
-    draws: int = 0
-    rejections: int = 0
-
-
 def random_binary_mms_feasible(
     n: int, m: int, seed: int, monotone: bool = False, normalized: bool = True,
-    max_draws: int = REJECTION_LIMIT, stats: Optional[RejectionStats] = None,
 ) -> Instance:
     """Rejection sampling: draw random binary tables and keep only those
-    passing the MMS-feasibility check. Raises if the draw limit is hit."""
+    passing the MMS-feasibility check. Raises after ``REJECTION_LIMIT``
+    draws."""
+    require_table_items(m, "binary")
     rng = random.Random(seed)
     valuations = []
     draws = 0
     while len(valuations) < n:
-        if draws >= max_draws:
-            raise RuntimeError(f"rejection limit {max_draws} exceeded")
+        if draws >= REJECTION_LIMIT:
+            raise RuntimeError(f"rejection limit {REJECTION_LIMIT} exceeded")
         draws += 1
-        if stats is not None:
-            stats.draws += 1
         v = _draw_binary_table(rng, m, monotone, normalized)
         if check_mms_feasible(v):
             valuations.append(v)
-        elif stats is not None:
-            stats.rejections += 1
     return Instance(n, m, tuple(valuations), monotone_required=False,
                     normalized_required=False)
 
@@ -271,54 +260,31 @@ def random_binary_mms_feasible(
 # generator dispatch (used by the CLI)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    kind: str
-    seed: int = 0
-    params: dict = field(default_factory=dict)
+# kind → (seed, params) → instance. Generators are looked up when they run,
+# so a wrapper installed on this module (a profiler, a tracer) sees the call.
+GENERATORS = {
+    "stars": lambda seed, p: gen_nonexistence_stars(p["n"]),
+    "separation3": lambda seed, p: gen_separation3(),
+    "mnw": lambda seed, p: gen_mnw_counterexample(),
+    "pmms-not-efx": lambda seed, p: gen_pmms_not_efx_example(),
+    "table1": lambda seed, p: gen_table1_example(),
+    "random-bivalued": lambda seed, p: random_bivalued(p["n"], p["m"], seed),
+    "random-factored-bivalued":
+        lambda seed, p: random_bivalued(p["n"], p["m"], seed, factored=True),
+    "random-pair-demand": lambda seed, p: random_pair_demand(p["n"], p["m"], seed),
+    "random-binary-mms-feasible": lambda seed, p: random_binary_mms_feasible(
+        p["n"], p["m"], seed,
+        monotone=p.get("monotone", False),
+        normalized=p.get("normalized", True),
+    ),
+    "random-binary-additive": lambda seed, p: random_binary_additive(p["n"], p["m"], seed),
+    "random-additive": lambda seed, p: random_additive(p["n"], p["m"], seed),
+}
 
 
-GENERATOR_KINDS = (
-    "stars",
-    "separation3",
-    "mnw",
-    "pmms-not-efx",
-    "table1",
-    "random-bivalued",
-    "random-factored-bivalued",
-    "random-pair-demand",
-    "random-binary-mms-feasible",
-    "random-binary-additive",
-    "random-additive",
-)
-
-
-def sample_random(spec: GeneratorSpec) -> Instance:
-    kind, seed, p = spec.kind, spec.seed, spec.params
-    if kind == "stars":
-        return gen_nonexistence_stars(p["n"])
-    if kind == "separation3":
-        return gen_separation3()
-    if kind == "mnw":
-        return gen_mnw_counterexample()
-    if kind == "pmms-not-efx":
-        return gen_pmms_not_efx_example()
-    if kind == "table1":
-        return gen_table1_example()
-    if kind == "random-bivalued":
-        return random_bivalued(p["n"], p["m"], seed)
-    if kind == "random-factored-bivalued":
-        return random_bivalued(p["n"], p["m"], seed, factored=True)
-    if kind == "random-pair-demand":
-        return random_pair_demand(p["n"], p["m"], seed)
-    if kind == "random-binary-mms-feasible":
-        return random_binary_mms_feasible(
-            p["n"], p["m"], seed,
-            monotone=p.get("monotone", False),
-            normalized=p.get("normalized", True),
-        )
-    if kind == "random-binary-additive":
-        return random_binary_additive(p["n"], p["m"], seed)
-    if kind == "random-additive":
-        return random_additive(p["n"], p["m"], seed)
-    raise ValueError(f"unknown generator kind: {kind}")
+def sample_random(kind: str, seed: int = 0, params: Optional[dict] = None) -> Instance:
+    """Build the instance of generator ``kind``. A missing entry of
+    ``params`` raises ``KeyError``; an unknown kind raises ``ValueError``."""
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown generator kind: {kind}")
+    return GENERATORS[kind](seed, params or {})

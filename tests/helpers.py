@@ -47,6 +47,15 @@ def inactive_rounds(trace: MafTrace, agent: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def round_item(trace: MafTrace, agent: int, round_no: int) -> Optional[int]:
+    """The item the agent received in a round, matched or as a leftover."""
+    rnd = trace.rounds[round_no - 1]
+    for a, g in rnd.matching + rnd.leftovers:
+        if a == agent:
+            return g
+    return None
+
+
 def check_matching_round_property(graph: RoundGraph, matching) -> None:
     """Every matched agent reachable from an unmatched agent by an
     alternating path weighs at least as much as that unmatched agent
@@ -91,7 +100,7 @@ def check_maf_trace_invariants(inst: Instance, trace: MafTrace) -> None:
         for rnd in trace.rounds:
             if rnd.round >= r_i:
                 break
-            g = trace.round_item(i, rnd.round)
+            g = round_item(trace, i, rnd.round)
             if g is not None:
                 assert vi.value(1 << g) == vi.a, (
                     f"agent {i} got a low-value item in round {rnd.round} < r_i={r_i}"

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from fairdiv import serialize
+from fairdiv import instances, serialize
 from fairdiv.cli import main
 from fairdiv.core import Additive, BinaryTable, Instance, PairDemand
 
@@ -48,6 +48,29 @@ def test_gen_deterministic(tmp_path, capsys):
     assert main(["gen", "--kind", "random-bivalued", "--n", "3", "--m", "6",
                  "--seed", "7", "--out", b]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+# The direct call each generator kind stands for, at --n 2 --m 4 --seed 3.
+DIRECT_CALLS = {
+    "stars": lambda: instances.gen_nonexistence_stars(2),
+    "separation3": instances.gen_separation3,
+    "mnw": instances.gen_mnw_counterexample,
+    "pmms-not-efx": instances.gen_pmms_not_efx_example,
+    "table1": instances.gen_table1_example,
+    "random-bivalued": lambda: instances.random_bivalued(2, 4, 3),
+    "random-factored-bivalued": lambda: instances.random_bivalued(2, 4, 3, factored=True),
+    "random-pair-demand": lambda: instances.random_pair_demand(2, 4, 3),
+    "random-binary-mms-feasible": lambda: instances.random_binary_mms_feasible(2, 4, 3),
+    "random-binary-additive": lambda: instances.random_binary_additive(2, 4, 3),
+    "random-additive": lambda: instances.random_additive(2, 4, 3),
+}
+
+
+@pytest.mark.parametrize("kind", tuple(instances.GENERATORS))
+def test_gen_kind_prints_direct_call(capsys, kind):
+    code, out, _ = run(capsys, "gen", "--kind", kind, "--n", "2", "--m", "4", "--seed", "3")
+    assert code == 0
+    assert out == serialize.dumps(serialize.instance_to_doc(DIRECT_CALLS[kind]()))
 
 
 def test_gen_unknown_kind_exits_2(capsys):
@@ -181,6 +204,13 @@ def test_malformed_budget_exits_2(tmp_path, capsys, monkeypatch, budget):
                  id="leftover-agent"),
     pytest.param(["export-graph", "--in", "{inst}", "--kind", "ccg", "--alloc", "{alloc}",
                   "--agent", "9"], id="export-agent"),
+    # tables over MAX_TABLE_ITEMS are refused before any entry is built
+    pytest.param(["gen", "--kind", "stars", "--n", "19"], id="stars-over-cap"),
+    pytest.param(["gen", "--kind", "random-binary-mms-feasible", "--n", "1", "--m", "25",
+                  "--seed", "1"], id="binary-over-cap"),
+    pytest.param(["gen", "--kind", "separation3", "--out", "{unwritable}"], id="gen-out-dir"),
+    pytest.param(["export-graph", "--in", "{inst}", "--kind", "compat", "--dot",
+                  "{unwritable}"], id="export-dot-dir"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     partial = tmp_path / "partial.json"
@@ -191,6 +221,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         "inst": write_instance(tmp_path, Instance(2, 3, (PairDemand.of([1, 2, 3]),) * 2)),
         "overlap": write_allocation(tmp_path, (0b011, 0b110), "overlap.json"),
         "alloc": write_allocation(tmp_path, (0b001, 0b110)),
+        "unwritable": str(tmp_path / "absent-dir" / "out.txt"),
     }
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2

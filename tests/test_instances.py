@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from fairdiv import instances
 from fairdiv.core import is_monotone, mask_of
 from fairdiv.instances import (
-    GeneratorSpec,
-    RejectionStats,
     gen_mnw_counterexample,
     gen_nonexistence_stars,
     gen_pmms_not_efx_example,
@@ -113,29 +112,30 @@ def test_random_factored_bivalued_allows_b_zero():
 def test_random_binary_additive_is_binary_and_additive():
     inst = random_binary_additive(2, 6, 3)
     for v in inst.valuations:
-        singles = v.singleton_values()
+        singles = [v.value(1 << g) for g in range(6)]
         assert all(x in (0, 1) for x in singles)
         for mask in range(1 << 6):
             assert v.value(mask) == sum(singles[g] for g in range(6) if mask >> g & 1)
 
 
 def test_rejection_sampler_outputs_feasible():
-    stats = RejectionStats()
-    inst = random_binary_mms_feasible(3, 6, 1, normalized=False, stats=stats)
-    assert stats.draws >= 3
+    inst = random_binary_mms_feasible(3, 6, 1, normalized=False)
     for v in inst.valuations:
         assert check_mms_feasible(v)
 
 
-def test_rejection_limit():
+def test_rejection_limit(monkeypatch):
+    monkeypatch.setattr(instances, "REJECTION_LIMIT", 0)
     with pytest.raises(RuntimeError):
-        random_binary_mms_feasible(3, 6, 1, max_draws=0)
+        random_binary_mms_feasible(3, 6, 1)
 
 
 def test_sample_random_dispatch():
-    assert sample_random(GeneratorSpec("separation3")) == gen_separation3()
-    assert sample_random(GeneratorSpec("stars", params={"n": 3})) == gen_nonexistence_stars(3)
-    a = sample_random(GeneratorSpec("random-bivalued", 7, {"n": 3, "m": 6}))
+    assert sample_random("separation3") == gen_separation3()
+    assert sample_random("stars", params={"n": 3}) == gen_nonexistence_stars(3)
+    a = sample_random("random-bivalued", 7, {"n": 3, "m": 6})
     assert a == random_bivalued(3, 6, 7)
-    with pytest.raises(ValueError):
-        sample_random(GeneratorSpec("nope"))
+    with pytest.raises(ValueError, match="unknown generator kind"):
+        sample_random("nope")
+    with pytest.raises(KeyError):
+        sample_random("stars")

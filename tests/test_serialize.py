@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fairdiv import serialize
+from fairdiv.core import Additive, PairDemand
 from fairdiv.instances import (
     gen_mnw_counterexample,
     gen_pmms_not_efx_example,
@@ -49,3 +50,15 @@ def test_allocation_round_trip():
     doc = serialize.allocation_to_doc((0b101, 0b010))
     assert doc == {"bundles": [[0, 2], [1]]}
     assert serialize.allocation_from_doc(doc) == (0b101, 0b010)
+
+
+def test_item_value_classes_stay_distinct():
+    # Additive and PairDemand share their per-item base, but neither is the
+    # other: the serializer dispatches on isinstance, in a fixed order.
+    values = ["1/2", 3, 0]
+    add, pair = Additive.of(values), PairDemand.of(values)
+    assert add != pair and add.values == pair.values
+    assert not isinstance(add, PairDemand) and not isinstance(pair, Additive)
+    assert repr(add).startswith("Additive(values=") and repr(pair).startswith("PairDemand(")
+    assert serialize.valuation_to_doc(add) == {"type": "additive", "values": ["1/2", 3, 0]}
+    assert serialize.valuation_to_doc(pair) == {"type": "pair_demand", "values": ["1/2", 3, 0]}
