@@ -25,6 +25,7 @@ from .core import (
     PairDemand,
     PersonalizedBivalued,
     UnsupportedValuationError,
+    _scaled,
     full_mask,
     items_of,
 )
@@ -33,7 +34,7 @@ from .matching import (
     RoundGraph,
     max_cardinality_max_weight_matching,
 )
-from .oracles import mu
+from .oracles import mu, pmms_envies
 
 
 class CutAndChooseStuckError(RuntimeError):
@@ -117,6 +118,7 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
     n, m = inst.n, inst.m
     K = ratio_substitute(inst)
     ratio = [v.a / v.b if v.b > 0 else K for v in inst.valuations]
+    _, weight = _scaled(ratio)  # the round graphs' edge weights, as ints
 
     pool = full_mask(m)
     bundles = [0] * n
@@ -131,7 +133,7 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
         active = [i for i in range(n) if i not in inactive.get(r, ())]
         pool_items = tuple(items_of(pool))
         edges = tuple(
-            (i, g, ratio[i])
+            (i, g, weight[i])
             for i in active
             for g in items_of(pool & inst.valuations[i].high_items)
         )
@@ -217,44 +219,29 @@ class CcgTrace:
     iterations: tuple[CcgIteration, ...]
 
 
+def _first_envied(inst: Instance, bundles, i: int, held: int) -> Optional[int]:
+    """The lowest-index j != held whose bundle agent i, holding X_held,
+    PMMS-envies; None when there is none."""
+    # j == held is skipped: comparing X_held against itself decides nothing,
+    # and for non-normalized values a bundle can lose to its own best split.
+    vi = inst.valuations[i]
+    return next((j for j in range(inst.n)
+                 if j != held and pmms_envies(vi, bundles[held], bundles[j])), None)
+
+
 def build_cut_and_choose_graph(inst: Instance, bundles, s: int) -> tuple[int, ...]:
     """The functional digraph pi relative to agent s: pi(i) = s when agent i
     accepts X_s against every bundle, otherwise the lowest-index j whose
     bundle makes X_s unacceptable."""
-    pi = []
-    for i in range(inst.n):
-        vi = inst.valuations[i]
-        vs = vi._value(bundles[s])
-        target = s
-        for j in range(inst.n):
-            if j == s:
-                # comparing X_s against itself never changes the target, and
-                # for non-normalized values it would mask the real witness
-                # when i == s (a bundle can lose to its own best split there)
-                continue
-            if vs < mu(vi, bundles[s] | bundles[j], 2).scaled:
-                target = j
-                break
-        pi.append(target)
-    return tuple(pi)
+    return tuple(s if (j := _first_envied(inst, bundles, i, s)) is None else j
+                 for i in range(inst.n))
 
 
 def _pmms_state(inst: Instance, bundles) -> tuple[int, int, Optional[int]]:
     """(W, E, s) where s is the lowest-index PMMS-violating agent or None."""
-    W = 0
-    E = 0
-    s: Optional[int] = None
-    for i in range(inst.n):
-        vi = inst.valuations[i]
-        own = vi._value(bundles[i])
-        W += own  # binary tables have scale 1
-        ok = all(own >= mu(vi, bundles[i] | bundles[j], 2).scaled
-                 for j in range(inst.n) if j != i)
-        if ok:
-            E += 1
-        elif s is None:
-            s = i
-    return W, E, s
+    W = sum(v._value(b) for v, b in zip(inst.valuations, bundles))  # binary: scale 1
+    envious = [i for i in range(inst.n) if _first_envied(inst, bundles, i, i) is not None]
+    return W, inst.n - len(envious), envious[0] if envious else None
 
 
 def cut_and_choose_graph_procedure(inst: Instance) -> tuple[tuple[int, ...], CcgTrace]:
@@ -350,18 +337,9 @@ def reversed_round_robin(inst: Instance, leftover_agent: int = 0) -> tuple[int, 
 
     def pick(agent: int) -> None:
         nonlocal pool
-        best_g = -1
-        best_v: Optional[int] = None
-        rest = pool
-        while rest:
-            low = rest & -rest
-            g = low.bit_length() - 1
-            rest ^= low
-            if best_v is None or singles[agent][g] > best_v:
-                best_v = singles[agent][g]
-                best_g = g
-        bundles[agent] |= 1 << best_g
-        pool &= ~(1 << best_g)
+        g = max(items_of(pool), key=singles[agent].__getitem__)  # lowest index on ties
+        bundles[agent] |= 1 << g
+        pool &= ~(1 << g)
 
     for i in range(n):
         pick(i)

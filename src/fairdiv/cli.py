@@ -187,11 +187,12 @@ def _mnw_not_efx(inst: Instance, budget) -> dict:
 
 def _triangle_free(inst: Instance, budget) -> dict:
     graph = oracles.pair_compatibility_graph(inst, budget)
+    triangle = graph.has_triangle()
     return {
         "nodes": len(graph.nodes) - len(graph.isolated_nodes()),
         "edges": len(graph.edges),
-        "triangle": graph.has_triangle(),
-        "holds": not graph.has_triangle(),
+        "triangle": triangle,
+        "holds": not triangle,
     }
 
 

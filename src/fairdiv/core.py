@@ -17,9 +17,11 @@ from typing import Iterator, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
-#: Table-backed valuations materialize 2^m entries; generators enforce this cap
-#: through ``require_table_items`` before they build any entry.
+#: Table-backed valuations materialize 2^m entries; generators enforce these
+#: caps, on one table and on all n of an instance's tables together, through
+#: ``require_table_items`` before they build any entry.
 MAX_TABLE_ITEMS = 24
+MAX_TABLE_ENTRIES = 1 << 20
 
 
 class InvalidBundleError(ValueError):
@@ -63,10 +65,14 @@ def as_fraction(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
-def require_table_items(m: int, kind: str) -> None:
-    """Raise the cap error for a table over m items, before it is built."""
+def require_table_items(m: int, kind: str, n: int = 0) -> None:
+    """Raise the cap error for a table over m items, or for n such tables,
+    before any is built."""
     if m > MAX_TABLE_ITEMS:
         raise ValueError(f"{kind} tables are capped at {MAX_TABLE_ITEMS} items")
+    if n << m > MAX_TABLE_ENTRIES:
+        raise ValueError(f"{n} {kind} tables over {m} items exceed the cap of "
+                         f"{MAX_TABLE_ENTRIES} entries")
 
 
 class FairnessNotion(Enum):

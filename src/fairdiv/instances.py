@@ -52,7 +52,7 @@ def gen_nonexistence_stars(n: int) -> Instance:
     k = stars_partition_size(n)
     num_stars = n - 2
     m = 2 * k + num_stars
-    require_table_items(m, "explicit")
+    require_table_items(m, "explicit", n)
     stars_mask = full_mask(num_stars)
     commons = list(range(num_stars, m))
     commons_mask = full_mask(m) & ~stars_mask
@@ -241,7 +241,7 @@ def random_binary_mms_feasible(
     """Rejection sampling: draw random binary tables and keep only those
     passing the MMS-feasibility check. Raises after ``REJECTION_LIMIT``
     draws."""
-    require_table_items(m, "binary")
+    require_table_items(m, "binary", n)
     rng = random.Random(seed)
     valuations = []
     draws = 0

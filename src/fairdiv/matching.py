@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _scaled, as_fraction
+from .core import _scaled
 
 
 @dataclass(frozen=True)
@@ -22,15 +22,13 @@ class RoundGraph:
 
     agents: tuple[int, ...]
     items: tuple[int, ...]
-    edges: tuple[tuple[int, int, Fraction], ...]  # (agent, item, weight)
+    # (agent, item, weight); match_and_freeze passes ints, scaled once per run
+    edges: tuple[tuple[int, int, int | Fraction], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "edges", tuple((a, g, as_fraction(w)) for a, g, w in self.edges)
-        )
         agents = set(self.agents)
         items = set(self.items)
-        weight_of: dict[int, Fraction] = {}
+        weight_of: dict[int, int | Fraction] = {}
         for a, g, w in self.edges:
             if a not in agents or g not in items:
                 raise ValueError(f"edge ({a}, {g}) references an unknown node")

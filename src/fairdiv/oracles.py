@@ -138,16 +138,19 @@ def _efx_positive(inst: Instance, bundles, budget=None):
     return _efx(inst, bundles, positive_only=True)
 
 
+def pmms_envies(v: Valuation, mine: int, theirs: int,
+                budget: Optional[int] = None) -> Optional[MaximinResult]:
+    """The PMMS envy test: v's best 2-split of ``mine | theirs`` when it is
+    worth more to v than ``mine``, else None."""
+    share = mu(v, mine | theirs, 2, budget)
+    return share if v._value(mine) < share.scaled else None
+
+
 def _pmms(inst: Instance, bundles, budget=None):
-    for i in range(inst.n):
-        vi = inst.valuations[i]
-        own = vi._value(bundles[i])
+    for i, vi in enumerate(inst.valuations):
         for j in range(inst.n):
-            if i == j:
-                continue
-            result = mu(vi, bundles[i] | bundles[j], 2, budget)
-            if own < result.scaled:
-                yield i, j, result.witness
+            if i != j and (share := pmms_envies(vi, bundles[i], bundles[j], budget)):
+                yield i, j, share.witness
 
 
 def _mms(inst: Instance, bundles, budget=None):
@@ -300,17 +303,12 @@ class CompatGraph:
     def has_triangle(self) -> bool:
         """Triangle over three distinct agents, i.e. a PMMS-compatible
         balanced allocation when n = 3."""
+        # Every edge joins two different agents, so a triangle has three.
         adj: dict = {}
         for u, w in self.edges:
             adj.setdefault(u, set()).add(w)
             adj.setdefault(w, set()).add(u)
-        edge_list = list(self.edges)
-        for u, w in edge_list:
-            common = adj.get(u, set()) & adj.get(w, set())
-            for x in common:
-                if len({u[0], w[0], x[0]}) == 3:
-                    return True
-        return False
+        return any(adj[u] & adj[w] for u, w in self.edges)
 
 
 def pair_compatibility_graph(inst: Instance, budget: Optional[int] = None) -> CompatGraph:
@@ -320,9 +318,7 @@ def pair_compatibility_graph(inst: Instance, budget: Optional[int] = None) -> Co
     for (i, S), (j, T) in itertools.combinations(nodes, 2):
         if i == j or S & T:
             continue
-        union = S | T
         vi, vj = inst.valuations[i], inst.valuations[j]
-        if (vi._value(S) >= mu(vi, union, 2, budget).scaled
-                and vj._value(T) >= mu(vj, union, 2, budget).scaled):
+        if not pmms_envies(vi, S, T, budget) and not pmms_envies(vj, T, S, budget):
             edges.append(((i, S), (j, T)))
     return CompatGraph(inst.n, inst.m, nodes, tuple(edges))

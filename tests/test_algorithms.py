@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from fairdiv.algorithms import (
     CutAndChooseStuckError,
+    _pmms_state,
     build_cut_and_choose_graph,
     cut_and_choose_graph_procedure,
     match_and_freeze,
@@ -15,6 +17,7 @@ from fairdiv.algorithms import (
 from fairdiv.core import (
     Additive,
     BinaryTable,
+    FairnessNotion,
     Instance,
     PairDemand,
     PersonalizedBivalued,
@@ -22,9 +25,10 @@ from fairdiv.core import (
     full_mask,
 )
 from fairdiv.instances import gen_table1_example, random_binary_mms_feasible
-from fairdiv.oracles import check_efx, check_pmms, mu
+from fairdiv.oracles import check, check_efx, check_pmms, mu
 
 from helpers import (
+    agent_ratios,
     check_maf_trace_invariants,
     check_matching_round_property,
     connected_components,
@@ -82,8 +86,14 @@ def test_maf_b_zero_uses_substitute_ratio():
     bundles, trace = match_and_freeze(inst)
     assert check_efx(inst, bundles).holds
     check_maf_trace_invariants(inst, trace)
+    ratios = agent_ratios(inst)
     for rnd in trace.rounds:
         check_matching_round_property(rnd.graph, rnd.matching)
+        # one int weight per agent, in proportion to the agents' ratios
+        weight = {a: w for a, _, w in rnd.graph.edges}
+        assert all(type(w) is int for w in weight.values())
+        for a, b in itertools.combinations(weight, 2):
+            assert weight[a] * ratios[b] == weight[b] * ratios[a]
 
 
 def test_maf_trace_lines_stable():
@@ -146,6 +156,26 @@ def test_build_graph_deviation_witness():
                     vi = inst.valuations[i]
                     assert vi.value(bundles[j]) == 1
                     assert mu(vi, bundles[s] | bundles[j], 2).mu == 1
+
+
+def test_ccg_state_and_graph_agree_with_pmms_check():
+    """_pmms_state's (W, E, s) and pi(s) read the same envy as check(PMMS)."""
+    rng = random.Random(11)
+    for trial in range(60):
+        n, m = rng.randint(2, 4), rng.randint(2, 7)
+        inst = random_binary_mms_feasible(n, m, trial, normalized=trial % 2 == 0)
+        for _ in range(5):
+            X = [0] * n
+            for g in range(m):
+                X[rng.randrange(n)] |= 1 << g
+            violations = check(inst, X, FairnessNotion.PMMS).violations
+            enviers = sorted({f.envier for f in violations})
+            s = enviers[0] if enviers else None
+            W = sum(inst.value(i, X[i]) for i in range(n))
+            assert _pmms_state(inst, X) == (W, n - len(enviers), s)
+            if s is not None:
+                envied = min(f.envied for f in violations if f.envier == s)
+                assert build_cut_and_choose_graph(inst, X, s)[s] == envied
 
 
 def test_ccg_already_pmms_zero_iterations():

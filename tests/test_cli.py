@@ -208,6 +208,11 @@ def test_malformed_budget_exits_2(tmp_path, capsys, monkeypatch, budget):
     pytest.param(["gen", "--kind", "stars", "--n", "19"], id="stars-over-cap"),
     pytest.param(["gen", "--kind", "random-binary-mms-feasible", "--n", "1", "--m", "25",
                   "--seed", "1"], id="binary-over-cap"),
+    # ... and so are instances whose n tables of 2^m entries total over
+    # MAX_TABLE_ENTRIES: 11 * 2^17 and 2 * 2^20 entries here
+    pytest.param(["gen", "--kind", "stars", "--n", "11"], id="stars-over-entry-cap"),
+    pytest.param(["gen", "--kind", "random-binary-mms-feasible", "--n", "2", "--m", "20",
+                  "--seed", "1"], id="binary-over-entry-cap"),
     pytest.param(["gen", "--kind", "separation3", "--out", "{unwritable}"], id="gen-out-dir"),
     pytest.param(["export-graph", "--in", "{inst}", "--kind", "compat", "--dot",
                   "{unwritable}"], id="export-dot-dir"),
@@ -226,6 +231,14 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_verify_triangle_found_exits_1(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, Instance(3, 6, (Additive.of([1] * 6),) * 3))
+    code, out, _ = run(capsys, "verify", "--claim", "triangle-free", "--in", inst_path)
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["triangle"] is True and doc["holds"] is False and doc["edges"] == 270
 
 
 def _parse_dot_edges(text):

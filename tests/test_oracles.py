@@ -202,3 +202,15 @@ def test_compat_graph_separation_triangle_free():
     graph = pair_compatibility_graph(gen_separation3())
     assert len(graph.edges) > 0
     assert not graph.has_triangle()
+
+
+@pytest.mark.parametrize("values, edges, triangle", [
+    ([1] * 6, 270, True),  # any three disjoint pairs suit three identical agents
+    # a pair holding item 0 is envied, and items 1..5 hold no three disjoint pairs
+    ([5, 1, 1, 1, 1, 1], 90, False),
+])
+def test_compat_graph_triangle(values, edges, triangle):
+    inst = Instance(3, 6, (Additive.of(values),) * 3)
+    graph = pair_compatibility_graph(inst)
+    assert len(graph.edges) == edges
+    assert graph.has_triangle() is triangle
