@@ -248,7 +248,8 @@ class ExplicitTable(Valuation):
         size = len(self.table)
         if size == 0 or size & (size - 1):
             raise ValueError("table length must be a power of two")
-        require_table_items(self.num_items, "explicit")
+        object.__setattr__(self, "_m", size.bit_length() - 1)
+        require_table_items(self._m, "explicit")
         scale, ints = _scaled(self.table)
         object.__setattr__(self, "_ints", ints)
         self._set_kernel(scale, ints)
@@ -259,7 +260,7 @@ class ExplicitTable(Valuation):
 
     @property
     def num_items(self) -> int:
-        return len(self.table).bit_length() - 1
+        return self._m
 
     def _value(self, mask: int) -> int:
         return self._ints[mask]

@@ -1,7 +1,8 @@
-"""Brute-force fair-share computation and fairness verification.
+"""Fair-share computation and fairness verification.
 
-Everything here is exhaustive and exact: maximin shares enumerate all
-labeled partitions, allocation scans enumerate all n^m assignments.
+Everything here is exact: maximin shares with their witnesses enumerate all
+labeled partitions, allocation scans enumerate all n^m assignments, and the
+PMMS share value (``_mu2``) has one kernel per valuation class.
 Exceeding the enumeration budget is a hard error, never an approximation.
 
 Every comparison is between two values of one agent's valuation, so it is
@@ -21,6 +22,8 @@ from typing import Iterable, Optional
 from .core import (
     FairnessNotion,
     Instance,
+    PairDemand,
+    PersonalizedBivalued,
     UnsupportedValuationError,
     Valuation,
     items_of,
@@ -63,32 +66,85 @@ class FairnessReport:
 
 @lru_cache(maxsize=1 << 18)
 def _mu_search(v: Valuation, S: int, k: int) -> MaximinResult:
-    items = list(items_of(S))
+    bits = [1 << g for g in items_of(S)]
     value = v._value
-    best_min: Optional[int] = None
-    best_parts: tuple[int, ...] = ()
-    parts = [0] * k
+    labels = [0] * len(bits)  # the label (part) of each item of S
+    parts = [S] + [0] * (k - 1)
+    best_min = min(map(value, parts))
+    best_parts = tuple(parts)
 
-    # Items are assigned in increasing index order and labels in increasing
-    # order, so the first optimum found has the lexicographically smallest
-    # label vector; only strict improvements replace it.
-    def assign(idx: int) -> None:
-        nonlocal best_min, best_parts
-        if idx == len(items):
+    # An odometer over the label vectors, the last item varying fastest, so
+    # they are visited in lexicographic order and the first optimum found
+    # has the smallest label vector; only strict improvements replace it.
+    last = idx = len(bits) - 1
+    while idx >= 0:
+        label, bit = labels[idx], bits[idx]
+        parts[label] ^= bit
+        if label + 1 < k:
+            labels[idx] = label + 1
+            parts[label + 1] |= bit
             worst = min(map(value, parts))
-            if best_min is None or worst > best_min:
+            if worst > best_min:
                 best_min = worst
                 best_parts = tuple(parts)
-            return
-        bit = 1 << items[idx]
-        for label in range(k):
-            parts[label] |= bit
-            assign(idx + 1)
-            parts[label] ^= bit
-
-    assign(0)
-    assert best_min is not None
+            idx = last
+        else:  # wrap this digit to 0 and carry into the one before it
+            labels[idx] = 0
+            parts[0] |= bit
+            idx -= 1
     return MaximinResult(Fraction(best_min, v.scale), best_parts, best_min)
+
+
+def _split_bounds(value, S: int) -> tuple[int, int]:
+    """(maxmin, minmax) over the bipartitions of S under ``value``: the
+    largest smaller side, which is mu(v, S, 2) scaled, and the smallest
+    larger side. Each unordered split {A, S \\ A} is visited once, with A
+    holding S's lowest item."""
+    low = S & -S
+    rest = S ^ low
+    x, y = value(S), value(0)
+    maxmin, minmax = (x, y) if x <= y else (y, x)
+    sub = rest
+    while sub:
+        sub = (sub - 1) & rest
+        x, y = value(sub | low), value(rest ^ sub)
+        if x > y:
+            x, y = y, x
+        if x > maxmin:
+            maxmin = x
+        if y < minmax:
+            minmax = y
+    return maxmin, minmax
+
+
+@lru_cache(maxsize=1 << 18)
+def _mu2(v: Valuation, S: int) -> int:
+    """mu(v, S, 2) * v.scale, from a kernel per valuation class; no witness."""
+    if isinstance(v, PairDemand):
+        # Only the four largest items x1 >= x2 >= x3 >= x4 matter: the best
+        # split pairs x1 with x4 against x2 with x3.
+        ints = v._ints
+        x1, x2, x3, x4 = (sorted((ints[g] for g in items_of(S)), reverse=True) + [0] * 4)[:4]
+        return min(x1 + x4, x2 + x3)
+    if isinstance(v, PersonalizedBivalued):
+        # x high and y low items on one side. For each x the best y is the
+        # floor of the balance point (a(h - 2x) + b l) / 2b, clipped to 0..l;
+        # its ceiling is the floor for h - x with the sides swapped.
+        a, b = v._a, v._b
+        h = (S & v.high_items).bit_count()
+        l = S.bit_count() - h
+        best = 0
+        for x in range(h + 1):
+            y = min(max((a * (h - 2 * x) + b * l) // (2 * b), 0), l) if b else 0
+            best = max(best, min(a * x + b * y, a * (h - x) + b * (l - y)))
+        return best
+    return _split_bounds(v._value, S)[0]
+
+
+def _require_share_args(v: Valuation, S: int, k: int, budget: Optional[int]) -> None:
+    if S < 0 or S >> v.num_items:
+        raise ValueError("S addresses items outside the valuation's range")
+    _check_budget(k ** S.bit_count(), budget)
 
 
 def mu(v: Valuation, S: int, k: int, budget: Optional[int] = None) -> MaximinResult:
@@ -96,14 +152,13 @@ def mu(v: Valuation, S: int, k: int, budget: Optional[int] = None) -> MaximinRes
     minimum part value, with a witness partition attaining it."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if S < 0 or S >> v.num_items:
-        raise ValueError("S addresses items outside the valuation's range")
-    _check_budget(k ** S.bit_count(), budget)
+    _require_share_args(v, S, k, budget)
     return _mu_search(v, S, k)
 
 
 def clear_caches() -> None:
     _mu_search.cache_clear()
+    _mu2.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +196,13 @@ def _efx_positive(inst: Instance, bundles, budget=None):
 def pmms_envies(v: Valuation, mine: int, theirs: int,
                 budget: Optional[int] = None) -> Optional[MaximinResult]:
     """The PMMS envy test: v's best 2-split of ``mine | theirs`` when it is
-    worth more to v than ``mine``, else None."""
-    share = mu(v, mine | theirs, 2, budget)
-    return share if v._value(mine) < share.scaled else None
+    worth more to v than ``mine``, else None. Envy is decided on the share
+    value alone; the witness is searched for only when there is envy."""
+    S = mine | theirs
+    _require_share_args(v, S, 2, budget)
+    if v._value(mine) >= _mu2(v, S):
+        return None
+    return mu(v, S, 2, budget)  # the witness, searched only on envy
 
 
 def _pmms(inst: Instance, bundles, budget=None):
@@ -259,24 +318,13 @@ def nash_welfare_maximizers(inst: Instance, budget: Optional[int] = None):
 def check_mms_feasible(v: Valuation, budget: Optional[int] = None) -> bool:
     """True iff for every S: min over bipartitions of the max side value is
     at least mu(v, S, 2). This collapses the all-pairs-of-partitions
-    condition to a single pass of 2^|S| bipartitions per subset."""
+    condition to a single pass over the bipartitions of each subset, on a
+    table of v's values built once."""
     m = v.num_items
     _check_budget(3**m, budget)
+    value = list(map(v._value, range(1 << m))).__getitem__
     for S in range(1 << m):
-        maxmin: Optional[int] = None
-        minmax: Optional[int] = None
-        sub = S
-        while True:
-            a = v._value(sub)
-            b = v._value(S ^ sub)
-            lo, hi = (a, b) if a <= b else (b, a)
-            if maxmin is None or lo > maxmin:
-                maxmin = lo
-            if minmax is None or hi < minmax:
-                minmax = hi
-            if sub == 0:
-                break
-            sub = (sub - 1) & S
+        maxmin, minmax = _split_bounds(value, S)
         if minmax < maxmin:
             return False
     return True

@@ -24,7 +24,7 @@ from fairdiv.core import (
     UnsupportedValuationError,
     full_mask,
 )
-from fairdiv.instances import gen_table1_example, random_binary_mms_feasible
+from fairdiv.instances import gen_table1_example, random_binary_mms_feasible, random_bivalued
 from fairdiv.oracles import check, check_efx, check_pmms, mu
 
 from helpers import (
@@ -102,6 +102,14 @@ def test_maf_trace_lines_stable():
     lines = maf_trace_lines(trace)
     assert lines[0] == "round=1 matched=1:0,3:1 frozen=1:1,3:3 leftovers=0:2,2:3"
     assert len(lines) == 6
+
+
+def test_maf_factored_is_pmms_at_scale():
+    # Each pair's union holds about 20 items, so the check is affordable only
+    # because PMMS envy is decided on the bivalued share value, not a search.
+    inst = random_bivalued(100, 1000, 1, factored=True)
+    bundles, _ = match_and_freeze(inst)
+    assert check_pmms(inst, bundles).holds
 
 
 def test_sufficient_no_envy():

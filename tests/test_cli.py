@@ -213,6 +213,10 @@ def test_malformed_budget_exits_2(tmp_path, capsys, monkeypatch, budget):
     pytest.param(["gen", "--kind", "stars", "--n", "11"], id="stars-over-entry-cap"),
     pytest.param(["gen", "--kind", "random-binary-mms-feasible", "--n", "2", "--m", "20",
                   "--seed", "1"], id="binary-over-entry-cap"),
+    # the MMS-feasibility check of each draw would enumerate 3^17 splits,
+    # over the default budget
+    pytest.param(["gen", "--kind", "random-binary-mms-feasible", "--n", "1", "--m", "17",
+                  "--seed", "1"], id="binary-over-feasibility-budget"),
     pytest.param(["gen", "--kind", "separation3", "--out", "{unwritable}"], id="gen-out-dir"),
     pytest.param(["export-graph", "--in", "{inst}", "--kind", "compat", "--dot",
                   "{unwritable}"], id="export-dot-dir"),

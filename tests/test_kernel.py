@@ -23,6 +23,7 @@ from fairdiv.core import (
     UnsupportedValuationError,
 )
 from fairdiv.oracles import (
+    _mu2,
     allocation_satisfies,
     check,
     check_efx,
@@ -32,6 +33,7 @@ from fairdiv.oracles import (
     check_pmms,
     mu,
     nash_welfare_maximizers,
+    pmms_envies,
 )
 
 from helpers import (
@@ -97,6 +99,9 @@ def test_hash_follows_equality_and_stays_out_of_repr():
     assert v is not w and v == w and hash(v) == hash(w)
     assert "_hash" not in repr(v) and "scale" not in repr(v)
     assert v != PairDemand.of([1, 3])
+    t, u = ExplicitTable.of([0, 1, 1, 2]), ExplicitTable.of(["0", "1", "1", "2"])
+    assert t == u and hash(t) == hash(u) and t.num_items == 2
+    assert repr(t) == f"ExplicitTable(table={t.table!r})"
 
 
 @KERNEL
@@ -118,6 +123,59 @@ def test_mu_matches_reference(case, k):
     assert type(result.mu) is Fraction
     assert (result.mu, result.witness) == reference_mu(v, S, k)
     assert result.scaled == result.mu * v.scale
+
+
+@st.composite
+def share_case(draw):
+    """(v, mine, theirs): a valuation of every class, on up to 7 items so a
+    pair-demand share sees more than its four largest items, and two
+    disjoint bundles."""
+    m = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["additive", "pair", "bivalued-b0", "bivalued-fraction",
+                                 "bivalued-factored", "table", "binary"]))
+    items = st.lists(rationals, min_size=m, max_size=m).map(tuple)
+    if kind == "additive":
+        v = Additive(draw(items))
+    elif kind == "pair":
+        v = PairDemand(draw(items))
+    elif kind.startswith("bivalued"):
+        b = draw(positive_rationals)
+        if kind == "bivalued-b0":
+            a, b = b, Fraction(0)
+        elif kind == "bivalued-factored":
+            a = b * draw(st.integers(2, 6))
+        else:  # a / b is not an integer
+            a = b * draw(st.builds(Fraction, st.integers(3, 25), st.sampled_from([2, 3, 4]))
+                         .filter(lambda r: r > 1 and r.denominator > 1))
+        v = PersonalizedBivalued(a, b, draw(st.integers(0, (1 << m) - 1)), m)
+    elif kind == "table":
+        v = ExplicitTable(tuple(draw(st.lists(rationals, min_size=1 << m, max_size=1 << m))))
+    else:  # neither monotone nor normalized when it holds the empty bundle
+        ones = draw(st.frozensets(st.integers(0, (1 << m) - 1)))
+        v = BinaryTable(m, ones | {0} if draw(st.booleans()) else ones)
+    S = draw(st.integers(0, (1 << m) - 1))
+    mine = S & draw(st.integers(0, (1 << m) - 1))
+    return v, mine, S ^ mine
+
+
+@KERNEL
+@given(share_case())
+def test_mu2_matches_reference(case):
+    v, mine, theirs = case
+    S = mine | theirs
+    assert _mu2(v, S) == reference_mu(v, S, 2)[0] * v.scale
+
+
+@KERNEL
+@given(share_case())
+def test_pmms_envies_matches_reference(case):
+    v, mine, theirs = case
+    share, witness = reference_mu(v, mine | theirs, 2)
+    envy = pmms_envies(v, mine, theirs)
+    if reference_value(v, mine) < share:
+        assert envy is not None and (envy.mu, envy.witness) == (share, witness)
+    else:
+        assert envy is None
 
 
 @KERNEL
