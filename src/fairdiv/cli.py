@@ -8,6 +8,7 @@ Exit codes: 0 success / property holds, 1 fairness property fails,
 from __future__ import annotations
 
 import argparse
+import contextvars
 import functools
 import os
 import sys
@@ -33,15 +34,6 @@ AGENT_COLORS = ("red", "blue", "green", "orange", "purple", "brown", "cyan", "ma
 
 class UsageError(Exception):
     """Malformed input outside the argument parser; exits 2 with one line."""
-
-
-def _budget() -> Optional[int]:
-    raw = os.environ.get("FAIRDIV_BUDGET")
-    if not raw:
-        return None
-    if not raw.isdecimal():
-        raise UsageError(f"FAIRDIV_BUDGET must be a non-negative integer, got {raw!r}")
-    return int(raw)
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -142,13 +134,12 @@ def cmd_check(args) -> int:
     if args.notion != "feasible" and not args.alloc:
         raise UsageError("--alloc is required unless --notion feasible")
     inst = _load_instance(getattr(args, "in"))
-    budget = _budget()
     if args.notion == "feasible":
-        verdicts = [oracles.check_mms_feasible(v, budget) for v in inst.valuations]
+        verdicts = [oracles.check_mms_feasible(v) for v in inst.valuations]
         doc = {"notion": "feasible", "holds": all(verdicts), "per_agent": verdicts}
     else:
         bundles = _load_allocation(args.alloc, inst)
-        report = oracles.check(inst, bundles, FairnessNotion(args.notion), budget)
+        report = oracles.check(inst, bundles, FairnessNotion(args.notion))
         doc = {
             "notion": args.notion,
             "holds": report.holds,
@@ -167,8 +158,8 @@ def _witness_doc(witness):
     return [sorted(items_of(mask)) for mask in witness]
 
 
-def _scan(notion: FairnessNotion, holds_if_found: bool, inst: Instance, budget) -> dict:
-    found = oracles.exists_fair_allocation(inst, notion, budget)
+def _scan(notion: FairnessNotion, holds_if_found: bool, inst: Instance) -> dict:
+    found = oracles.exists_fair_allocation(inst, notion)
     return {
         "scanned": inst.n ** inst.m,
         "found": None if found is None else serialize.allocation_to_doc(found)["bundles"],
@@ -176,8 +167,8 @@ def _scan(notion: FairnessNotion, holds_if_found: bool, inst: Instance, budget) 
     }
 
 
-def _mnw_not_efx(inst: Instance, budget) -> dict:
-    best, argmax = oracles.nash_welfare_maximizers(inst, budget)
+def _mnw_not_efx(inst: Instance) -> dict:
+    best, argmax = oracles.nash_welfare_maximizers(inst)
     return {
         "max_nash_welfare": serialize.rational_to_json(best),
         "maximizers": [serialize.allocation_to_doc(b)["bundles"] for b in argmax],
@@ -185,8 +176,8 @@ def _mnw_not_efx(inst: Instance, budget) -> dict:
     }
 
 
-def _triangle_free(inst: Instance, budget) -> dict:
-    graph = oracles.pair_compatibility_graph(inst, budget)
+def _triangle_free(inst: Instance) -> dict:
+    graph = oracles.pair_compatibility_graph(inst)
     triangle = graph.has_triangle()
     return {
         "nodes": len(graph.nodes) - len(graph.isolated_nodes()),
@@ -196,7 +187,7 @@ def _triangle_free(inst: Instance, budget) -> dict:
     }
 
 
-# --claim → (instance, budget) → the claim's document, with "holds".
+# --claim → instance → the claim's document, with "holds".
 CLAIMS = {
     "no-pmms": functools.partial(_scan, FairnessNotion.PMMS, False),
     "mms-exists": functools.partial(_scan, FairnessNotion.MMS, True),
@@ -207,16 +198,15 @@ CLAIMS = {
 
 def cmd_verify(args) -> int:
     inst = _load_instance(getattr(args, "in"))
-    budget = _budget()
     start = time.monotonic()
-    doc = {"claim": args.claim, **CLAIMS[args.claim](inst, budget)}
+    doc = {"claim": args.claim, **CLAIMS[args.claim](inst)}
     doc["seconds"] = round(time.monotonic() - start, 3)
     _write(serialize.dumps(doc), args.out)
     return EXIT_OK if doc["holds"] else EXIT_FAIL
 
 
 def _compat_dot(inst: Instance) -> str:
-    graph = oracles.pair_compatibility_graph(inst, _budget())
+    graph = oracles.pair_compatibility_graph(inst)
     isolated = set(graph.isolated_nodes())
 
     def node_id(node):
@@ -331,10 +321,21 @@ ERROR_EXITS = {
 }
 
 
+def _run(args) -> int:
+    """Run one command under the cap FAIRDIV_BUDGET sets, if it is set."""
+    raw = os.environ.get("FAIRDIV_BUDGET")
+    if raw:
+        if not raw.isdecimal():
+            raise UsageError(f"FAIRDIV_BUDGET must be a non-negative integer, got {raw!r}")
+        oracles.BUDGET.set(int(raw))
+    return args.func(args)
+
+
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # In a copy of the context, so the cap is the caller's again on return.
+        return contextvars.copy_context().run(_run, args)
     except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in ERROR_EXITS.items() if isinstance(exc, cls))

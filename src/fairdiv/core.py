@@ -352,9 +352,6 @@ class Instance:
         return self.valuations[agent].value(mask)
 
 
-Allocation = tuple  # n bundle masks, pairwise disjoint, covering all items
-
-
 @dataclass(frozen=True)
 class AllocationViolation:
     kind: str  # "overlap" | "uncovered" | "out_of_range" | "arity"

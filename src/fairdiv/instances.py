@@ -20,7 +20,7 @@ from .core import (
     mask_of,
     require_table_items,
 )
-from .oracles import DEFAULT_BUDGET, check_mms_feasible
+from .oracles import BUDGET, check_mms_feasible
 
 REJECTION_LIMIT = 10**5
 
@@ -242,9 +242,9 @@ def random_binary_mms_feasible(
     passing the MMS-feasibility check. Raises after ``REJECTION_LIMIT``
     draws."""
     require_table_items(m, "binary", n)
-    if 3**m > DEFAULT_BUDGET:
+    if 3**m > (cap := BUDGET.get()):
         raise ValueError(f"the MMS-feasibility check of a binary table over {m} items "
-                         f"enumerates 3^{m} splits, over the budget of {DEFAULT_BUDGET}")
+                         f"enumerates 3^{m} splits, over the budget of {cap}")
     rng = random.Random(seed)
     valuations = []
     draws = 0

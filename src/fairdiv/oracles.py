@@ -12,6 +12,7 @@ made on that valuation's scaled integers (``Valuation._value``); a
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -32,13 +33,17 @@ from .core import (
 
 DEFAULT_BUDGET = 10**8
 
+# The cap on the size of any one enumeration. The CLI sets it from
+# FAIRDIV_BUDGET for one command; a library caller uses ``BUDGET.set``.
+BUDGET = contextvars.ContextVar("fairdiv.budget", default=DEFAULT_BUDGET)
+
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive enumeration would exceed the configured budget."""
 
 
-def _check_budget(count: int, budget: Optional[int]) -> None:
-    cap = DEFAULT_BUDGET if budget is None else budget
+def _check_budget(count: int, budget: Optional[int] = None) -> None:
+    cap = BUDGET.get() if budget is None else budget
     if count > cap:
         raise BudgetExceededError(f"enumeration of size {count} exceeds budget {cap}")
 
@@ -141,18 +146,18 @@ def _mu2(v: Valuation, S: int) -> int:
     return _split_bounds(v._value, S)[0]
 
 
-def _require_share_args(v: Valuation, S: int, k: int, budget: Optional[int]) -> None:
+def _require_share_args(v: Valuation, S: int, k: int) -> None:
     if S < 0 or S >> v.num_items:
         raise ValueError("S addresses items outside the valuation's range")
-    _check_budget(k ** S.bit_count(), budget)
+    _check_budget(k ** S.bit_count())
 
 
-def mu(v: Valuation, S: int, k: int, budget: Optional[int] = None) -> MaximinResult:
+def mu(v: Valuation, S: int, k: int) -> MaximinResult:
     """Exact fair share: max over labeled k-part partitions of S of the
     minimum part value, with a witness partition attaining it."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    _require_share_args(v, S, k, budget)
+    _require_share_args(v, S, k)
     return _mu_search(v, S, k)
 
 
@@ -170,7 +175,7 @@ def clear_caches() -> None:
 # the first.
 
 
-def _efx(inst: Instance, bundles, budget=None, positive_only: bool = False):
+def _efx(inst: Instance, bundles, positive_only: bool = False):
     for i in range(inst.n):
         value = inst.valuations[i]._value
         own = value(bundles[i])
@@ -185,7 +190,7 @@ def _efx(inst: Instance, bundles, budget=None, positive_only: bool = False):
                     break  # one witness item per pair
 
 
-def _efx_positive(inst: Instance, bundles, budget=None):
+def _efx_positive(inst: Instance, bundles):
     # A plain function, not a generator, so the class check runs on call.
     for v in inst.valuations:
         if not v.is_additive():
@@ -193,29 +198,26 @@ def _efx_positive(inst: Instance, bundles, budget=None):
     return _efx(inst, bundles, positive_only=True)
 
 
-def pmms_envies(v: Valuation, mine: int, theirs: int,
-                budget: Optional[int] = None) -> Optional[MaximinResult]:
-    """The PMMS envy test: v's best 2-split of ``mine | theirs`` when it is
-    worth more to v than ``mine``, else None. Envy is decided on the share
-    value alone; the witness is searched for only when there is envy."""
+def pmms_envies(v: Valuation, mine: int, theirs: int) -> bool:
+    """The PMMS envy test: whether v's best 2-split of ``mine | theirs``
+    leaves both parts worth more to v than ``mine``. Decided on the share
+    value alone; no witness split is searched for."""
     S = mine | theirs
-    _require_share_args(v, S, 2, budget)
-    if v._value(mine) >= _mu2(v, S):
-        return None
-    return mu(v, S, 2, budget)  # the witness, searched only on envy
+    _require_share_args(v, S, 2)
+    return v._value(mine) < _mu2(v, S)
 
 
-def _pmms(inst: Instance, bundles, budget=None):
+def _pmms(inst: Instance, bundles):
     for i, vi in enumerate(inst.valuations):
         for j in range(inst.n):
-            if i != j and (share := pmms_envies(vi, bundles[i], bundles[j], budget)):
-                yield i, j, share.witness
+            if i != j and pmms_envies(vi, bundles[i], bundles[j]):
+                yield i, j, mu(vi, bundles[i] | bundles[j], 2).witness
 
 
-def _mms(inst: Instance, bundles, budget=None):
+def _mms(inst: Instance, bundles):
     for i in range(inst.n):
         vi = inst.valuations[i]
-        result = mu(vi, inst.all_items, inst.n, budget)
+        result = mu(vi, inst.all_items, inst.n)
         if vi._value(bundles[i]) < result.scaled:
             yield i, None, result.witness
 
@@ -228,21 +230,19 @@ _VIOLATIONS = {
 }
 
 
-def check(inst: Instance, bundles, notion: FairnessNotion,
-          budget: Optional[int] = None) -> FairnessReport:
+def check(inst: Instance, bundles, notion: FairnessNotion) -> FairnessReport:
     """Every violation of the notion, after validating the allocation.
     EFX+ rejects a non-additive instance before that."""
-    violations = _VIOLATIONS[notion](inst, bundles, budget)  # lazy but for EFX+'s class check
+    violations = _VIOLATIONS[notion](inst, bundles)  # lazy but for EFX+'s class check
     require_valid_allocation(inst, bundles)
     found = tuple(FairnessViolation(*v) for v in violations)
     return FairnessReport(notion, not found, found)
 
 
-def allocation_satisfies(inst: Instance, bundles, notion: FairnessNotion,
-                         budget: Optional[int] = None) -> bool:
+def allocation_satisfies(inst: Instance, bundles, notion: FairnessNotion) -> bool:
     """Whether the notion holds, stopping at the first violation. The
     allocation is not validated."""
-    return next(_VIOLATIONS[notion](inst, bundles, budget), None) is None
+    return next(_VIOLATIONS[notion](inst, bundles), None) is None
 
 
 def check_efx(inst: Instance, bundles) -> FairnessReport:
@@ -258,12 +258,12 @@ def check_efx_positive(inst: Instance, bundles) -> FairnessReport:
     return check(inst, bundles, FairnessNotion.EFX_POSITIVE)
 
 
-def check_pmms(inst: Instance, bundles, budget: Optional[int] = None) -> FairnessReport:
-    return check(inst, bundles, FairnessNotion.PMMS, budget)
+def check_pmms(inst: Instance, bundles) -> FairnessReport:
+    return check(inst, bundles, FairnessNotion.PMMS)
 
 
-def check_mms(inst: Instance, bundles, budget: Optional[int] = None) -> FairnessReport:
-    return check(inst, bundles, FairnessNotion.MMS, budget)
+def check_mms(inst: Instance, bundles) -> FairnessReport:
+    return check(inst, bundles, FairnessNotion.MMS)
 
 
 # ---------------------------------------------------------------------------
@@ -280,25 +280,24 @@ def iter_allocations(n: int, m: int) -> Iterable[tuple[int, ...]]:
         yield tuple(bundles)
 
 
-def exists_fair_allocation(inst: Instance, notion: FairnessNotion,
-                           budget: Optional[int] = None) -> Optional[tuple[int, ...]]:
+def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[tuple[int, ...]]:
     """First allocation (lexicographic owner-vector order) satisfying the
     notion, or None after an exhaustive scan."""
-    _check_budget(inst.n ** inst.m, budget)
+    _check_budget(inst.n ** inst.m)
     for bundles in iter_allocations(inst.n, inst.m):
-        if allocation_satisfies(inst, bundles, notion, budget):
+        if allocation_satisfies(inst, bundles, notion):
             return bundles
     return None
 
 
-def nash_welfare_maximizers(inst: Instance, budget: Optional[int] = None):
+def nash_welfare_maximizers(inst: Instance):
     """Exact maximum of the product of utilities over all allocations,
     with every maximizer (in lexicographic order).
 
     Products are taken over scaled values; every allocation's product is
     scaled by the same constant, the product of the scales, so the order
     is unchanged and the maximum is divided by it once."""
-    _check_budget(inst.n ** inst.m, budget)
+    _check_budget(inst.n ** inst.m)
     values = [v._value for v in inst.valuations]
     best: Optional[int] = None
     argmax: list[tuple[int, ...]] = []
@@ -319,7 +318,10 @@ def check_mms_feasible(v: Valuation, budget: Optional[int] = None) -> bool:
     """True iff for every S: min over bipartitions of the max side value is
     at least mu(v, S, 2). This collapses the all-pairs-of-partitions
     condition to a single pass over the bipartitions of each subset, on a
-    table of v's values built once."""
+    table of v's values built once. ``budget``, when given, caps this call
+    in place of ``BUDGET``."""
+    # The one budget parameter left: perfbench/tracer.py wraps this function
+    # as check_mms_feasible(v, budget), two positional arguments.
     m = v.num_items
     _check_budget(3**m, budget)
     value = list(map(v._value, range(1 << m))).__getitem__
@@ -359,7 +361,7 @@ class CompatGraph:
         return any(adj[u] & adj[w] for u, w in self.edges)
 
 
-def pair_compatibility_graph(inst: Instance, budget: Optional[int] = None) -> CompatGraph:
+def pair_compatibility_graph(inst: Instance) -> CompatGraph:
     pairs = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(inst.m), 2)]
     nodes = tuple((i, S) for i in range(inst.n) for S in pairs)
     edges = []
@@ -367,6 +369,6 @@ def pair_compatibility_graph(inst: Instance, budget: Optional[int] = None) -> Co
         if i == j or S & T:
             continue
         vi, vj = inst.valuations[i], inst.valuations[j]
-        if not pmms_envies(vi, S, T, budget) and not pmms_envies(vj, T, S, budget):
+        if not pmms_envies(vi, S, T) and not pmms_envies(vj, T, S):
             edges.append(((i, S), (j, T)))
     return CompatGraph(inst.n, inst.m, nodes, tuple(edges))

@@ -1,12 +1,16 @@
 """The public surface: the package's ``__all__``, and every function the
-benchmark's tracer (``perfbench/tracer.py``) wraps by name, so a refactor
-that renames or removes one fails here rather than in a traced run."""
+benchmark's tracer (``perfbench/tracer.py``) wraps by name or calls, so a
+refactor that renames or removes one, or changes how it is called, fails
+here rather than in a traced run."""
 
 import importlib
 import importlib.util
+import inspect
 import os
 
 import fairdiv
+from fairdiv import oracles
+from fairdiv.core import BinaryTable
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -61,3 +65,9 @@ def test_tracer_spans_resolve():
         module = importlib.import_module(f"fairdiv.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_tracer_feasibility_call_shape():
+    # the tracer's rejection-sampler hook calls check_mms_feasible(v, budget)
+    v = BinaryTable(1, frozenset({1}))
+    inspect.signature(oracles.check_mms_feasible).bind(v, None)

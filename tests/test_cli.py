@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from fairdiv import instances, serialize
+from fairdiv import instances, oracles, serialize
 from fairdiv.cli import main
 from fairdiv.core import Additive, BinaryTable, Instance, PairDemand
 
@@ -191,6 +191,59 @@ def test_malformed_budget_exits_2(tmp_path, capsys, monkeypatch, budget):
                        "--alloc", alloc_path)
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: FAIRDIV_BUDGET")
+
+
+def write_ccg_inputs(tmp_path):
+    """A binary MMS-feasible instance and its round-robin allocation; each
+    PMMS envy test on it enumerates 2^2 splits."""
+    ones = frozenset(range(1, 1 << 3))
+    inst = Instance(3, 3, (BinaryTable(3, ones),) * 3, monotone_required=False)
+    return {"inst": write_instance(tmp_path, inst),
+            "alloc": write_allocation(tmp_path, (0b001, 0b010, 0b100))}
+
+
+CCG_COMMANDS = {
+    "solve": ["solve", "--algo", "ccg", "--in", "{inst}"],
+    "export-graph": ["export-graph", "--in", "{inst}", "--kind", "ccg", "--alloc", "{alloc}",
+                     "--agent", "0"],
+    "check": ["check", "--notion", "pmms", "--in", "{inst}", "--alloc", "{alloc}"],
+}
+
+
+# A cap of 0 is a cap, not an unset budget. The cap holds for the one
+# command: after main returns, the caller's cap is back.
+@pytest.mark.parametrize("budget", ["0", "1"])
+@pytest.mark.parametrize("command", list(CCG_COMMANDS))
+def test_budget_caps_every_command(tmp_path, capsys, monkeypatch, command, budget):
+    paths = write_ccg_inputs(tmp_path)
+    monkeypatch.setenv("FAIRDIV_BUDGET", budget)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in CCG_COMMANDS[command]))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "budget" in err
+    assert oracles.BUDGET.get() == oracles.DEFAULT_BUDGET
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "separation3"],
+    CCG_COMMANDS["solve"],
+    CCG_COMMANDS["export-graph"],
+], ids=["gen", "solve", "export-graph"])
+def test_malformed_budget_exits_2_in_every_command(tmp_path, capsys, monkeypatch, argv):
+    paths = write_ccg_inputs(tmp_path)
+    monkeypatch.setenv("FAIRDIV_BUDGET", "abc")
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: FAIRDIV_BUDGET")
+
+
+def test_gen_feasibility_check_obeys_the_cap(capsys, monkeypatch):
+    # each draw's MMS-feasibility check enumerates 3^4 = 81 splits
+    argv = ["gen", "--kind", "random-binary-mms-feasible", "--n", "1", "--m", "4"]
+    monkeypatch.setenv("FAIRDIV_BUDGET", "80")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "budget of 80" in err
+    monkeypatch.setenv("FAIRDIV_BUDGET", "81")
+    assert run(capsys, *argv)[0] == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,6 +20,7 @@ from fairdiv.instances import (
     gen_separation3,
 )
 from fairdiv.oracles import (
+    BUDGET,
     BudgetExceededError,
     check_efx,
     check_efx_positive,
@@ -82,8 +83,12 @@ def test_mu_monotone_in_k():
 
 
 def test_mu_budget():
-    with pytest.raises(BudgetExceededError):
-        mu(Additive.of([1] * 10), full_mask(10), 3, budget=100)
+    token = BUDGET.set(100)
+    try:
+        with pytest.raises(BudgetExceededError):
+            mu(Additive.of([1] * 10), full_mask(10), 3)
+    finally:
+        BUDGET.reset(token)
 
 
 def test_efx_example_and_pmms_separation():
