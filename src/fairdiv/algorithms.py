@@ -14,7 +14,6 @@ and traces are reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -117,20 +116,22 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
     _require_class(inst, PersonalizedBivalued, "match_and_freeze")
     n, m = inst.n, inst.m
     K = ratio_substitute(inst)
-    ratio = [v.a / v.b if v.b > 0 else K for v in inst.valuations]
-    _, weight = _scaled(ratio)  # the round graphs' edge weights, as ints
+    # The round graphs' edge weights: each agent's ratio times ``scale``.
+    scale, weight = _scaled([v.a / v.b if v.b > 0 else K for v in inst.valuations])
 
     pool = full_mask(m)
     bundles = [0] * n
     w = [0] * n
-    inactive: dict[int, set[int]] = {}
+    r_star = [0] * n
+    frozen_until = [0] * n  # the last round each agent sits out
     rounds: list[MafRound] = []
     r = 0
     while pool:
         r += 1
         if r > m + 1:
             raise RuntimeError("match-and-freeze failed to allocate an item per round")
-        active = [i for i in range(n) if i not in inactive.get(r, ())]
+        start_pool = pool
+        active = [i for i in range(n) if frozen_until[i] < r]
         pool_items = tuple(items_of(pool))
         edges = tuple(
             (i, g, weight[i])
@@ -148,18 +149,16 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
         # i.e. those reachable from it by an alternating path; the freeze
         # length is driven by the largest such loser's ratio, which never
         # exceeds the frozen agent's own ratio.
-        threat: dict[int, Fraction] = {}
+        threat: dict[int, int] = {}
         for u in active:
             if u in matched_agents:
                 continue
             for i in alternating_reach(graph, matching, u):
-                if i not in threat or ratio[u] > threat[i]:
-                    threat[i] = ratio[u]
+                threat[i] = max(threat.get(i, 0), weight[u])
         frozen_now = []
         for i in sorted(threat):
-            duration = min(max(math.floor(threat[i] - 1), 0), m)  # cap at horizon
-            for j in range(1, duration + 1):
-                inactive.setdefault(r + j, set()).add(i)
+            duration = min(max(threat[i] // scale - 1, 0), m)  # floor(ratio - 1), capped at m
+            frozen_until[i] = r + duration
             w[i] = r
             frozen_now.append((i, duration))
 
@@ -172,14 +171,11 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
             pool &= ~(1 << g)
             leftovers.append((i, g))
 
-        rounds.append(MafRound(r, graph, matching, tuple(frozen_now), tuple(leftovers)))
-
-    r_star = [0] * n
-    for rnd in rounds:
-        allocated_mask = sum(1 << g for _, g in rnd.matching + rnd.leftovers)
+        allocated = start_pool & ~pool
         for i, v in enumerate(inst.valuations):
-            if allocated_mask & v.high_items:
-                r_star[i] = rnd.round
+            if allocated & v.high_items:
+                r_star[i] = r
+        rounds.append(MafRound(r, graph, matching, tuple(frozen_now), tuple(leftovers)))
 
     trace = MafTrace(tuple(rounds), tuple(w), tuple(r_star))
     return tuple(bundles), trace
@@ -322,31 +318,20 @@ def reversed_round_robin(inst: Instance, leftover_agent: int = 0) -> tuple[int, 
     """Forward pick round, reversed pick round, leftovers to one agent.
     Returns a PMMS allocation for pair-demand valuations.
 
-    When m < 2n the instance is padded with zero-value dummy items; dummies
-    never appear in the returned allocation.
+    Each pick takes the picker's most valuable remaining item, the lowest
+    index on ties; when m < 2n the picking stops once every item is taken.
     """
     _require_class(inst, PairDemand, "reversed_round_robin")
     if not 0 <= leftover_agent < inst.n:
         raise ValueError("leftover_agent out of range")
-    n, m = inst.n, inst.m
-    padded = max(m, 2 * n)
-    singles = [list(v._ints) + [0] * (padded - m) for v in inst.valuations]
-
-    pool = full_mask(padded)
+    n = inst.n
+    pool = full_mask(inst.m)
     bundles = [0] * n
-
-    def pick(agent: int) -> None:
-        nonlocal pool
-        g = max(items_of(pool), key=singles[agent].__getitem__)  # lowest index on ties
-        bundles[agent] |= 1 << g
+    for i in [*range(n), *reversed(range(n))]:
+        if not pool:
+            break
+        g = max(items_of(pool), key=inst.valuations[i]._ints.__getitem__)
+        bundles[i] |= 1 << g
         pool &= ~(1 << g)
-
-    for i in range(n):
-        pick(i)
-    for i in reversed(range(n)):
-        pick(i)
     bundles[leftover_agent] |= pool
-
-    real = full_mask(m)
-    return tuple(mask & real for mask in bundles)
-
+    return tuple(bundles)

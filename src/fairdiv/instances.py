@@ -20,7 +20,7 @@ from .core import (
     mask_of,
     require_table_items,
 )
-from .oracles import BUDGET, check_mms_feasible
+from .oracles import check_mms_feasible
 
 REJECTION_LIMIT = 10**5
 
@@ -240,11 +240,9 @@ def random_binary_mms_feasible(
 ) -> Instance:
     """Rejection sampling: draw random binary tables and keep only those
     passing the MMS-feasibility check. Raises after ``REJECTION_LIMIT``
-    draws."""
+    draws, and BudgetExceededError when one check's 3^m splits are over
+    the budget."""
     require_table_items(m, "binary", n)
-    if 3**m > (cap := BUDGET.get()):
-        raise ValueError(f"the MMS-feasibility check of a binary table over {m} items "
-                         f"enumerates 3^{m} splits, over the budget of {cap}")
     rng = random.Random(seed)
     valuations = []
     draws = 0

@@ -146,10 +146,9 @@ def _mu2(v: Valuation, S: int) -> int:
     return _split_bounds(v._value, S)[0]
 
 
-def _require_share_args(v: Valuation, S: int, k: int) -> None:
+def _require_in_range(v: Valuation, S: int) -> None:
     if S < 0 or S >> v.num_items:
         raise ValueError("S addresses items outside the valuation's range")
-    _check_budget(k ** S.bit_count())
 
 
 def mu(v: Valuation, S: int, k: int) -> MaximinResult:
@@ -157,7 +156,8 @@ def mu(v: Valuation, S: int, k: int) -> MaximinResult:
     minimum part value, with a witness partition attaining it."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    _require_share_args(v, S, k)
+    _require_in_range(v, S)
+    _check_budget(k ** S.bit_count())
     return _mu_search(v, S, k)
 
 
@@ -203,7 +203,9 @@ def pmms_envies(v: Valuation, mine: int, theirs: int) -> bool:
     leaves both parts worth more to v than ``mine``. Decided on the share
     value alone; no witness split is searched for."""
     S = mine | theirs
-    _require_share_args(v, S, 2)
+    _require_in_range(v, S)
+    if not isinstance(v, (PairDemand, PersonalizedBivalued)):  # _mu2's split pass
+        _check_budget(2 ** S.bit_count())
     return v._value(mine) < _mu2(v, S)
 
 
@@ -341,8 +343,6 @@ class CompatGraph:
     """Nodes are (agent, 2-item bundle mask); an edge joins two nodes whose
     owners would not PMMS-envy each other under those bundles."""
 
-    n: int
-    m: int
     nodes: tuple[tuple[int, int], ...]
     edges: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
@@ -371,4 +371,4 @@ def pair_compatibility_graph(inst: Instance) -> CompatGraph:
         vi, vj = inst.valuations[i], inst.valuations[j]
         if not pmms_envies(vi, S, T) and not pmms_envies(vj, T, S):
             edges.append(((i, S), (j, T)))
-    return CompatGraph(inst.n, inst.m, nodes, tuple(edges))
+    return CompatGraph(nodes, tuple(edges))

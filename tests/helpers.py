@@ -1,5 +1,6 @@
 """Shared verification helpers: per-round matching properties and
 match-and-freeze trace invariants, asserted on every randomized run; the
+padded reversed round-robin the production picker is checked against; the
 matching oracles the polynomial matcher is checked against; and the
 Fraction brute-force references the integer kernel is checked against."""
 
@@ -80,8 +81,20 @@ def check_matching_round_property(graph: RoundGraph, matching) -> None:
             )
 
 
+def reference_r_star(inst: Instance, trace: MafTrace) -> tuple[int, ...]:
+    """Per agent, the last round that allocated an item the agent values
+    high, recomputed by a pass over the finished rounds."""
+    r_star = [0] * inst.n
+    for rnd in trace.rounds:
+        allocated_mask = sum(1 << g for _, g in rnd.matching + rnd.leftovers)
+        for i, v in enumerate(inst.valuations):
+            if allocated_mask & v.high_items:
+                r_star[i] = rnd.round
+    return tuple(r_star)
+
+
 def check_maf_trace_invariants(inst: Instance, trace: MafTrace) -> None:
-    """Three per-run facts about freeze structure:
+    """Five per-run facts about freeze structure:
 
     1. every item an agent receives strictly before its last high-value
        round is itself high-value for that agent;
@@ -89,10 +102,20 @@ def check_maf_trace_invariants(inst: Instance, trace: MafTrace) -> None:
        and the freeze length never exceeds floor(ratio - 1);
     3. if two agents are matched in the same round to items that the first
        agent values high, the first freezes for no longer than the second
-       (every alternating path threatening the first extends to the second).
+       (every alternating path threatening the first extends to the second);
+    4. the recorded r* agrees with the post-pass reference;
+    5. each round's graph leaves out exactly the agents frozen in that round.
     """
     ratios = agent_ratios(inst)
     n = inst.n
+
+    assert trace.r_star == reference_r_star(inst, trace)
+    frozen_in = [inactive_rounds(trace, i) for i in range(n)]
+    for rnd in trace.rounds:
+        frozen = {i for i in range(n) if rnd.round in frozen_in[i]}
+        assert set(rnd.graph.agents) == set(range(n)) - frozen, (
+            f"round {rnd.round}: graph agents {rnd.graph.agents}, frozen {sorted(frozen)}"
+        )
 
     for i in range(n):
         vi = inst.valuations[i]
@@ -129,6 +152,22 @@ def check_maf_trace_invariants(inst: Instance, trace: MafTrace) -> None:
                         f"round {rnd.round}: agents {i},{j} both took items high for "
                         f"{i} but {i} froze longer"
                     )
+
+
+def padded_reversed_round_robin(inst: Instance, leftover_agent: int = 0) -> tuple[int, ...]:
+    """Reversed round-robin as first written: pad m < 2n with zero-value
+    dummy items, make all 2n picks, then strip the dummies."""
+    n, m = inst.n, inst.m
+    padded = max(m, 2 * n)
+    singles = [list(v._ints) + [0] * (padded - m) for v in inst.valuations]
+    pool = full_mask(padded)
+    bundles = [0] * n
+    for i in [*range(n), *reversed(range(n))]:
+        g = max(items_of(pool), key=singles[i].__getitem__)  # lowest index on ties
+        bundles[i] |= 1 << g
+        pool &= ~(1 << g)
+    bundles[leftover_agent] |= pool
+    return tuple(mask & full_mask(m) for mask in bundles)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,12 @@ from fairdiv.core import (
     UnsupportedValuationError,
     full_mask,
 )
-from fairdiv.instances import gen_table1_example, random_binary_mms_feasible, random_bivalued
+from fairdiv.instances import (
+    gen_table1_example,
+    random_binary_mms_feasible,
+    random_bivalued,
+    random_pair_demand,
+)
 from fairdiv.oracles import check, check_efx, check_pmms, mu
 
 from helpers import (
@@ -33,6 +38,7 @@ from helpers import (
     check_matching_round_property,
     connected_components,
     inactive_rounds,
+    padded_reversed_round_robin,
     pair_demand_mu_closed_form,
     sufficient_no_envy,
 )
@@ -250,6 +256,18 @@ def test_rrr_padding_strips_dummies():
     assert sum(bundles) == full_mask(2)
     for mask in bundles:
         assert mask >> 2 == 0
+
+
+def test_rrr_matches_padded_reference():
+    # A dummy is worth 0 and outranked by every real item's index, so the
+    # padded picker only takes one after the real items ran out.
+    rng = random.Random(9)
+    for trial in range(300):
+        n = rng.randint(1, 5)
+        m = rng.randint(1, 2 * n - 1) if trial % 2 else rng.randint(2 * n, 3 * n + 2)
+        inst = random_pair_demand(n, m, trial)
+        for agent in range(n):
+            assert reversed_round_robin(inst, agent) == padded_reversed_round_robin(inst, agent)
 
 
 def test_rrr_wrong_class_and_bad_leftover():

@@ -1,9 +1,12 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import fairdiv
 from fairdiv import instances, oracles, serialize
 from fairdiv.cli import main
 from fairdiv.core import Additive, BinaryTable, Instance, PairDemand
@@ -71,6 +74,24 @@ def test_gen_kind_prints_direct_call(capsys, kind):
     code, out, _ = run(capsys, "gen", "--kind", kind, "--n", "2", "--m", "4", "--seed", "3")
     assert code == 0
     assert out == serialize.dumps(serialize.instance_to_doc(DIRECT_CALLS[kind]()))
+
+
+def run_module(*argv):
+    """Run ``python -m fairdiv`` in a child process, importing the same
+    package as this test run."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(fairdiv.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fairdiv", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point(tmp_path):
+    done = run_module("gen", "--kind", "separation3")
+    assert done.returncode == 0 and json.loads(done.stdout)["n"] == 3
+    done = run_module("solve", "--algo", "maf", "--in", str(tmp_path / "missing.json"))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
 
 
 def test_gen_unknown_kind_exits_2(capsys):
@@ -241,9 +262,29 @@ def test_gen_feasibility_check_obeys_the_cap(capsys, monkeypatch):
     argv = ["gen", "--kind", "random-binary-mms-feasible", "--n", "1", "--m", "4"]
     monkeypatch.setenv("FAIRDIV_BUDGET", "80")
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and "budget of 80" in err
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "budget 80" in err
     monkeypatch.setenv("FAIRDIV_BUDGET", "81")
     assert run(capsys, *argv)[0] == 0
+    # at 17 items a draw's check enumerates 3^17 splits, over the default budget
+    monkeypatch.delenv("FAIRDIV_BUDGET")
+    code, out, err = run(capsys, *argv[:-1], "17", "--seed", "1")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "budget" in err
+
+
+# The pair-demand and bivalued share values are closed forms that enumerate
+# no splits, so checking a 30-item pair costs nothing against the budget.
+@pytest.mark.parametrize("kind,algo", [("random-factored-bivalued", "maf"),
+                                       ("random-pair-demand", "rrr")])
+def test_closed_form_pmms_check_is_not_charged(tmp_path, capsys, kind, algo):
+    inst_path, alloc_path = str(tmp_path / "inst.json"), str(tmp_path / "alloc.json")
+    assert main(["gen", "--kind", kind, "--n", "2", "--m", "30", "--seed", "1",
+                 "--out", inst_path]) == 0
+    assert main(["solve", "--algo", algo, "--in", inst_path, "--out", alloc_path]) == 0
+    code, out, _ = run(capsys, "check", "--notion", "pmms", "--in", inst_path,
+                       "--alloc", alloc_path)
+    assert code == 0 and json.loads(out)["holds"] is True
 
 
 @pytest.mark.parametrize("argv", [
@@ -266,10 +307,6 @@ def test_gen_feasibility_check_obeys_the_cap(capsys, monkeypatch):
     pytest.param(["gen", "--kind", "stars", "--n", "11"], id="stars-over-entry-cap"),
     pytest.param(["gen", "--kind", "random-binary-mms-feasible", "--n", "2", "--m", "20",
                   "--seed", "1"], id="binary-over-entry-cap"),
-    # the MMS-feasibility check of each draw would enumerate 3^17 splits,
-    # over the default budget
-    pytest.param(["gen", "--kind", "random-binary-mms-feasible", "--n", "1", "--m", "17",
-                  "--seed", "1"], id="binary-over-feasibility-budget"),
     pytest.param(["gen", "--kind", "separation3", "--out", "{unwritable}"], id="gen-out-dir"),
     pytest.param(["export-graph", "--in", "{inst}", "--kind", "compat", "--dot",
                   "{unwritable}"], id="export-dot-dir"),
