@@ -266,9 +266,12 @@ def test_gen_feasibility_check_obeys_the_cap(capsys, monkeypatch):
     assert err.count("\n") == 1 and err.startswith("error: ") and "budget 80" in err
     monkeypatch.setenv("FAIRDIV_BUDGET", "81")
     assert run(capsys, *argv)[0] == 0
+
+
+def test_gen_over_feasibility_budget_exits_3(capsys):
     # at 17 items a draw's check enumerates 3^17 splits, over the default budget
-    monkeypatch.delenv("FAIRDIV_BUDGET")
-    code, out, err = run(capsys, *argv[:-1], "17", "--seed", "1")
+    code, out, err = run(capsys, "gen", "--kind", "random-binary-mms-feasible", "--n", "1",
+                         "--m", "17", "--seed", "1")
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "budget" in err
 
