@@ -86,19 +86,13 @@ def alternating_reach(graph: RoundGraph, matching: Matching, start: int) -> set[
         adj.setdefault(a, []).append(g)
     owner = {g: a for a, g in matching}
     reached: set[int] = set()
-    frontier_items = set(adj.get(start, ()))
-    seen_items: set[int] = set()
-    while frontier_items:
-        next_items: set[int] = set()
-        for g in frontier_items:
-            if g in seen_items:
-                continue
-            seen_items.add(g)
+    stack = [start]
+    while stack:
+        for g in adj.get(stack.pop(), ()):
             a = owner.get(g)
             if a is not None and a not in reached:
                 reached.add(a)
-                next_items.update(adj.get(a, ()))
-        frontier_items = next_items - seen_items
+                stack.append(a)
     return reached
 
 
@@ -240,9 +234,41 @@ def _pmms_state(inst: Instance, bundles) -> tuple[int, int, Optional[int]]:
     return W, inst.n - len(envious), envious[0] if envious else None
 
 
+def _ccg_step(
+    inst: Instance, bundles, s: int,
+) -> tuple[list[int], tuple[int, ...], tuple[int, ...], str, bool]:
+    """One cut-and-choose step from the PMMS-violating agent s.
+
+    Walk pi from s until an agent repeats; every agent on the walk takes
+    the bundle it points at. If the walk closes at w != s (a lollipop), its
+    last agent k instead cuts X_s | X_w into k's lexicographically smallest
+    2-part fair-share witness (A, B), the agent just before w on the walk
+    chooses the part it values more (A on ties), and k keeps the other.
+
+    Returns (new bundles, pi, walk, case, swap); swap says the chooser took B.
+    """
+    pi = build_cut_and_choose_graph(inst, bundles, s)
+    walk = [s]
+    while pi[walk[-1]] not in walk:
+        walk.append(pi[walk[-1]])
+    w_pos = walk.index(pi[walk[-1]])
+    new = list(bundles)
+    for i in walk:
+        new[i] = bundles[pi[i]]
+    if w_pos == 0:
+        return new, pi, tuple(walk), "cycle", False
+    k, prev = walk[-1], walk[w_pos - 1]
+    A, B = mu(inst.valuations[k], bundles[s] | bundles[pi[k]], 2).witness
+    vp = inst.valuations[prev]
+    swap = vp._value(A) < vp._value(B)
+    new[prev], new[k] = (B, A) if swap else (A, B)
+    return new, pi, tuple(walk), "lollipop", swap
+
+
 def cut_and_choose_graph_procedure(inst: Instance) -> tuple[tuple[int, ...], CcgTrace]:
-    """Repair an initial round-robin allocation into a PMMS one by walking
-    the cut-and-choose graph and applying the cycle / lollipop step.
+    """Repair an initial round-robin allocation into a PMMS one by applying
+    the cycle / lollipop step of ``_ccg_step`` from the lowest-index
+    PMMS-violating agent until there is none.
 
     Raises CutAndChooseStuckError after n^2 iterations, which by the
     termination potential can only happen for non-MMS-feasible input.
@@ -262,38 +288,9 @@ def cut_and_choose_graph_procedure(inst: Instance) -> tuple[tuple[int, ...], Ccg
             raise CutAndChooseStuckError(
                 f"no PMMS allocation after {n * n} iterations; input is likely not MMS-feasible"
             )
-        pi = build_cut_and_choose_graph(inst, bundles, s)
-        walk = [s]
-        seen = {s: 0}
-        while pi[walk[-1]] not in seen:
-            nxt = pi[walk[-1]]
-            seen[nxt] = len(walk)
-            walk.append(nxt)
-        closing = pi[walk[-1]]
-        new = list(bundles)
-        if closing == s:
-            case = "cycle"
-            swap_applied = False
-            for i in walk:
-                new[i] = bundles[pi[i]]
-        else:
-            case = "lollipop"
-            w_pos = seen[closing]
-            k_pos = len(walk) - 1
-            part = mu(inst.valuations[walk[k_pos]], bundles[walk[0]] | bundles[closing], 2)
-            A, B = part.witness
-            swap_applied = False
-            prev = walk[w_pos - 1]
-            if inst.valuations[prev]._value(A) < inst.valuations[prev]._value(B):
-                A, B = B, A
-                swap_applied = True
-            for i in walk[:max(w_pos - 1, 0)] + walk[w_pos:k_pos]:
-                new[i] = bundles[pi[i]]
-            new[prev] = A
-            new[walk[k_pos]] = B
-        bundles = new
+        bundles, pi, walk, case, swap = _ccg_step(inst, bundles, s)
         W, E, s = _pmms_state(inst, bundles)
-        iterations.append(CcgIteration(walk[0], pi, tuple(walk), case, swap_applied, W, E))
+        iterations.append(CcgIteration(walk[0], pi, walk, case, swap, W, E))
 
     return tuple(bundles), CcgTrace(initial_W, initial_E, tuple(iterations))
 

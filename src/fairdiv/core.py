@@ -57,8 +57,10 @@ def as_fraction(x: RationalLike) -> Fraction:
         return x
     if isinstance(x, str):
         if "/" in x:
-            num, den = x.split("/", 1)
-            return Fraction(int(num), int(den))
+            num, den = map(int, x.split("/", 1))
+            if den == 0:
+                raise ValueError(f"zero denominator in {x!r}")
+            return Fraction(num, den)
         return Fraction(int(x))
     if isinstance(x, float):
         raise TypeError("floats are not allowed; pass int, Fraction or 'p/q'")
@@ -370,8 +372,7 @@ def validate_allocation(inst: Instance, bundles: Sequence[int]) -> Optional[Allo
     seen = 0
     for mask in bundles:
         if mask < 0 or mask >> inst.m:
-            bad = mask if mask < 0 else mask >> inst.m
-            item = inst.m + (bad.bit_length() - 1) if mask >= 0 else None
+            item = inst.m + next(items_of(mask >> inst.m)) if mask >= 0 else None
             return AllocationViolation("out_of_range", item)
         if seen & mask:
             return AllocationViolation("overlap", next(items_of(seen & mask)))

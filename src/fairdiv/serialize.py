@@ -1,7 +1,9 @@
 """JSON round-tripping for instances, allocations and rationals.
 
 Rationals serialize as ints when integral, else as "p/q" strings; floats
-are rejected in both directions so no value is ever rounded.
+are rejected in both directions so no value is ever rounded. Counts and
+item indices must be JSON integers: a float or a bool is refused, not
+truncated or read as 0/1.
 """
 
 from __future__ import annotations
@@ -31,6 +33,22 @@ def rational_to_json(x: Fraction) -> JsonRational:
     if x.denominator == 1:
         return x.numerator
     return f"{x.numerator}/{x.denominator}"
+
+
+def _int(x, what: str) -> int:
+    if type(x) is not int:  # bool is a subclass of int
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise TypeError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _mask(items) -> int:
+    return mask_of([_int(g, "item index") for g in items])
 
 
 def rational_from_json(x) -> Fraction:
@@ -67,13 +85,13 @@ def valuation_from_doc(doc: dict) -> Valuation:
         return PersonalizedBivalued(
             rational_from_json(doc["a"]),
             rational_from_json(doc["b"]),
-            mask_of(doc["high_items"]),
-            doc["m"],
+            _mask(doc["high_items"]),
+            _int(doc["m"], "m"),
         )
     if kind == "pair_demand":
         return PairDemand.of([rational_from_json(x) for x in doc["values"]])
     if kind == "binary_table":
-        return BinaryTable(doc["m"], frozenset(doc["ones"]))
+        return BinaryTable(_int(doc["m"], "m"), frozenset(doc["ones"]))
     if kind == "table":
         return ExplicitTable.of([rational_from_json(x) for x in doc["table"]])
     raise ValueError(f"unknown valuation type: {kind}")
@@ -95,10 +113,10 @@ def instance_to_doc(inst: Instance) -> dict:
 
 
 def instance_from_doc(doc: dict) -> Instance:
-    flags = doc.get("flags", {})
+    flags = _object(_object(doc, "instance").get("flags", {}), "flags")
     return Instance(
-        n=doc["n"],
-        m=doc["m"],
+        n=_int(doc["n"], "n"),
+        m=_int(doc["m"], "m"),
         valuations=tuple(valuation_from_doc(d) for d in doc["valuations"]),
         monotone_required=flags.get("monotone_required", True),
         normalized_required=flags.get("normalized_required", True),
@@ -111,7 +129,7 @@ def allocation_to_doc(bundles: Sequence[int]) -> dict:
 
 
 def allocation_from_doc(doc: dict) -> tuple[int, ...]:
-    return tuple(mask_of(items) for items in doc["bundles"])
+    return tuple(_mask(items) for items in doc["bundles"])
 
 
 def dumps(doc: dict) -> str:

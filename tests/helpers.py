@@ -1,15 +1,21 @@
 """Shared verification helpers: per-round matching properties and
 match-and-freeze trace invariants, asserted on every randomized run; the
-padded reversed round-robin the production picker is checked against; the
-matching oracles the polynomial matcher is checked against; and the
-Fraction brute-force references the integer kernel is checked against."""
+padded reversed round-robin and the two-branch cut-and-choose step the
+production code is checked against; the matching oracles the polynomial
+matcher is checked against; and the Fraction brute-force references the
+integer kernel is checked against."""
 
 import itertools
 import math
 from fractions import Fraction
 from typing import Optional
 
-from fairdiv.algorithms import MafTrace, alternating_reach, ratio_substitute
+from fairdiv.algorithms import (
+    MafTrace,
+    alternating_reach,
+    build_cut_and_choose_graph,
+    ratio_substitute,
+)
 from fairdiv.core import (
     Additive,
     BinaryTable,
@@ -168,6 +174,41 @@ def padded_reversed_round_robin(inst: Instance, leftover_agent: int = 0) -> tupl
         pool &= ~(1 << g)
     bundles[leftover_agent] |= pool
     return tuple(mask & full_mask(m) for mask in bundles)
+
+
+def reference_ccg_step(inst: Instance, bundles, s: int):
+    """One cut-and-choose step as first written, with separate cycle and
+    lollipop reassignments. Returns (new bundles, pi, walk, case, swap)."""
+    pi = build_cut_and_choose_graph(inst, bundles, s)
+    walk = [s]
+    seen = {s: 0}
+    while pi[walk[-1]] not in seen:
+        nxt = pi[walk[-1]]
+        seen[nxt] = len(walk)
+        walk.append(nxt)
+    closing = pi[walk[-1]]
+    new = list(bundles)
+    if closing == s:
+        case = "cycle"
+        swap_applied = False
+        for i in walk:
+            new[i] = bundles[pi[i]]
+    else:
+        case = "lollipop"
+        w_pos = seen[closing]
+        k_pos = len(walk) - 1
+        part = mu(inst.valuations[walk[k_pos]], bundles[walk[0]] | bundles[closing], 2)
+        A, B = part.witness
+        swap_applied = False
+        prev = walk[w_pos - 1]
+        if inst.valuations[prev]._value(A) < inst.valuations[prev]._value(B):
+            A, B = B, A
+            swap_applied = True
+        for i in walk[:max(w_pos - 1, 0)] + walk[w_pos:k_pos]:
+            new[i] = bundles[pi[i]]
+        new[prev] = A
+        new[walk[k_pos]] = B
+    return new, pi, tuple(walk), case, swap_applied
 
 
 # ---------------------------------------------------------------------------

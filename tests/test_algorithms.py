@@ -1,11 +1,13 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from fairdiv.algorithms import (
     CutAndChooseStuckError,
+    _ccg_step,
     _pmms_state,
     build_cut_and_choose_graph,
     cut_and_choose_graph_procedure,
@@ -40,6 +42,7 @@ from helpers import (
     inactive_rounds,
     padded_reversed_round_robin,
     pair_demand_mu_closed_form,
+    reference_ccg_step,
     sufficient_no_envy,
 )
 
@@ -190,6 +193,35 @@ def test_ccg_state_and_graph_agree_with_pmms_check():
             if s is not None:
                 envied = min(f.envied for f in violations if f.envier == s)
                 assert build_cut_and_choose_graph(inst, X, s)[s] == envied
+
+
+def test_ccg_step_matches_two_branch_reference():
+    """From every PMMS-violating start of random allocations, _ccg_step
+    agrees with the two-branch step it replaced. The sweep must reach the
+    lollipop shapes the procedure's own runs hardly ever take: a stem of
+    two or more agents, a cycle of two or more agents, and a chooser that
+    takes the second part of the cut."""
+    rng = random.Random(6)
+    shapes = Counter()
+    for trial in range(200):
+        n, m = rng.randint(3, 6), rng.randint(4, 9)
+        inst = random_binary_mms_feasible(n, m, trial, normalized=trial % 2 == 0)
+        for _ in range(6):
+            weights = [rng.random() for _ in range(n)]  # uneven bundle sizes
+            X = [0] * n
+            for g in range(m):
+                X[rng.choices(range(n), weights)[0]] |= 1 << g
+            enviers = {f.envier for f in check(inst, X, FairnessNotion.PMMS).violations}
+            for s in sorted(enviers):
+                step = _ccg_step(inst, X, s)
+                assert step == reference_ccg_step(inst, X, s), (inst, X, s)
+                _, pi, walk, case, swap = step
+                w_pos = walk.index(pi[walk[-1]])
+                assert (case == "cycle") == (w_pos == 0)
+                shapes["long stem"] += w_pos >= 2
+                shapes["long cycle"] += case == "lollipop" and len(walk) - w_pos >= 2
+                shapes["swap"] += swap
+    assert min(shapes[k] for k in ("long stem", "long cycle", "swap")) >= 1, shapes
 
 
 def test_ccg_already_pmms_zero_iterations():

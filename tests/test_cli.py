@@ -8,8 +8,17 @@ import pytest
 
 import fairdiv
 from fairdiv import instances, oracles, serialize
+from fairdiv.algorithms import CcgIteration, cut_and_choose_graph_procedure
 from fairdiv.cli import main
-from fairdiv.core import Additive, BinaryTable, Instance, PairDemand
+from fairdiv.core import (
+    Additive,
+    BinaryTable,
+    FairnessNotion,
+    Instance,
+    PairDemand,
+    is_monotone,
+    mask_of,
+)
 
 
 def run(capsys, *argv):
@@ -119,6 +128,37 @@ def test_solve_maf_trace_golden(tmp_path, capsys):
     assert sorted(itertools.chain.from_iterable(doc["bundles"])) == list(range(18))
 
 
+def parse_ccg_iteration(line):
+    """A CcgIteration from one ``iter=`` line of ``solve --algo ccg --trace``."""
+    fields = dict(field.split("=") for field in line.split())
+    ints = lambda text: tuple(int(x) for x in text.split(","))
+    return int(fields["iter"]), CcgIteration(
+        int(fields["s"]), ints(fields["pi"]), ints(fields["walk"]), fields["case"],
+        {"0": False, "1": True}[fields["swap"]], int(fields["W"]), int(fields["E"]))
+
+
+@pytest.mark.parametrize("n,m,seed,cases", [
+    (5, 7, 12, ("cycle", "cycle")),
+    (4, 7, 12, ("lollipop",)),
+], ids=["cycles", "lollipop"])
+def test_solve_ccg_trace_round_trips(tmp_path, capsys, n, m, seed, cases):
+    inst_path, alloc_path = str(tmp_path / "inst.json"), str(tmp_path / "alloc.json")
+    assert main(["gen", "--kind", "random-binary-mms-feasible", "--n", str(n), "--m", str(m),
+                 "--seed", str(seed), "--out", inst_path]) == 0
+    code, out, _ = run(capsys, "solve", "--algo", "ccg", "--in", inst_path, "--trace",
+                       "--out", alloc_path)
+    assert code == 0
+    inst = serialize.instance_from_doc(json.loads(open(inst_path).read()))
+    bundles, trace = cut_and_choose_graph_procedure(inst)
+    head, *lines = out.splitlines()
+    assert head == f"init W={trace.initial_W} E={trace.initial_E}"
+    parsed = [parse_ccg_iteration(line) for line in lines]
+    assert [t for t, _ in parsed] == list(range(1, len(trace.iterations) + 1))
+    assert tuple(it for _, it in parsed) == trace.iterations
+    assert tuple(it.case for it in trace.iterations) == cases
+    assert json.loads(open(alloc_path).read()) == serialize.allocation_to_doc(bundles)
+
+
 def test_solve_rrr_single_agent(tmp_path, capsys):
     inst = Instance(1, 3, (PairDemand.of([3, 1, 2]),))
     path = write_instance(tmp_path, inst)
@@ -159,6 +199,41 @@ def test_check_pmms_and_efx_exit_codes(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--notion", "efx+", "--in", inst_path,
                        "--alloc", alloc_path)
     assert code == 0
+
+
+@pytest.mark.parametrize("notion", ["pmms", "mms"])
+def test_check_reports_partition_witnesses(tmp_path, capsys, notion):
+    inst = Instance(3, 5, (Additive.of([3, 1, 2, 2, 1]),) * 3)
+    bundles = (0b00010, 0b00101, 0b11000)
+    code, out, _ = run(capsys, "check", "--notion", notion,
+                       "--in", write_instance(tmp_path, inst),
+                       "--alloc", write_allocation(tmp_path, bundles))
+    report = oracles.check(inst, bundles, FairnessNotion(notion))
+    assert code == 1 and not report.holds
+    listed = json.loads(out)["violations"]
+    assert [(v["envier"], v["envied"]) for v in listed] == [
+        (f.envier, f.envied) for f in report.violations]
+    for v, f in zip(listed, report.violations):
+        assert all(part == sorted(part) for part in v["witness"])
+        assert tuple(mask_of(part) for part in v["witness"]) == f.witness
+
+
+def test_gen_binary_flags(capsys):
+    """--monotone draws monotone tables and --non-normalized lets v(empty) = 1;
+    at this seed the default draw has neither. Either way the document asks
+    for neither property of the instance."""
+    drawn = {}
+    for flags in ((), ("--monotone",), ("--non-normalized",)):
+        code, out, _ = run(capsys, "gen", "--kind", "random-binary-mms-feasible", "--n", "4",
+                           "--m", "4", "--seed", "1", *flags)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["flags"] == {"monotone_required": False, "normalized_required": False}
+        drawn[flags] = serialize.instance_from_doc(doc).valuations
+    assert not all(is_monotone(v) for v in drawn[()])
+    assert all(v.value(0) == 0 for v in drawn[()])
+    assert all(is_monotone(v) for v in drawn[("--monotone",)])
+    assert any(v.value(0) == 1 for v in drawn[("--non-normalized",)])
 
 
 def test_check_feasible_additive(tmp_path, capsys):
@@ -290,11 +365,45 @@ def test_closed_form_pmms_check_is_not_charged(tmp_path, capsys, kind, algo):
     assert code == 0 and json.loads(out)["holds"] is True
 
 
+PAIR_DEMAND = Instance(2, 3, (PairDemand.of([1, 2, 3]),) * 2)
+PAIR_DEMAND_DOC = serialize.instance_to_doc(PAIR_DEMAND)
+
+# Documents that parse as JSON but are not an instance or an allocation.
+MALFORMED_DOCS = {
+    "partial": {"n": 1},
+    "zero-denominator": {**PAIR_DEMAND_DOC, "valuations": [
+        {"type": "pair_demand", "values": ["1/0", 2, 3]}] * 2},
+    "list-doc": [PAIR_DEMAND_DOC],
+    "list-flags": {**PAIR_DEMAND_DOC, "flags": []},
+    "float-n": {**PAIR_DEMAND_DOC, "n": 2.0},
+    "float-m": {**PAIR_DEMAND_DOC, "m": 3.0},
+    # with one valuation, n = true would load as one agent
+    "bool-n": {**serialize.instance_to_doc(Instance(1, 3, (PairDemand.of([1, 2, 3]),))),
+               "n": True},
+    "bool-item": {"bundles": [[0, 2], [True]]},  # true would load as item 1
+    "list-alloc": [[0, 2], [1]],
+}
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["check", "--notion", "feasible", "--in", "{absent}"], id="check-no-file"),
     pytest.param(["solve", "--algo", "rrr", "--in", "{absent}"], id="solve-no-file"),
     pytest.param(["verify", "--claim", "no-pmms", "--in", "{absent}"], id="verify-no-file"),
     pytest.param(["check", "--notion", "feasible", "--in", "{partial}"], id="missing-key"),
+    pytest.param(["check", "--notion", "feasible", "--in", "{zero-denominator}"],
+                 id="zero-denominator"),
+    pytest.param(["check", "--notion", "feasible", "--in", "{list-doc}"], id="list-document"),
+    pytest.param(["check", "--notion", "feasible", "--in", "{list-flags}"], id="list-flags"),
+    pytest.param(["check", "--notion", "feasible", "--in", "{float-n}"], id="float-n-check"),
+    pytest.param(["solve", "--algo", "rrr", "--in", "{float-n}"], id="float-n-solve"),
+    pytest.param(["verify", "--claim", "no-pmms", "--in", "{float-n}"], id="float-n-verify"),
+    pytest.param(["export-graph", "--in", "{float-m}", "--kind", "compat"], id="float-m-export"),
+    pytest.param(["check", "--notion", "feasible", "--in", "{float-m}"], id="float-m-check"),
+    pytest.param(["check", "--notion", "feasible", "--in", "{bool-n}"], id="bool-n"),
+    pytest.param(["check", "--notion", "efx", "--in", "{inst}", "--alloc", "{bool-item}"],
+                 id="bool-item"),
+    pytest.param(["check", "--notion", "efx", "--in", "{inst}", "--alloc", "{list-alloc}"],
+                 id="list-allocation"),
     pytest.param(["check", "--notion", "efx", "--in", "{inst}", "--alloc", "{overlap}"],
                  id="overlapping-alloc"),
     pytest.param(["solve", "--algo", "rrr", "--in", "{inst}", "--leftover-agent", "9"],
@@ -315,12 +424,14 @@ def test_closed_form_pmms_check_is_not_charged(tmp_path, capsys, kind, algo):
                   "{unwritable}"], id="export-dot-dir"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
-    partial = tmp_path / "partial.json"
-    partial.write_text('{"n": 1}')
-    paths = {
+    paths = {}
+    for name, doc in MALFORMED_DOCS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    paths |= {
         "absent": str(tmp_path / "absent.json"),
-        "partial": str(partial),
-        "inst": write_instance(tmp_path, Instance(2, 3, (PairDemand.of([1, 2, 3]),) * 2)),
+        "inst": write_instance(tmp_path, PAIR_DEMAND),
         "overlap": write_allocation(tmp_path, (0b011, 0b110), "overlap.json"),
         "alloc": write_allocation(tmp_path, (0b001, 0b110)),
         "unwritable": str(tmp_path / "absent-dir" / "out.txt"),

@@ -129,3 +129,10 @@ def test_validate_allocation():
     bad = validate_allocation(inst, (0b01, 0))
     assert bad is not None and bad.kind == "uncovered" and bad.item == 1
     assert validate_allocation(inst, (0b01,)) is not None
+    # like overlap and uncovered, out_of_range names the lowest offending item
+    bad = validate_allocation(inst, (0b01, mask_of([1, 3, 5])))
+    assert bad is not None and bad.kind == "out_of_range" and bad.item == 3
+    bad = validate_allocation(inst, (mask_of([2]), 0b11))
+    assert bad is not None and bad.kind == "out_of_range" and bad.item == 2
+    bad = validate_allocation(inst, (-1, 0b11))
+    assert bad is not None and bad.kind == "out_of_range" and bad.item is None

@@ -21,6 +21,8 @@ def test_rational_round_trip():
     assert serialize.rational_from_json(4) == Fraction(4)
     with pytest.raises(TypeError):
         serialize.rational_from_json(2.5)
+    with pytest.raises(ValueError, match="zero denominator"):
+        serialize.rational_from_json("1/0")
 
 
 def test_instance_round_trip_all_classes():
