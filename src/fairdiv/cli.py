@@ -161,6 +161,8 @@ def _witness_doc(witness):
 def _scan(notion: FairnessNotion, holds_if_found: bool, inst: Instance) -> dict:
     found = oracles.exists_fair_allocation(inst, notion)
     return {
+        # the size of the allocation space the search decides, n^m, not
+        # the number of nodes it visits
         "scanned": inst.n ** inst.m,
         "found": None if found is None else serialize.allocation_to_doc(found)["bundles"],
         "holds": (found is not None) == holds_if_found,
@@ -191,6 +193,7 @@ def _triangle_free(inst: Instance) -> dict:
 CLAIMS = {
     "no-pmms": functools.partial(_scan, FairnessNotion.PMMS, False),
     "mms-exists": functools.partial(_scan, FairnessNotion.MMS, True),
+    "efx-exists": functools.partial(_scan, FairnessNotion.EFX, True),
     "mnw-not-efx": _mnw_not_efx,
     "triangle-free": _triangle_free,
 }

@@ -1,9 +1,11 @@
 """Fair-share computation and fairness verification.
 
-Everything here is exact: maximin shares with their witnesses enumerate all
-labeled partitions, allocation scans enumerate all n^m assignments, and the
-PMMS share value (``_mu2``) has one kernel per valuation class.
-Exceeding the enumeration budget is a hard error, never an approximation.
+Everything here is exact: maximin shares with their witnesses enumerate the
+labeled partitions up to relabeling (one per restricted growth string), the
+existence search decides the n^m allocations by a pruned agent-by-agent
+search, and the PMMS share value (``_mu2``) has one kernel per valuation
+class. Exceeding the enumeration budget is a hard error, never an
+approximation.
 
 Every comparison is between two values of one agent's valuation, so it is
 made on that valuation's scaled integers (``Valuation._value``); a
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import (
     FairnessNotion,
@@ -81,18 +83,27 @@ def _mu_search(v: Valuation, S: int, k: int) -> MaximinResult:
     # An odometer over the label vectors, the last item varying fastest, so
     # they are visited in lexicographic order and the first optimum found
     # has the smallest label vector; only strict improvements replace it.
+    # Only restricted growth strings are visited: an item's label is at most
+    # one more than the largest label before it. Relabeling the parts of
+    # any vector in order of first appearance gives such a string, with the
+    # same part values and no larger, so the smallest optimal vector is one.
+    # top[idx] is the largest label item idx may take.
+    top = [0] + [min(1, k - 1)] * (len(bits) - 1)
     last = idx = len(bits) - 1
-    while idx >= 0:
+    while idx > 0:  # the first item's label is always 0
         label, bit = labels[idx], bits[idx]
         parts[label] ^= bit
-        if label + 1 < k:
-            labels[idx] = label + 1
-            parts[label + 1] |= bit
+        if label < top[idx]:
+            label += 1
+            labels[idx] = label
+            parts[label] |= bit
             worst = min(map(value, parts))
             if worst > best_min:
                 best_min = worst
                 best_parts = tuple(parts)
-            idx = last
+            if idx < last:  # the items after idx are all at label 0
+                top[idx + 1:] = [min(max(top[idx], label + 1), k - 1)] * (last - idx)
+                idx = last
         else:  # wrap this digit to 0 and carry into the one before it
             labels[idx] = 0
             parts[0] |= bit
@@ -167,35 +178,48 @@ def clear_caches() -> None:
 
 
 # ---------------------------------------------------------------------------
-# fairness checks: one violation generator per notion, one dispatch table
+# fairness checks: one test per notion, one dispatch table
 #
-# Each generator yields (envier, envied, witness) tuples: per (i, j) pair for
-# EFX and PMMS, with one witness per pair, and per agent for MMS (envied is
-# None). ``check`` collects all of them; ``allocation_satisfies`` stops at
-# the first.
+# ``_TESTS[notion](inst)`` binds the notion's test to an instance. EFX, EFX+
+# and PMMS are pairwise: fails(i, j, X_i, X_j) is whether i envies j. MMS is
+# per agent: fails(i, X_i) is whether X_i is worth less to i than its
+# maximin share. No test searches for a witness; ``check`` asks ``witness``,
+# with the same arguments, for the failures only.
 
 
-def _efx(inst: Instance, bundles, positive_only: bool = False):
-    for i in range(inst.n):
-        value = inst.valuations[i]._value
-        own = value(bundles[i])
-        for j in range(inst.n):
-            if i == j:
-                continue
-            for g in items_of(bundles[j]):
-                if positive_only and value(1 << g) <= 0:
-                    continue
-                if own < value(bundles[j] & ~(1 << g)):
-                    yield i, j, g
-                    break  # one witness item per pair
+class _Test(NamedTuple):
+    pairwise: bool
+    fails: Callable[..., bool]
+    witness: Callable[..., object]
 
 
-def _efx_positive(inst: Instance, bundles):
-    # A plain function, not a generator, so the class check runs on call.
+def _require_additive(inst: Instance) -> None:
     for v in inst.valuations:
         if not v.is_additive():
             raise UnsupportedValuationError("EFX+ is defined for additive valuations only")
-    return _efx(inst, bundles, positive_only=True)
+
+
+def _efx_test(inst: Instance, positive_only: bool = False) -> _Test:
+    values = [v._value for v in inst.valuations]
+
+    def envied_item(i, j, mine, theirs):
+        """The first item of X_j (for EFX+, one i values above zero) whose
+        removal leaves X_j worth more to i than X_i; None if there is none."""
+        value = values[i]
+        own = value(mine)
+        for g in items_of(theirs):
+            if positive_only and value(1 << g) <= 0:
+                continue
+            if own < value(theirs & ~(1 << g)):
+                return g
+        return None
+
+    return _Test(True, lambda *pair: envied_item(*pair) is not None, envied_item)
+
+
+def _efx_positive_test(inst: Instance) -> _Test:
+    _require_additive(inst)
+    return _efx_test(inst, positive_only=True)
 
 
 def pmms_envies(v: Valuation, mine: int, theirs: int) -> bool:
@@ -209,42 +233,60 @@ def pmms_envies(v: Valuation, mine: int, theirs: int) -> bool:
     return v._value(mine) < _mu2(v, S)
 
 
-def _pmms(inst: Instance, bundles):
-    for i, vi in enumerate(inst.valuations):
-        for j in range(inst.n):
-            if i != j and pmms_envies(vi, bundles[i], bundles[j]):
-                yield i, j, mu(vi, bundles[i] | bundles[j], 2).witness
+def _pmms_test(inst: Instance) -> _Test:
+    vals = inst.valuations
+    return _Test(True,
+                 lambda i, j, mine, theirs: pmms_envies(vals[i], mine, theirs),
+                 lambda i, j, mine, theirs: mu(vals[i], mine | theirs, 2).witness)
 
 
-def _mms(inst: Instance, bundles):
-    for i in range(inst.n):
-        vi = inst.valuations[i]
-        result = mu(vi, inst.all_items, inst.n)
-        if vi._value(bundles[i]) < result.scaled:
-            yield i, None, result.witness
+def _mms_test(inst: Instance) -> _Test:
+    values = [v._value for v in inst.valuations]
+    shares = [mu(v, inst.all_items, inst.n) for v in inst.valuations]
+    return _Test(False,
+                 lambda i, mine: values[i](mine) < shares[i].scaled,
+                 lambda i, mine: shares[i].witness)
 
 
-_VIOLATIONS = {
-    FairnessNotion.EFX: _efx,
-    FairnessNotion.EFX_POSITIVE: _efx_positive,
-    FairnessNotion.PMMS: _pmms,
-    FairnessNotion.MMS: _mms,
+_TESTS = {
+    FairnessNotion.EFX: _efx_test,
+    FairnessNotion.EFX_POSITIVE: _efx_positive_test,
+    FairnessNotion.PMMS: _pmms_test,
+    FairnessNotion.MMS: _mms_test,
 }
 
 
+def _failures(inst: Instance, bundles, test: _Test):
+    """(envier, envied, test arguments) of every failure, envier by envier
+    and then envied by envied; envied is None for a per-agent test."""
+    for i in range(inst.n):
+        if not test.pairwise:
+            if test.fails(i, bundles[i]):
+                yield i, None, (i, bundles[i])
+            continue
+        for j in range(inst.n):
+            if i != j and test.fails(i, j, bundles[i], bundles[j]):
+                yield i, j, (i, j, bundles[i], bundles[j])
+
+
 def check(inst: Instance, bundles, notion: FairnessNotion) -> FairnessReport:
-    """Every violation of the notion, after validating the allocation.
-    EFX+ rejects a non-additive instance before that."""
-    violations = _VIOLATIONS[notion](inst, bundles)  # lazy but for EFX+'s class check
+    """Every violation of the notion with its witness (an item for EFX and
+    EFX+, the envier's best split of the two bundles for PMMS, the agent's
+    maximin partition for MMS), after validating the allocation. EFX+
+    rejects a non-additive instance before that."""
+    if notion is FairnessNotion.EFX_POSITIVE:
+        _require_additive(inst)
     require_valid_allocation(inst, bundles)
-    found = tuple(FairnessViolation(*v) for v in violations)
+    test = _TESTS[notion](inst)
+    found = tuple(FairnessViolation(i, j, test.witness(*args))
+                  for i, j, args in _failures(inst, bundles, test))
     return FairnessReport(notion, not found, found)
 
 
 def allocation_satisfies(inst: Instance, bundles, notion: FairnessNotion) -> bool:
-    """Whether the notion holds, stopping at the first violation. The
-    allocation is not validated."""
-    return next(_VIOLATIONS[notion](inst, bundles), None) is None
+    """Whether the notion holds, stopping at the first violation; no witness
+    is built. The allocation is not validated."""
+    return next(_failures(inst, bundles, _TESTS[notion](inst)), None) is None
 
 
 def check_efx(inst: Instance, bundles) -> FairnessReport:
@@ -283,13 +325,58 @@ def iter_allocations(n: int, m: int) -> Iterable[tuple[int, ...]]:
 
 
 def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[tuple[int, ...]]:
-    """First allocation (lexicographic owner-vector order) satisfying the
-    notion, or None after an exhaustive scan."""
-    _check_budget(inst.n ** inst.m)
-    for bundles in iter_allocations(inst.n, inst.m):
-        if allocation_satisfies(inst, bundles, notion):
-            return bundles
-    return None
+    """The first allocation in lexicographic owner-vector order (item 0's
+    owner most significant) that satisfies the notion, or None when none of
+    the n^m allocations does. The budget is charged n^m, the size of the
+    space decided.
+
+    An exact branch-and-bound search, agent by agent: X_0 from all items,
+    then X_1 from the rest, and so on; the last agent takes what is left.
+    Each test runs as soon as its bundles are fixed, and a failing branch
+    is pruned. At a node, every completion's owner vector is at least the
+    bound vector, i on X_i and k on the items not yet placed. The subsets
+    X_k are tried members first, the lowest item most significant, so the
+    bound rises from child to child and a node stops at the first child
+    whose bound reaches the best allocation found. Owner vectors are
+    compared as base-n numbers."""
+    n, m = inst.n, inst.m
+    _check_budget(n ** m)
+    pairwise, fails, _ = _TESTS[notion](inst)
+    weight = [n ** (m - 1 - g) for g in range(m)]  # item g's owner digit
+    bundles = [0] * n
+    best, found = n ** m, None  # above every owner vector until one is found
+
+    def clashes(k: int) -> bool:
+        mine = bundles[k]
+        if not pairwise:
+            return fails(k, mine)
+        for i in range(k):
+            if fails(i, k, bundles[i], mine) or fails(k, i, mine, bundles[i]):
+                return True
+        return False
+
+    def place(k: int, rest: int, bound: int) -> None:
+        nonlocal best, found
+        out = out_weight = 0  # the items of rest left to later agents, their weight
+        while bound + out_weight < best:
+            bundles[k] = rest ^ out
+            if not clashes(k):
+                if k == n - 1:
+                    best, found = bound, tuple(bundles)
+                else:
+                    place(k + 1, out, bound + out_weight)
+            free = rest & ~out
+            if k == n - 1 or not free:
+                return
+            # the next subset: the highest free item leaves X_k, and the
+            # items above it come back
+            top = free.bit_length() - 1
+            back = out >> top << top
+            out_weight += weight[top] - sum(weight[g] for g in items_of(back))
+            out ^= back | 1 << top
+
+    place(0, inst.all_items, 0)
+    return found
 
 
 def nash_welfare_maximizers(inst: Instance):

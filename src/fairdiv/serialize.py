@@ -1,9 +1,11 @@
 """JSON round-tripping for instances, allocations and rationals.
 
 Rationals serialize as ints when integral, else as "p/q" strings; floats
-are rejected in both directions so no value is ever rounded. Counts and
-item indices must be JSON integers: a float or a bool is refused, not
-truncated or read as 0/1.
+are rejected in both directions so no value is ever rounded. Counts,
+item indices and binary-table masks must be JSON integers: a float or a
+bool is refused, not truncated or read as 0/1. Flags must be JSON booleans
+and labels a list of strings, so no value is read by its truthiness or
+split into characters.
 """
 
 from __future__ import annotations
@@ -38,6 +40,12 @@ def rational_to_json(x: Fraction) -> JsonRational:
 def _int(x, what: str) -> int:
     if type(x) is not int:  # bool is a subclass of int
         raise TypeError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _bool(x, what: str) -> bool:
+    if type(x) is not bool:
+        raise TypeError(f"{what} must be true or false, got {x!r}")
     return x
 
 
@@ -91,7 +99,10 @@ def valuation_from_doc(doc: dict) -> Valuation:
     if kind == "pair_demand":
         return PairDemand.of([rational_from_json(x) for x in doc["values"]])
     if kind == "binary_table":
-        return BinaryTable(_int(doc["m"], "m"), frozenset(doc["ones"]))
+        ones = doc["ones"]
+        if not all(type(mask) is int for mask in ones):
+            raise TypeError("binary_table ones must be integer masks")
+        return BinaryTable(_int(doc["m"], "m"), frozenset(ones))
     if kind == "table":
         return ExplicitTable.of([rational_from_json(x) for x in doc["table"]])
     raise ValueError(f"unknown valuation type: {kind}")
@@ -114,13 +125,18 @@ def instance_to_doc(inst: Instance) -> dict:
 
 def instance_from_doc(doc: dict) -> Instance:
     flags = _object(_object(doc, "instance").get("flags", {}), "flags")
+    labels = doc.get("labels")
+    if labels is not None and not (
+            isinstance(labels, list) and all(type(x) is str for x in labels)):
+        raise TypeError(f"labels must be a list of strings, got {labels!r}")
     return Instance(
         n=_int(doc["n"], "n"),
         m=_int(doc["m"], "m"),
         valuations=tuple(valuation_from_doc(d) for d in doc["valuations"]),
-        monotone_required=flags.get("monotone_required", True),
-        normalized_required=flags.get("normalized_required", True),
-        labels=tuple(doc["labels"]) if doc.get("labels") is not None else None,
+        monotone_required=_bool(flags.get("monotone_required", True), "monotone_required"),
+        normalized_required=_bool(flags.get("normalized_required", True),
+                                  "normalized_required"),
+        labels=None if labels is None else tuple(labels),
     )
 
 

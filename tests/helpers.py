@@ -3,8 +3,9 @@ match-and-freeze trace invariants, asserted on every randomized run; the
 padded reversed round-robin and the two-branch cut-and-choose step the
 production code is checked against; the matching oracles the polynomial
 matcher is checked against; and the Fraction brute-force references the
-integer kernel is checked against."""
+integer kernel and the existence search are checked against."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -20,6 +21,7 @@ from fairdiv.core import (
     Additive,
     BinaryTable,
     ExplicitTable,
+    FairnessNotion,
     Instance,
     PairDemand,
     PersonalizedBivalued,
@@ -382,9 +384,12 @@ def reference_value(v, mask: int) -> Fraction:
     raise TypeError(type(v).__name__)
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def reference_mu(v, S: int, k: int) -> tuple[Fraction, tuple[int, ...]]:
     """Fair share and lexicographically smallest witness by exhaustive
-    search on Fraction values, in fairdiv's search order."""
+    search on Fraction values over all k^|S| label vectors, the lowest
+    item's label most significant. Memoized: an existence scan asks for the
+    same shares on every allocation."""
     items = list(items_of(S))
     best_min = None
     best_parts: tuple[int, ...] = ()
@@ -441,6 +446,22 @@ def reference_mms_violations(inst: Instance, bundles) -> list:
         if reference_value(vi, bundles[i]) < share:
             out.append((i, None, witness))
     return out
+
+
+REFERENCE_VIOLATIONS = {
+    FairnessNotion.EFX: reference_efx_violations,
+    FairnessNotion.EFX_POSITIVE: functools.partial(reference_efx_violations, positive_only=True),
+    FairnessNotion.PMMS: reference_pmms_violations,
+    FairnessNotion.MMS: reference_mms_violations,
+}
+
+
+def reference_first_fair(inst: Instance, notion: FairnessNotion) -> Optional[tuple[int, ...]]:
+    """The exhaustive scan: the first allocation in owner-vector order with
+    no violation under the Fraction references, or None."""
+    violations = REFERENCE_VIOLATIONS[notion]
+    return next((bundles for bundles in iter_allocations(inst.n, inst.m)
+                 if not violations(inst, bundles)), None)
 
 
 def reference_mms_feasible(v) -> bool:

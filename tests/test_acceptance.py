@@ -59,6 +59,7 @@ from helpers import (
     check_matching_round_property,
     inactive_rounds,
     pair_demand_mu_closed_form,
+    reference_first_fair,
 )
 
 GOLDEN_TRACE = os.path.join(os.path.dirname(__file__), "data", "table1_trace.txt")
@@ -111,6 +112,8 @@ def test_criterion_2_separation_instance(capsys):
         assert balanced == 90
         assert not pair_compatibility_graph(inst).has_triangle()
         assert exists_fair_allocation(inst, FairnessNotion.MMS) is not None
+        # ... while an EFX allocation exists: the pairs {0,1}, {2,3}, {4,5}
+        assert exists_fair_allocation(inst, FairnessNotion.EFX) == (3, 12, 48)
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 
@@ -129,8 +132,11 @@ def test_criterion_3_stars_family(capsys):
         assert exists_fair_allocation(inst2, FairnessNotion.PMMS) is None
         assert exists_fair_allocation(inst2, FairnessNotion.MMS) is None
         assert all(mu(v, inst2.all_items, 2).mu == k2 + 1 for v in inst2.valuations)
+        # yet an EFX allocation exists at every size
+        efx2 = exists_fair_allocation(inst2, FairnessNotion.EFX)
+        assert efx2 is not None and efx2 == reference_first_fair(inst2, FairnessNotion.EFX)
 
-        for n in (3, 4):
+        for n in (3, 4, 5):
             clear_caches()
             start = time.monotonic()
             inst = gen_nonexistence_stars(n)
@@ -148,10 +154,14 @@ def test_criterion_3_stars_family(capsys):
             )
             bundles = tuple(stars + [A, commons ^ A])
             assert check_mms(inst, bundles).holds
+            efx = exists_fair_allocation(inst, FairnessNotion.EFX)
+            assert efx is not None
             elapsed = time.monotonic() - start
             assert elapsed < 60.0, f"n={n} took {elapsed:.2f}s"
+            if n <= 4:  # the scan of all n^m allocations, on Fraction values
+                assert efx == reference_first_fair(inst, FairnessNotion.EFX)
 
-    report(capsys, "criterion 3 (stars family: no PMMS, fair shares, MMS)", body)
+    report(capsys, "criterion 3 (stars family: no PMMS, fair shares, MMS, EFX)", body)
 
 
 def test_criterion_4_nash_welfare(capsys):

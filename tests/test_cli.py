@@ -259,6 +259,16 @@ def test_verify_no_pmms_separation(tmp_path, capsys):
     assert doc["scanned"] == 729 and doc["found"] is None and doc["holds"]
 
 
+def test_verify_efx_exists_separation(tmp_path, capsys):
+    # the EFX half of the separation: no PMMS allocation, yet an EFX one
+    inst_path = str(tmp_path / "sep.json")
+    main(["gen", "--kind", "separation3", "--out", inst_path])
+    code, out, _ = run(capsys, "verify", "--claim", "efx-exists", "--in", inst_path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["scanned"] == 729 and doc["found"] == [[0, 1], [2, 3], [4, 5]] and doc["holds"]
+
+
 def test_verify_mnw(tmp_path, capsys):
     inst_path = str(tmp_path / "mnw.json")
     main(["gen", "--kind", "mnw", "--out", inst_path])
@@ -382,6 +392,12 @@ MALFORMED_DOCS = {
                "n": True},
     "bool-item": {"bundles": [[0, 2], [True]]},  # true would load as item 1
     "list-alloc": [[0, 2], [1]],
+    # each would load: true as mask 1 (and dump back as true), a string as
+    # one label per character, and "no" as a truthy flag
+    "bool-mask": {"n": 1, "m": 1,
+                  "valuations": [{"type": "binary_table", "m": 1, "ones": [True]}]},
+    "string-labels": {**PAIR_DEMAND_DOC, "labels": "abc"},
+    "string-flag": {**PAIR_DEMAND_DOC, "flags": {"monotone_required": "no"}},
 }
 
 
@@ -400,6 +416,10 @@ MALFORMED_DOCS = {
     pytest.param(["export-graph", "--in", "{float-m}", "--kind", "compat"], id="float-m-export"),
     pytest.param(["check", "--notion", "feasible", "--in", "{float-m}"], id="float-m-check"),
     pytest.param(["check", "--notion", "feasible", "--in", "{bool-n}"], id="bool-n"),
+    pytest.param(["check", "--notion", "feasible", "--in", "{bool-mask}"], id="bool-mask"),
+    pytest.param(["check", "--notion", "feasible", "--in", "{string-labels}"],
+                 id="string-labels"),
+    pytest.param(["check", "--notion", "feasible", "--in", "{string-flag}"], id="string-flag"),
     pytest.param(["check", "--notion", "efx", "--in", "{inst}", "--alloc", "{bool-item}"],
                  id="bool-item"),
     pytest.param(["check", "--notion", "efx", "--in", "{inst}", "--alloc", "{list-alloc}"],

@@ -116,7 +116,7 @@ def test_value_matches_reference(case):
 
 
 @KERNEL
-@given(valuation_and_subset(), st.sampled_from([2, 3]))
+@given(valuation_and_subset(), st.sampled_from([2, 3, 4]))
 def test_mu_matches_reference(case, k):
     v, S = case
     result = mu(v, S, k)

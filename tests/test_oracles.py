@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from fairdiv import oracles
 from fairdiv.core import (
     Additive,
     BinaryTable,
+    ExplicitTable,
     FairnessNotion,
     Instance,
     PairDemand,
@@ -22,6 +24,7 @@ from fairdiv.instances import (
 from fairdiv.oracles import (
     BUDGET,
     BudgetExceededError,
+    allocation_satisfies,
     check_efx,
     check_efx_positive,
     check_mms,
@@ -33,6 +36,8 @@ from fairdiv.oracles import (
     nash_welfare_maximizers,
     pair_compatibility_graph,
 )
+
+from helpers import reference_first_fair
 
 
 def test_mu_additive_bipartition():
@@ -167,6 +172,50 @@ def test_exists_fair_allocation_and_first_witness():
     inst = Instance(2, 2, (v, v))
     found = exists_fair_allocation(inst, FairnessNotion.PMMS)
     assert found == (0b01, 0b10)  # lexicographically first owner vector (0, 1)
+
+
+def test_search_matches_reference_scan():
+    # Tables with negative entries are neither monotone nor normalized, so
+    # no test can lean on either; m = 0 and n = 1 are in the range.
+    rng = random.Random(20)
+    cases = 0
+    for _ in range(250):
+        n = rng.randint(1, 4)
+        m = rng.randint(0, 5 if n == 4 else 6)
+        tables = tuple(ExplicitTable.of([rng.randint(-2, 4) for _ in range(1 << m)])
+                       for _ in range(n))
+        additive = tuple(Additive.of([rng.randint(0, 3) for _ in range(m)]) for _ in range(n))
+        for vals, notions in ((tables, (FairnessNotion.PMMS, FairnessNotion.EFX,
+                                        FairnessNotion.MMS)),
+                              (additive, (FairnessNotion.EFX_POSITIVE,))):
+            inst = Instance(n, m, vals, monotone_required=False, normalized_required=False)
+            for notion in notions:
+                assert exists_fair_allocation(inst, notion) == reference_first_fair(inst, notion)
+                cases += 1
+    assert cases == 1000
+
+
+def test_search_returns_the_first_owner_vector_not_the_first_found():
+    # The search meets owners (2, 0, 1) first: agent 0 tries {1} before {2}.
+    # Owners (1, 2, 0) come before it and are EFX too, so the search must
+    # go on past its first find.
+    tables = ([1, -1, 2, 0, 1, 1, -1, 2], [-1, 1, -1, 2, 2, 0, 1, 1], [0, 2, 2, 1, -1, 1, 0, -1])
+    inst = Instance(3, 3, tuple(map(ExplicitTable.of, tables)),
+                    monotone_required=False, normalized_required=False)
+    assert allocation_satisfies(inst, (0b010, 0b100, 0b001), FairnessNotion.EFX)
+    assert exists_fair_allocation(inst, FairnessNotion.EFX) == (0b100, 0b001, 0b010)
+    assert reference_first_fair(inst, FairnessNotion.EFX) == (0b100, 0b001, 0b010)
+
+
+def test_pmms_scan_builds_no_witness(monkeypatch):
+    def no_witness(*args):
+        raise AssertionError("mu called")
+
+    monkeypatch.setattr(oracles, "mu", no_witness)
+    v = Additive.of([1, 1])
+    inst = Instance(2, 2, (v, v))
+    assert not allocation_satisfies(inst, (0b11, 0), FairnessNotion.PMMS)
+    assert exists_fair_allocation(gen_separation3(), FairnessNotion.PMMS) is None
 
 
 def test_iter_allocations_count_and_order():
