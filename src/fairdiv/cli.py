@@ -66,7 +66,7 @@ def _load_instance(path: str) -> Instance:
 
 
 def _load_allocation(path: str, inst: Instance) -> tuple:
-    bundles = _load(path, serialize.allocation_from_doc, "allocation")
+    bundles = _load(path, lambda doc: serialize.allocation_from_doc(doc, inst.m), "allocation")
     violation = validate_allocation(inst, bundles)
     if violation is not None:
         raise UsageError(f"invalid allocation {path!r}: {violation}")

@@ -101,12 +101,16 @@ class Valuation:
     scaling by a positive constant preserves order and equality.
     Subclasses set ``__hash__ = Valuation.__hash__``; otherwise
     ``@dataclass`` would generate one that rehashes every field.
+    A class whose structure gives the PMMS share in closed form overrides
+    ``_share2(S)`` to return mu(v, S, 2) * ``scale``; under the base's
+    ``_share2 = None``, S's 2^|S| splits are enumerated and charged.
     """
 
     scale: int = field(init=False, repr=False, compare=False)
     # The fair-share memo hashes its valuation on every lookup, so the hash
     # is computed once, from the integer data that determines equality.
     _hash: int = field(init=False, repr=False, compare=False)
+    _share2 = None
 
     def _set_kernel(self, scale: int, data) -> None:
         object.__setattr__(self, "scale", scale)
@@ -220,6 +224,19 @@ class PersonalizedBivalued(Valuation):
     def is_additive(self) -> bool:
         return True
 
+    def _share2(self, S: int) -> int:
+        # x high and y low items on one side. For each x the best y is the
+        # floor of the balance point (a(h - 2x) + b l) / 2b, clipped to 0..l;
+        # its ceiling is the floor for h - x with the sides swapped.
+        a, b = self._a, self._b
+        h = (S & self.high_items).bit_count()
+        l = S.bit_count() - h
+        best = 0
+        for x in range(h + 1):
+            y = min(max((a * (h - 2 * x) + b * l) // (2 * b), 0), l) if b else 0
+            best = max(best, min(a * x + b * y, a * (h - x) + b * (l - y)))
+        return best
+
 
 class PairDemand(_ItemValues):
     """Bundle value is the sum of the two highest item values in the bundle."""
@@ -236,6 +253,13 @@ class PairDemand(_ItemValues):
             elif x > second:
                 second = x
         return best + second
+
+    def _share2(self, S: int) -> int:
+        # Only the four largest items x1 >= x2 >= x3 >= x4 matter: the best
+        # split pairs x1 with x4 against x2 with x3.
+        ints = self._ints
+        x1, x2, x3, x4 = (sorted((ints[g] for g in items_of(S)), reverse=True) + [0] * 4)[:4]
+        return min(x1 + x4, x2 + x3)
 
 
 @dataclass(frozen=True)

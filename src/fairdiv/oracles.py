@@ -3,9 +3,9 @@
 Everything here is exact: maximin shares with their witnesses enumerate the
 labeled partitions up to relabeling (one per restricted growth string), the
 existence search decides the n^m allocations by a pruned agent-by-agent
-search, and the PMMS share value (``_mu2``) has one kernel per valuation
-class. Exceeding the enumeration budget is a hard error, never an
-approximation.
+search, and the PMMS share value (``_mu2``) is a class's closed form
+(``Valuation._share2``) or one pass over the bipartitions. Exceeding the
+enumeration budget is a hard error, never an approximation.
 
 Every comparison is between two values of one agent's valuation, so it is
 made on that valuation's scaled integers (``Valuation._value``); a
@@ -25,8 +25,6 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .core import (
     FairnessNotion,
     Instance,
-    PairDemand,
-    PersonalizedBivalued,
     UnsupportedValuationError,
     Valuation,
     items_of,
@@ -44,10 +42,13 @@ class BudgetExceededError(RuntimeError):
     """An exhaustive enumeration would exceed the configured budget."""
 
 
-def _check_budget(count: int, budget: Optional[int] = None) -> None:
+def _check_budget(base: int, exp: int = 1, budget: Optional[int] = None) -> None:
+    """Refuse an enumeration of base^exp cases over the cap. When exp is past
+    the cap's bit length, 2^exp alone exceeds it and the power is not built."""
     cap = BUDGET.get() if budget is None else budget
-    if count > cap:
-        raise BudgetExceededError(f"enumeration of size {count} exceeds budget {cap}")
+    if (exp > cap.bit_length() and base >= 2) or base ** exp > cap:
+        size = f"{base}^{exp}" if exp != 1 else base
+        raise BudgetExceededError(f"enumeration of size {size} exceeds budget {cap}")
 
 
 @dataclass(frozen=True)
@@ -135,31 +136,8 @@ def _split_bounds(value, S: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=1 << 18)
 def _mu2(v: Valuation, S: int) -> int:
-    """mu(v, S, 2) * v.scale, from a kernel per valuation class; no witness."""
-    if isinstance(v, PairDemand):
-        # Only the four largest items x1 >= x2 >= x3 >= x4 matter: the best
-        # split pairs x1 with x4 against x2 with x3.
-        ints = v._ints
-        x1, x2, x3, x4 = (sorted((ints[g] for g in items_of(S)), reverse=True) + [0] * 4)[:4]
-        return min(x1 + x4, x2 + x3)
-    if isinstance(v, PersonalizedBivalued):
-        # x high and y low items on one side. For each x the best y is the
-        # floor of the balance point (a(h - 2x) + b l) / 2b, clipped to 0..l;
-        # its ceiling is the floor for h - x with the sides swapped.
-        a, b = v._a, v._b
-        h = (S & v.high_items).bit_count()
-        l = S.bit_count() - h
-        best = 0
-        for x in range(h + 1):
-            y = min(max((a * (h - 2 * x) + b * l) // (2 * b), 0), l) if b else 0
-            best = max(best, min(a * x + b * y, a * (h - x) + b * (l - y)))
-        return best
-    return _split_bounds(v._value, S)[0]
-
-
-def _require_in_range(v: Valuation, S: int) -> None:
-    if S < 0 or S >> v.num_items:
-        raise ValueError("S addresses items outside the valuation's range")
+    """mu(v, S, 2) * v.scale, from v's closed form or else its bipartitions."""
+    return _split_bounds(v._value, S)[0] if v._share2 is None else v._share2(S)
 
 
 def mu(v: Valuation, S: int, k: int) -> MaximinResult:
@@ -167,8 +145,9 @@ def mu(v: Valuation, S: int, k: int) -> MaximinResult:
     minimum part value, with a witness partition attaining it."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    _require_in_range(v, S)
-    _check_budget(k ** S.bit_count())
+    if S < 0 or S >> v.num_items:
+        raise ValueError("S addresses items outside the valuation's range")
+    _check_budget(k, S.bit_count())
     return _mu_search(v, S, k)
 
 
@@ -223,13 +202,12 @@ def _efx_positive_test(inst: Instance) -> _Test:
 
 
 def pmms_envies(v: Valuation, mine: int, theirs: int) -> bool:
-    """The PMMS envy test: whether v's best 2-split of ``mine | theirs``
-    leaves both parts worth more to v than ``mine``. Decided on the share
-    value alone; no witness split is searched for."""
+    """Whether v's best 2-split of ``mine | theirs``, both bundles in v's
+    items, leaves both parts worth more than ``mine``: decided on the share
+    value alone, charging 2^|S| splits unless v's class has a closed form."""
     S = mine | theirs
-    _require_in_range(v, S)
-    if not isinstance(v, (PairDemand, PersonalizedBivalued)):  # _mu2's split pass
-        _check_budget(2 ** S.bit_count())
+    if v._share2 is None:
+        _check_budget(2, S.bit_count())
     return v._value(mine) < _mu2(v, S)
 
 
@@ -340,7 +318,7 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
     whose bound reaches the best allocation found. Owner vectors are
     compared as base-n numbers."""
     n, m = inst.n, inst.m
-    _check_budget(n ** m)
+    _check_budget(n, m)
     pairwise, fails, _ = _TESTS[notion](inst)
     weight = [n ** (m - 1 - g) for g in range(m)]  # item g's owner digit
     bundles = [0] * n
@@ -386,7 +364,7 @@ def nash_welfare_maximizers(inst: Instance):
     Products are taken over scaled values; every allocation's product is
     scaled by the same constant, the product of the scales, so the order
     is unchanged and the maximum is divided by it once."""
-    _check_budget(inst.n ** inst.m)
+    _check_budget(inst.n, inst.m)
     values = [v._value for v in inst.valuations]
     best: Optional[int] = None
     argmax: list[tuple[int, ...]] = []
@@ -412,7 +390,7 @@ def check_mms_feasible(v: Valuation, budget: Optional[int] = None) -> bool:
     # The one budget parameter left: perfbench/tracer.py wraps this function
     # as check_mms_feasible(v, budget), two positional arguments.
     m = v.num_items
-    _check_budget(3**m, budget)
+    _check_budget(3, m, budget)
     value = list(map(v._value, range(1 << m))).__getitem__
     for S in range(1 << m):
         maxmin, minmax = _split_bounds(value, S)
@@ -449,6 +427,9 @@ class CompatGraph:
 
 
 def pair_compatibility_graph(inst: Instance) -> CompatGraph:
+    """The graph over every agent's 2-item bundles; the budget is charged
+    the number of node pairs tested, C(n * C(m, 2), 2), before any is built."""
+    _check_budget(math.comb(inst.n * math.comb(inst.m, 2), 2))
     pairs = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(inst.m), 2)]
     nodes = tuple((i, S) for i in range(inst.n) for S in pairs)
     edges = []

@@ -3,9 +3,11 @@
 Rationals serialize as ints when integral, else as "p/q" strings; floats
 are rejected in both directions so no value is ever rounded. Counts,
 item indices and binary-table masks must be JSON integers: a float or a
-bool is refused, not truncated or read as 0/1. Flags must be JSON booleans
-and labels a list of strings, so no value is read by its truthiness or
-split into characters.
+bool is refused, not truncated or read as 0/1. Flags must be JSON booleans,
+and every list (values, tables, masks, items, valuations, bundles, labels)
+a JSON list, so no value is read by its truthiness, split into characters
+or taken from an object's keys. An item index is checked against the item
+count before its bit is set.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .core import (
     Valuation,
     as_fraction,
     items_of,
-    mask_of,
 )
 
 JsonRational = Union[int, str]
@@ -55,8 +56,20 @@ def _object(doc, what: str) -> dict:
     return doc
 
 
-def _mask(items) -> int:
-    return mask_of([_int(g, "item index") for g in items])
+def _list(x, what: str) -> list:
+    if type(x) is not list:
+        raise TypeError(f"{what} must be a JSON list, got {type(x).__name__}")
+    return x
+
+
+def _mask(items, m: int, what: str) -> int:
+    """The mask of a list of item indices, each checked to lie in 0..m-1."""
+    out = 0
+    for g in _list(items, what):
+        if not 0 <= _int(g, "item index") < m:
+            raise ValueError(f"{what} names item {g}, outside 0..{m - 1}")
+        out |= 1 << g
+    return out
 
 
 def rational_from_json(x) -> Fraction:
@@ -88,23 +101,24 @@ def valuation_to_doc(v: Valuation) -> dict:
 def valuation_from_doc(doc: dict) -> Valuation:
     kind = doc["type"]
     if kind == "additive":
-        return Additive.of([rational_from_json(x) for x in doc["values"]])
+        return Additive.of([rational_from_json(x) for x in _list(doc["values"], "values")])
     if kind == "personalized_bivalued":
+        m = _int(doc["m"], "m")
         return PersonalizedBivalued(
             rational_from_json(doc["a"]),
             rational_from_json(doc["b"]),
-            _mask(doc["high_items"]),
-            _int(doc["m"], "m"),
+            _mask(doc["high_items"], m, "high_items"),
+            m,
         )
     if kind == "pair_demand":
-        return PairDemand.of([rational_from_json(x) for x in doc["values"]])
+        return PairDemand.of([rational_from_json(x) for x in _list(doc["values"], "values")])
     if kind == "binary_table":
-        ones = doc["ones"]
+        ones = _list(doc["ones"], "ones")
         if not all(type(mask) is int for mask in ones):
             raise TypeError("binary_table ones must be integer masks")
         return BinaryTable(_int(doc["m"], "m"), frozenset(ones))
     if kind == "table":
-        return ExplicitTable.of([rational_from_json(x) for x in doc["table"]])
+        return ExplicitTable.of([rational_from_json(x) for x in _list(doc["table"], "table")])
     raise ValueError(f"unknown valuation type: {kind}")
 
 
@@ -126,13 +140,12 @@ def instance_to_doc(inst: Instance) -> dict:
 def instance_from_doc(doc: dict) -> Instance:
     flags = _object(_object(doc, "instance").get("flags", {}), "flags")
     labels = doc.get("labels")
-    if labels is not None and not (
-            isinstance(labels, list) and all(type(x) is str for x in labels)):
+    if labels is not None and not all(type(x) is str for x in _list(labels, "labels")):
         raise TypeError(f"labels must be a list of strings, got {labels!r}")
     return Instance(
         n=_int(doc["n"], "n"),
         m=_int(doc["m"], "m"),
-        valuations=tuple(valuation_from_doc(d) for d in doc["valuations"]),
+        valuations=tuple(valuation_from_doc(d) for d in _list(doc["valuations"], "valuations")),
         monotone_required=_bool(flags.get("monotone_required", True), "monotone_required"),
         normalized_required=_bool(flags.get("normalized_required", True),
                                   "normalized_required"),
@@ -144,8 +157,9 @@ def allocation_to_doc(bundles: Sequence[int]) -> dict:
     return {"bundles": [sorted(items_of(mask)) for mask in bundles]}
 
 
-def allocation_from_doc(doc: dict) -> tuple[int, ...]:
-    return tuple(_mask(items) for items in doc["bundles"])
+def allocation_from_doc(doc: dict, m: int) -> tuple[int, ...]:
+    """The bundle masks of an allocation document over m items."""
+    return tuple(_mask(items, m, "bundle") for items in _list(doc["bundles"], "bundles"))
 
 
 def dumps(doc: dict) -> str:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -85,14 +86,14 @@ def test_gen_kind_prints_direct_call(capsys, kind):
     assert out == serialize.dumps(serialize.instance_to_doc(DIRECT_CALLS[kind]()))
 
 
-def run_module(*argv):
+def run_module(*argv, **kwargs):
     """Run ``python -m fairdiv`` in a child process, importing the same
-    package as this test run."""
+    package as this test run; ``kwargs`` go to ``subprocess.run``."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(fairdiv.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "fairdiv", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, **kwargs)
 
 
 def test_module_entry_point(tmp_path):
@@ -398,6 +399,12 @@ MALFORMED_DOCS = {
                   "valuations": [{"type": "binary_table", "m": 1, "ones": [True]}]},
     "string-labels": {**PAIR_DEMAND_DOC, "labels": "abc"},
     "string-flag": {**PAIR_DEMAND_DOC, "flags": {"monotone_required": "no"}},
+    # each would load: a string as one item per character, and an object's
+    # keys as the values
+    "string-values": {"n": 1, "m": 3, "valuations": [{"type": "additive", "values": "123"}]},
+    "string-table": {"n": 1, "m": 2, "valuations": [{"type": "table", "table": "0123"}]},
+    "object-values": {"n": 1, "m": 2,
+                      "valuations": [{"type": "additive", "values": {"4": 0, "5": 1}}]},
 }
 
 
@@ -420,6 +427,12 @@ MALFORMED_DOCS = {
     pytest.param(["check", "--notion", "feasible", "--in", "{string-labels}"],
                  id="string-labels"),
     pytest.param(["check", "--notion", "feasible", "--in", "{string-flag}"], id="string-flag"),
+    pytest.param(["check", "--notion", "feasible", "--in", "{string-values}"],
+                 id="string-values"),
+    pytest.param(["check", "--notion", "feasible", "--in", "{string-table}"],
+                 id="string-table"),
+    pytest.param(["check", "--notion", "feasible", "--in", "{object-values}"],
+                 id="object-values"),
     pytest.param(["check", "--notion", "efx", "--in", "{inst}", "--alloc", "{bool-item}"],
                  id="bool-item"),
     pytest.param(["check", "--notion", "efx", "--in", "{inst}", "--alloc", "{list-alloc}"],
@@ -459,6 +472,55 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def _limit_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+# An item index of 10^12 would set bit 10^12 (a 125 GB mask) if it were not
+# bounded by the item count first; the child runs under a 1 GB address
+# space, so a regression fails fast instead of exhausting the host.
+@pytest.mark.parametrize("where", ["allocation", "high_items"])
+def test_huge_item_index_exits_2(tmp_path, where):
+    huge = 10**12
+    if where == "allocation":
+        inst_path = write_instance(tmp_path, PAIR_DEMAND)
+        alloc_path = tmp_path / "alloc.json"
+        alloc_path.write_text(json.dumps({"bundles": [[0], [huge]]}))
+        argv = ["check", "--notion", "efx", "--in", inst_path, "--alloc", str(alloc_path)]
+    else:
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps({"n": 1, "m": 3, "valuations": [
+            {"type": "personalized_bivalued", "a": 2, "b": 1, "high_items": [huge], "m": 3}]}))
+        argv = ["check", "--notion", "feasible", "--in", str(inst_path)]
+    done = run_module(*argv, preexec_fn=_limit_address_space)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+    assert str(huge) in done.stderr
+
+
+def _bivalued_doc(n, m):
+    return {"n": n, "m": m, "valuations": [
+        {"type": "personalized_bivalued", "a": 2, "b": 1, "high_items": [0], "m": m}] * n}
+
+
+# Bivalued documents carry no table, so no item cap applies: the budget
+# alone refuses these, at once, with one line. 3^10000 and 2^15000 are
+# past the 4300 digits Python will print, and the compatibility graph of
+# 2 agents over 200 items has C(2 * C(200, 2), 2) node pairs.
+@pytest.mark.parametrize("n,m,argv,size", [
+    (1, 10_000, ["check", "--notion", "feasible"], "3^10000"),
+    (2, 15_000, ["verify", "--claim", "no-pmms"], "2^15000"),
+    (2, 200, ["export-graph", "--kind", "compat"], "792000100"),
+], ids=["feasible", "no-pmms", "compat"])
+def test_oversized_enumeration_exits_3(tmp_path, capsys, n, m, argv, size):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(_bivalued_doc(n, m)))
+    code, out, err = run(capsys, *argv, "--in", str(inst_path))
+    assert code == 3 and out == ""
+    assert err == f"error: enumeration of size {size} exceeds budget {oracles.DEFAULT_BUDGET}\n"
 
 
 def test_verify_triangle_found_exits_1(tmp_path, capsys):

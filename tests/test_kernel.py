@@ -23,6 +23,8 @@ from fairdiv.core import (
     UnsupportedValuationError,
 )
 from fairdiv.oracles import (
+    BUDGET,
+    BudgetExceededError,
     _mu2,
     allocation_satisfies,
     check,
@@ -176,6 +178,45 @@ def test_pmms_envies_matches_reference(case):
     if envy:  # the witness the PMMS check reports
         result = mu(v, mine | theirs, 2)
         assert (result.mu, result.witness) == (share, witness)
+
+
+class PlainAdditive(Additive):
+    """Inherits Additive's items but declares no share of its own."""
+
+
+class ClosedFormAdditive(Additive):
+    """Claims a closed-form share; its value does not matter here."""
+
+    def _share2(self, S):
+        return 0
+
+
+FIVE = [1, 2, 3, 4, 5]
+
+
+# 2^5 = 32 splits of the 5-item union against a cap of 31: whether the
+# envy test is charged follows the class's own closed form, not a list.
+# ``answer`` is None where the test is charged, else its verdict on X = {0, 1}.
+@pytest.mark.parametrize("v,answer", [
+    (Additive.of(FIVE), None),
+    (ExplicitTable(tuple(range(1 << 5))), None),
+    (BinaryTable(5, frozenset({1})), None),
+    (PairDemand.of(FIVE), True),  # 1 + 2 < min(5 + 2, 4 + 3)
+    (PersonalizedBivalued(2, 1, 0b101, 5), False),  # 2 + 1, the best split's worse part
+    (PlainAdditive.of(FIVE), None),
+    (ClosedFormAdditive.of(FIVE), False),
+], ids=["additive", "table", "binary", "pair-demand", "bivalued", "subclass",
+        "subclass-with-share"])
+def test_pmms_budget_charge_follows_the_class(v, answer):
+    token = BUDGET.set(31)
+    try:
+        if answer is None:
+            with pytest.raises(BudgetExceededError, match=r"size 2\^5 exceeds budget 31"):
+                pmms_envies(v, 0b00011, 0b11100)
+        else:
+            assert pmms_envies(v, 0b00011, 0b11100) is answer
+    finally:
+        BUDGET.reset(token)
 
 
 @KERNEL

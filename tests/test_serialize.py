@@ -51,7 +51,7 @@ def test_no_floats_in_output():
 def test_allocation_round_trip():
     doc = serialize.allocation_to_doc((0b101, 0b010))
     assert doc == {"bundles": [[0, 2], [1]]}
-    assert serialize.allocation_from_doc(doc) == (0b101, 0b010)
+    assert serialize.allocation_from_doc(doc, 3) == (0b101, 0b010)
 
 
 def test_item_value_classes_stay_distinct():
