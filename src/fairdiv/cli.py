@@ -204,7 +204,11 @@ def cmd_verify(args) -> int:
     start = time.monotonic()
     doc = {"claim": args.claim, **CLAIMS[args.claim](inst)}
     doc["seconds"] = round(time.monotonic() - start, 3)
-    _write(serialize.dumps(doc), args.out)
+    try:
+        text = serialize.dumps(doc)
+    except ValueError as exc:  # a max Nash welfare, a product of n values, too long to print
+        raise UsageError(f"cannot print the result: {exc}") from None
+    _write(text, args.out)
     return EXIT_OK if doc["holds"] else EXIT_FAIL
 
 

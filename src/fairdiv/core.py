@@ -22,6 +22,10 @@ RationalLike = Union[int, str, Fraction]
 #: ``require_table_items`` before they build any entry.
 MAX_TABLE_ITEMS = 24
 MAX_TABLE_ENTRIES = 1 << 20
+#: A bivalued document carries no table, so nothing else bounds its item
+#: count; documents and generators refuse an m past this cap through
+#: ``require_item_count`` before any mask is built.
+MAX_ITEMS = 1 << 16
 
 
 class InvalidBundleError(ValueError):
@@ -75,6 +79,12 @@ def require_table_items(m: int, kind: str, n: int = 0) -> None:
     if n << m > MAX_TABLE_ENTRIES:
         raise ValueError(f"{n} {kind} tables over {m} items exceed the cap of "
                          f"{MAX_TABLE_ENTRIES} entries")
+
+
+def require_item_count(m: int) -> None:
+    """Raise unless m is an item count in 0..MAX_ITEMS."""
+    if not 0 <= m <= MAX_ITEMS:
+        raise ValueError(f"m must be in 0..{MAX_ITEMS}, got {m}")
 
 
 class FairnessNotion(Enum):

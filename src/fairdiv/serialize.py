@@ -1,17 +1,20 @@
 """JSON round-tripping for instances, allocations and rationals.
 
 Rationals serialize as ints when integral, else as "p/q" strings; floats
-are rejected in both directions so no value is ever rounded. Counts,
-item indices and binary-table masks must be JSON integers: a float or a
-bool is refused, not truncated or read as 0/1. Flags must be JSON booleans,
-and every list (values, tables, masks, items, valuations, bundles, labels)
-a JSON list, so no value is read by its truthiness, split into characters
-or taken from an object's keys. An item index is checked against the item
-count before its bit is set.
+are rejected in both directions so no value is ever rounded. Every other
+field must have exactly its JSON type: a float or a bool is refused as a
+count, item index or binary-table mask, not truncated or read as 0/1, and
+a string or object as a list, so no value is split into characters or
+taken from an object's keys. An item index is checked against the item
+count, and every item count against ``MAX_ITEMS``, before any bit is
+set. A valuation's ``type`` names its class, and each of its fields is
+read and written by the ``FIELDS`` row of the same name as the class's
+init field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from typing import Sequence, Union
@@ -26,6 +29,7 @@ from .core import (
     Valuation,
     as_fraction,
     items_of,
+    require_item_count,
 )
 
 JsonRational = Union[int, str]
@@ -38,35 +42,22 @@ def rational_to_json(x: Fraction) -> JsonRational:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _int(x, what: str) -> int:
-    if type(x) is not int:  # bool is a subclass of int
-        raise TypeError(f"{what} must be an integer, got {x!r}")
-    return x
+_JSON_NAMES = {int: "an integer", bool: "a boolean", str: "a string", list: "a list",
+               dict: "an object"}
 
 
-def _bool(x, what: str) -> bool:
-    if type(x) is not bool:
-        raise TypeError(f"{what} must be true or false, got {x!r}")
-    return x
-
-
-def _object(doc, what: str) -> dict:
-    if not isinstance(doc, dict):
-        raise TypeError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    return doc
-
-
-def _list(x, what: str) -> list:
-    if type(x) is not list:
-        raise TypeError(f"{what} must be a JSON list, got {type(x).__name__}")
+def _json(x, kind: type, what: str):
+    """x, if its type is exactly ``kind``: a bool is not an int here."""
+    if type(x) is not kind:
+        raise TypeError(f"{what} must be {_JSON_NAMES[kind]}, got {type(x).__name__}")
     return x
 
 
 def _mask(items, m: int, what: str) -> int:
     """The mask of a list of item indices, each checked to lie in 0..m-1."""
     out = 0
-    for g in _list(items, what):
-        if not 0 <= _int(g, "item index") < m:
+    for g in _json(items, list, what):
+        if not 0 <= _json(g, int, "item index") < m:
             raise ValueError(f"{what} names item {g}, outside 0..{m - 1}")
         out |= 1 << g
     return out
@@ -78,48 +69,67 @@ def rational_from_json(x) -> Fraction:
     return as_fraction(x)
 
 
+def _item_count(x, name: str = "m", loaded=None) -> int:
+    """The loader of every m, the instance's and each valuation's."""
+    require_item_count(_json(x, int, name))
+    return x
+
+
+_RATIONAL = (lambda x, name, loaded: rational_from_json(x), rational_to_json)
+_RATIONALS = (lambda x, name, loaded: tuple(map(rational_from_json, _json(x, list, name))),
+              lambda xs: list(map(rational_to_json, xs)))
+
+# document field → (load(json value, field name, fields loaded so far),
+# dump(attribute)). Fields load in this order, so a valuation's m is known
+# before its high_items.
+FIELDS = {
+    "m": (_item_count, int),
+    "values": _RATIONALS,
+    "table": _RATIONALS,
+    "a": _RATIONAL,
+    "b": _RATIONAL,
+    "high_items": (lambda x, name, loaded: _mask(x, loaded["m"], name),
+                   lambda mask: list(items_of(mask))),
+    "ones": (lambda x, name, loaded: frozenset(_json(mask, int, "ones mask")
+                                               for mask in _json(x, list, name)),
+             sorted),
+}
+
+# document type → valuation class
+TYPES = {
+    "additive": Additive,
+    "personalized_bivalued": PersonalizedBivalued,
+    "pair_demand": PairDemand,
+    "binary_table": BinaryTable,
+    "table": ExplicitTable,
+}
+_KINDS = {cls: kind for kind, cls in TYPES.items()}
+# each class's document fields, in FIELDS order
+_FIELD_NAMES = {cls: tuple(name for name in FIELDS
+                           if name in {f.name for f in dataclasses.fields(cls) if f.init})
+                for cls in TYPES.values()}
+
+
 def valuation_to_doc(v: Valuation) -> dict:
-    if isinstance(v, PersonalizedBivalued):
-        return {
-            "type": "personalized_bivalued",
-            "a": rational_to_json(v.a),
-            "b": rational_to_json(v.b),
-            "high_items": sorted(items_of(v.high_items)),
-            "m": v.m,
-        }
-    if isinstance(v, Additive):
-        return {"type": "additive", "values": [rational_to_json(x) for x in v.values]}
-    if isinstance(v, PairDemand):
-        return {"type": "pair_demand", "values": [rational_to_json(x) for x in v.values]}
-    if isinstance(v, BinaryTable):
-        return {"type": "binary_table", "m": v.m, "ones": sorted(v.ones)}
-    if isinstance(v, ExplicitTable):
-        return {"type": "table", "table": [rational_to_json(x) for x in v.table]}
-    raise TypeError(f"cannot serialize valuation of type {type(v).__name__}")
+    cls = type(v)
+    if cls not in _KINDS:
+        raise TypeError(f"cannot serialize valuation of type {cls.__name__}")
+    return {"type": _KINDS[cls],
+            **{name: FIELDS[name][1](getattr(v, name)) for name in _FIELD_NAMES[cls]}}
 
 
 def valuation_from_doc(doc: dict) -> Valuation:
-    kind = doc["type"]
-    if kind == "additive":
-        return Additive.of([rational_from_json(x) for x in _list(doc["values"], "values")])
-    if kind == "personalized_bivalued":
-        m = _int(doc["m"], "m")
-        return PersonalizedBivalued(
-            rational_from_json(doc["a"]),
-            rational_from_json(doc["b"]),
-            _mask(doc["high_items"], m, "high_items"),
-            m,
-        )
-    if kind == "pair_demand":
-        return PairDemand.of([rational_from_json(x) for x in _list(doc["values"], "values")])
-    if kind == "binary_table":
-        ones = _list(doc["ones"], "ones")
-        if not all(type(mask) is int for mask in ones):
-            raise TypeError("binary_table ones must be integer masks")
-        return BinaryTable(_int(doc["m"], "m"), frozenset(ones))
-    if kind == "table":
-        return ExplicitTable.of([rational_from_json(x) for x in _list(doc["table"], "table")])
-    raise ValueError(f"unknown valuation type: {kind}")
+    kind = _json(_json(doc, dict, "valuation")["type"], str, "valuation type")
+    if kind not in TYPES:
+        raise ValueError(f"unknown valuation type: {kind}")
+    cls = TYPES[kind]
+    loaded = {}
+    for name in _FIELD_NAMES[cls]:
+        loaded[name] = FIELDS[name][0](doc[name], name, loaded)
+    return cls(**loaded)
+
+
+_FLAGS = ("monotone_required", "normalized_required")
 
 
 def instance_to_doc(inst: Instance) -> dict:
@@ -127,10 +137,7 @@ def instance_to_doc(inst: Instance) -> dict:
         "n": inst.n,
         "m": inst.m,
         "valuations": [valuation_to_doc(v) for v in inst.valuations],
-        "flags": {
-            "monotone_required": inst.monotone_required,
-            "normalized_required": inst.normalized_required,
-        },
+        "flags": {flag: getattr(inst, flag) for flag in _FLAGS},
     }
     if inst.labels is not None:
         doc["labels"] = list(inst.labels)
@@ -138,18 +145,16 @@ def instance_to_doc(inst: Instance) -> dict:
 
 
 def instance_from_doc(doc: dict) -> Instance:
-    flags = _object(_object(doc, "instance").get("flags", {}), "flags")
+    flags = _json(_json(doc, dict, "instance").get("flags", {}), dict, "flags")
     labels = doc.get("labels")
-    if labels is not None and not all(type(x) is str for x in _list(labels, "labels")):
-        raise TypeError(f"labels must be a list of strings, got {labels!r}")
+    if labels is not None:
+        labels = tuple(_json(x, str, "label") for x in _json(labels, list, "labels"))
     return Instance(
-        n=_int(doc["n"], "n"),
-        m=_int(doc["m"], "m"),
-        valuations=tuple(valuation_from_doc(d) for d in _list(doc["valuations"], "valuations")),
-        monotone_required=_bool(flags.get("monotone_required", True), "monotone_required"),
-        normalized_required=_bool(flags.get("normalized_required", True),
-                                  "normalized_required"),
-        labels=None if labels is None else tuple(labels),
+        n=_json(doc["n"], int, "n"),
+        m=_item_count(doc["m"]),
+        valuations=tuple(map(valuation_from_doc, _json(doc["valuations"], list, "valuations"))),
+        **{flag: _json(flags.get(flag, True), bool, flag) for flag in _FLAGS},
+        labels=labels,
     )
 
 
@@ -159,7 +164,8 @@ def allocation_to_doc(bundles: Sequence[int]) -> dict:
 
 def allocation_from_doc(doc: dict, m: int) -> tuple[int, ...]:
     """The bundle masks of an allocation document over m items."""
-    return tuple(_mask(items, m, "bundle") for items in _list(doc["bundles"], "bundles"))
+    bundles = _json(_json(doc, dict, "allocation")["bundles"], list, "bundles")
+    return tuple(_mask(items, m, "bundle") for items in bundles)
 
 
 def dumps(doc: dict) -> str:

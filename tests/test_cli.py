@@ -12,6 +12,7 @@ from fairdiv import instances, oracles, serialize
 from fairdiv.algorithms import CcgIteration, cut_and_choose_graph_procedure
 from fairdiv.cli import main
 from fairdiv.core import (
+    MAX_ITEMS,
     Additive,
     BinaryTable,
     FairnessNotion,
@@ -405,6 +406,10 @@ MALFORMED_DOCS = {
     "string-table": {"n": 1, "m": 2, "valuations": [{"type": "table", "table": "0123"}]},
     "object-values": {"n": 1, "m": 2,
                       "valuations": [{"type": "additive", "values": {"4": 0, "5": 1}}]},
+    # values of 4000 digits load, but their Nash welfare has 8000, past
+    # the digits Python will print
+    "huge-values": {"n": 2, "m": 2, "valuations": [
+        {"type": "additive", "values": [int("9" * 4000)] * 2}] * 2},
 }
 
 
@@ -433,6 +438,8 @@ MALFORMED_DOCS = {
                  id="string-table"),
     pytest.param(["check", "--notion", "feasible", "--in", "{object-values}"],
                  id="object-values"),
+    pytest.param(["verify", "--claim", "mnw-not-efx", "--in", "{huge-values}"],
+                 id="huge-values"),
     pytest.param(["check", "--notion", "efx", "--in", "{inst}", "--alloc", "{bool-item}"],
                  id="bool-item"),
     pytest.param(["check", "--notion", "efx", "--in", "{inst}", "--alloc", "{list-alloc}"],
@@ -501,15 +508,42 @@ def test_huge_item_index_exits_2(tmp_path, where):
     assert str(huge) in done.stderr
 
 
-def _bivalued_doc(n, m):
-    return {"n": n, "m": m, "valuations": [
-        {"type": "personalized_bivalued", "a": 2, "b": 1, "high_items": [0], "m": m}] * n}
+def _bivalued_doc(n, m, high_items=(0,)):
+    return {"n": n, "m": m, "valuations": [{"type": "personalized_bivalued", "a": 2, "b": 1,
+                                            "high_items": list(high_items), "m": m}] * n}
 
 
-# Bivalued documents carry no table, so no item cap applies: the budget
-# alone refuses these, at once, with one line. 3^10000 and 2^15000 are
-# past the 4300 digits Python will print, and the compatibility graph of
-# 2 agents over 200 items has C(2 * C(200, 2), 2) node pairs.
+# A bivalued document carries no table, so only its m says how large the
+# masks built from it get: an m past MAX_ITEMS is refused before any is
+# built. Under the child's 1 GB address space, m = 10^12 was a MemoryError
+# (full_mask in match_and_freeze and validate_allocation, the high_items
+# mask), a 4000-digit m a ValueError from printing a budget size, and a
+# generator's m = 10^12 an OverflowError from drawing its high items.
+@pytest.mark.parametrize("argv,doc", [
+    (["check", "--notion", "efx", "--alloc", "{alloc}"], _bivalued_doc(2, 10**12)),
+    (["solve", "--algo", "maf"], _bivalued_doc(2, 10**12)),
+    (["check", "--notion", "feasible"], _bivalued_doc(1, 10**12, [10**11])),
+    (["export-graph", "--kind", "compat"], _bivalued_doc(2, int("9" * 4000))),
+    (["gen", "--kind", "random-bivalued", "--n", "1", "--m", str(10**12)], None),
+], ids=["check-efx", "solve-maf", "check-feasible", "export-compat", "gen"])
+def test_huge_item_count_exits_2(tmp_path, argv, doc):
+    alloc_path = write_allocation(tmp_path, (0b01, 0b10))
+    argv = [arg.format(alloc=alloc_path) for arg in argv]
+    if doc is not None:
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(doc))
+        argv += ["--in", str(inst_path)]
+    done = run_module(*argv, preexec_fn=_limit_address_space)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("error: ") and f"m must be in 0..{MAX_ITEMS}" in done.stderr
+
+
+# Bivalued documents within MAX_ITEMS carry no table, so no table cap
+# applies: the budget alone refuses these, at once, with one line.
+# 3^10000 and 2^15000 are past the 4300 digits Python will print, and the
+# compatibility graph of 2 agents over 200 items has C(2 * C(200, 2), 2)
+# node pairs.
 @pytest.mark.parametrize("n,m,argv,size", [
     (1, 10_000, ["check", "--notion", "feasible"], "3^10000"),
     (2, 15_000, ["verify", "--claim", "no-pmms"], "2^15000"),

@@ -1,15 +1,26 @@
+import contextlib
+import copy
+import io
+import json
+import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdiv import serialize
-from fairdiv.core import Additive, PairDemand
+from fairdiv.cli import main
+from fairdiv.core import MAX_ITEMS, Additive, PairDemand
 from fairdiv.instances import (
     gen_mnw_counterexample,
     gen_pmms_not_efx_example,
     gen_separation3,
     gen_table1_example,
+    random_additive,
     random_binary_mms_feasible,
+    random_bivalued,
     random_pair_demand,
 )
 
@@ -56,7 +67,7 @@ def test_allocation_round_trip():
 
 def test_item_value_classes_stay_distinct():
     # Additive and PairDemand share their per-item base, but neither is the
-    # other: the serializer dispatches on isinstance, in a fixed order.
+    # other: the serializer looks each class up by its exact type.
     values = ["1/2", 3, 0]
     add, pair = Additive.of(values), PairDemand.of(values)
     assert add != pair and add.values == pair.values
@@ -64,3 +75,135 @@ def test_item_value_classes_stay_distinct():
     assert repr(add).startswith("Additive(values=") and repr(pair).startswith("PairDemand(")
     assert serialize.valuation_to_doc(add) == {"type": "additive", "values": ["1/2", 3, 0]}
     assert serialize.valuation_to_doc(pair) == {"type": "pair_demand", "values": ["1/2", 3, 0]}
+
+
+def test_unlisted_valuation_class_is_not_serialized():
+    # Written as "additive", a subclass would load back as an Additive,
+    # which the subclass does not equal.
+    class Doubled(Additive):
+        pass
+
+    v = Doubled.of([1, 2])
+    assert v != Additive.of([1, 2])
+    with pytest.raises(TypeError, match="cannot serialize valuation of type Doubled"):
+        serialize.valuation_to_doc(v)
+
+
+@pytest.mark.parametrize("load,doc,message", [
+    (serialize.instance_from_doc, {"n": 1, "m": 1, "valuations": [1]},
+     "valuation must be an object, got int"),
+    (lambda doc: serialize.allocation_from_doc(doc, 3), [[0, 2], [1]],
+     "allocation must be an object, got list"),
+], ids=["valuation", "allocation"])
+def test_non_object_is_named(load, doc, message):
+    with pytest.raises(TypeError, match=message):
+        load(doc)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the document loaders through the CLI
+
+
+def _round_robin(n, m):
+    return tuple(sum(1 << g for g in range(i, m, n)) for i in range(n))
+
+
+# (instance document, allocation document) pairs from the generators, small
+# enough that each command finishes or trips the budget at once
+SEEDS = [
+    (serialize.instance_to_doc(inst), serialize.allocation_to_doc(_round_robin(inst.n, inst.m)))
+    for inst in (random_bivalued(2, 4, 1), random_pair_demand(2, 4, 1),
+                 random_additive(3, 4, 1), random_binary_mms_feasible(2, 3, 1),
+                 gen_mnw_counterexample(), gen_pmms_not_efx_example())
+]
+
+FUZZ_COMMANDS = [
+    *(["check", "--notion", notion, "--alloc", "{alloc}"]
+      for notion in ("efx", "efx+", "pmms", "mms")),
+    ["check", "--notion", "feasible"],
+    *(["solve", "--algo", algo] for algo in ("maf", "ccg", "rrr")),
+    *(["verify", "--claim", claim]
+      for claim in ("no-pmms", "mms-exists", "efx-exists", "mnw-not-efx", "triangle-free")),
+    ["export-graph", "--kind", "compat"],
+    ["export-graph", "--kind", "ccg", "--alloc", "{alloc}", "--agent", "0"],
+]
+
+# int("9" * 4000) is near the 4300 digits Python will parse and print
+REPLACEMENTS = [True, False, None, 0, 1, -1, 2.0, 0.5, "1/0", "3/2", "x", [], {}, [0], [True],
+                MAX_ITEMS + 1, 10**12, int("9" * 4000)]
+
+
+def _paths(doc, path=()):
+    """Every position in a JSON document, the root included."""
+    yield path
+    keys = doc if isinstance(doc, dict) else range(len(doc)) if isinstance(doc, list) else ()
+    for key in keys:
+        yield from _paths(doc[key], path + (key,))
+
+
+@st.composite
+def mutants(draw):
+    """An (instance, allocation) pair with one to three positions of one of
+    them deleted or replaced: types swapped, ints as bools or floats or out
+    of range, m huge."""
+    docs = copy.deepcopy(list(draw(st.sampled_from(SEEDS))))
+    target = draw(st.sampled_from([0, 1]))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(docs[target]))))
+        new = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS + ["delete"])))
+        if not path:
+            docs[target] = docs[target] if new == "delete" else new
+            continue
+        parent = docs[target]
+        for key in path[:-1]:
+            parent = parent[key]
+        if new == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+    return docs
+
+
+def _reloaded(text, from_doc, to_doc):
+    return serialize.dumps(to_doc(from_doc(serialize.loads(text))))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+# Every command either answers (0 or 1) or refuses with one error line (2
+# or 3), and whatever loads reaches a fixed point after one load-dump cycle.
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(mutants(), st.sampled_from(FUZZ_COMMANDS))
+def test_fuzzed_documents_exit_cleanly(fuzz_dir, docs, command):
+    paths = {}
+    for name, doc in zip(("inst", "alloc"), docs):
+        paths[name] = str(fuzz_dir / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            fh.write(json.dumps(doc))
+    argv = [arg.format(**paths) for arg in command] + ["--in", paths["inst"]]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"FAIRDIV_BUDGET": "64"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert err.count("\n") == 1 and err.startswith("error: ")
+    else:
+        assert err == ""
+    try:
+        inst = serialize.instance_from_doc(docs[0])
+    except (KeyError, TypeError, ValueError):
+        return
+    text = serialize.dumps(serialize.instance_to_doc(inst))
+    assert _reloaded(text, serialize.instance_from_doc, serialize.instance_to_doc) == text
+    try:
+        bundles = serialize.allocation_from_doc(docs[1], inst.m)
+    except (KeyError, TypeError, ValueError):
+        return
+    text = serialize.dumps(serialize.allocation_to_doc(bundles))
+    assert _reloaded(text, lambda doc: serialize.allocation_from_doc(doc, inst.m),
+                     serialize.allocation_to_doc) == text
