@@ -23,8 +23,9 @@ RationalLike = Union[int, str, Fraction]
 MAX_TABLE_ITEMS = 24
 MAX_TABLE_ENTRIES = 1 << 20
 #: A bivalued document carries no table, so nothing else bounds its item
-#: count; documents and generators refuse an m past this cap through
-#: ``require_item_count`` before any mask is built.
+#: count; documents and generators refuse an m past this cap, and
+#: generators an n, through ``require_count`` before any mask is built or
+#: any value drawn.
 MAX_ITEMS = 1 << 16
 
 
@@ -81,10 +82,10 @@ def require_table_items(m: int, kind: str, n: int = 0) -> None:
                          f"{MAX_TABLE_ENTRIES} entries")
 
 
-def require_item_count(m: int) -> None:
-    """Raise unless m is an item count in 0..MAX_ITEMS."""
-    if not 0 <= m <= MAX_ITEMS:
-        raise ValueError(f"m must be in 0..{MAX_ITEMS}, got {m}")
+def require_count(name: str, x: int, low: int = 0) -> None:
+    """Raise unless the count called name, x, is in low..MAX_ITEMS."""
+    if not low <= x <= MAX_ITEMS:
+        raise ValueError(f"{name} must be in {low}..{MAX_ITEMS}, got {x}")
 
 
 class FairnessNotion(Enum):

@@ -18,7 +18,7 @@ from .core import (
     PersonalizedBivalued,
     full_mask,
     mask_of,
-    require_item_count,
+    require_count,
     require_table_items,
 )
 from .oracles import check_mms_feasible
@@ -286,11 +286,13 @@ GENERATORS = {
 
 def sample_random(kind: str, seed: int = 0, params: Optional[dict] = None) -> Instance:
     """Build the instance of generator ``kind``. A missing entry of
-    ``params`` raises ``KeyError``; an unknown kind, or an ``m`` outside
-    0..MAX_ITEMS, raises ``ValueError`` before anything is drawn."""
+    ``params`` raises ``KeyError``; an unknown kind, an ``n`` outside
+    1..MAX_ITEMS or an ``m`` outside 0..MAX_ITEMS raises ``ValueError``
+    before anything is drawn."""
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator kind: {kind}")
     params = params or {}
-    if "m" in params:
-        require_item_count(params["m"])
+    for name, low in (("n", 1), ("m", 0)):
+        if name in params:
+            require_count(name, params[name], low)
     return GENERATORS[kind](seed, params)

@@ -201,20 +201,38 @@ def _efx_positive_test(inst: Instance) -> _Test:
     return _efx_test(inst, positive_only=True)
 
 
+def _pmms_share(v: Valuation, S: int) -> int:
+    """mu(v, S, 2) * v.scale, charging 2^|S| splits unless v's class has a
+    closed form. The charge depends on S and the cap alone."""
+    if v._share2 is None:
+        _check_budget(2, S.bit_count())
+    return _mu2(v, S)
+
+
 def pmms_envies(v: Valuation, mine: int, theirs: int) -> bool:
     """Whether v's best 2-split of ``mine | theirs``, both bundles in v's
     items, leaves both parts worth more than ``mine``: decided on the share
-    value alone, charging 2^|S| splits unless v's class has a closed form."""
-    S = mine | theirs
-    if v._share2 is None:
-        _check_budget(2, S.bit_count())
-    return v._value(mine) < _mu2(v, S)
+    value alone."""
+    return v._value(mine) < _pmms_share(v, mine | theirs)
 
 
 def _pmms_test(inst: Instance) -> _Test:
+    """The PMMS envy test, with each agent's shares memoized for the life
+    of the test: one search, check or graph. A share is computed, and its
+    2^|S| splits charged, once per (agent, S); the cap cannot change in
+    between, so a hit would pass the same charge again."""
     vals = inst.valuations
-    return _Test(True,
-                 lambda i, j, mine, theirs: pmms_envies(vals[i], mine, theirs),
+    values = [v._value for v in vals]
+    shares = [{} for _ in vals]  # agent -> {S: _pmms_share(v_i, S)}
+
+    def envies(i, j, mine, theirs):
+        S = mine | theirs
+        share = shares[i].get(S)
+        if share is None:
+            share = shares[i][S] = _pmms_share(vals[i], S)
+        return values[i](mine) < share
+
+    return _Test(True, envies,
                  lambda i, j, mine, theirs: mu(vals[i], mine | theirs, 2).witness)
 
 
@@ -335,23 +353,28 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
 
     def place(k: int, rest: int, bound: int) -> None:
         nonlocal best, found
+        if k == n - 1:  # the last agent takes what is left
+            bundles[k] = rest
+            if bound < best and not clashes(k):
+                best, found = bound, tuple(bundles)
+            return
+        above, total = {}, 0  # item g of rest -> the weight of rest's items above g
+        for g in reversed([*items_of(rest)]):
+            above[g] = total
+            total += weight[g]
         out = out_weight = 0  # the items of rest left to later agents, their weight
         while bound + out_weight < best:
             bundles[k] = rest ^ out
             if not clashes(k):
-                if k == n - 1:
-                    best, found = bound, tuple(bundles)
-                else:
-                    place(k + 1, out, bound + out_weight)
+                place(k + 1, out, bound + out_weight)
             free = rest & ~out
-            if k == n - 1 or not free:
+            if not free:
                 return
-            # the next subset: the highest free item leaves X_k, and the
-            # items above it come back
+            # the next subset, as a binary counter steps: the highest free
+            # item leaves X_k, and the items above it, all of rest's, come back
             top = free.bit_length() - 1
-            back = out >> top << top
-            out_weight += weight[top] - sum(weight[g] for g in items_of(back))
-            out ^= back | 1 << top
+            out_weight += weight[top] - above[top]
+            out ^= (out >> top << top) | 1 << top
 
     place(0, inst.all_items, 0)
     return found
@@ -432,11 +455,11 @@ def pair_compatibility_graph(inst: Instance) -> CompatGraph:
     _check_budget(math.comb(inst.n * math.comb(inst.m, 2), 2))
     pairs = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(inst.m), 2)]
     nodes = tuple((i, S) for i in range(inst.n) for S in pairs)
+    envies = _pmms_test(inst).fails
     edges = []
     for (i, S), (j, T) in itertools.combinations(nodes, 2):
         if i == j or S & T:
             continue
-        vi, vj = inst.valuations[i], inst.valuations[j]
-        if not pmms_envies(vi, S, T) and not pmms_envies(vj, T, S):
+        if not envies(i, j, S, T) and not envies(j, i, T, S):
             edges.append(((i, S), (j, T)))
     return CompatGraph(nodes, tuple(edges))

@@ -29,7 +29,7 @@ from .core import (
     Valuation,
     as_fraction,
     items_of,
-    require_item_count,
+    require_count,
 )
 
 JsonRational = Union[int, str]
@@ -71,7 +71,7 @@ def rational_from_json(x) -> Fraction:
 
 def _item_count(x, name: str = "m", loaded=None) -> int:
     """The loader of every m, the instance's and each valuation's."""
-    require_item_count(_json(x, int, name))
+    require_count(name, _json(x, int, name))
     return x
 
 

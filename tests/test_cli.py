@@ -331,6 +331,18 @@ def test_budget_caps_every_command(tmp_path, capsys, monkeypatch, command, budge
     assert oracles.BUDGET.get() == oracles.DEFAULT_BUDGET
 
 
+# A check under the default cap leaves no share behind that a later check
+# under a smaller cap could use uncharged.
+def test_pmms_check_after_a_default_run_obeys_a_small_cap(tmp_path, capsys, monkeypatch):
+    paths = write_ccg_inputs(tmp_path)
+    argv = [arg.format(**paths) for arg in CCG_COMMANDS["check"]]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv("FAIRDIV_BUDGET", "3")
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "error: enumeration of size 2^2 exceeds budget 3\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--kind", "separation3"],
     CCG_COMMANDS["solve"],
@@ -537,6 +549,16 @@ def test_huge_item_count_exits_2(tmp_path, argv, doc):
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.count("\n") == 1
     assert done.stderr.startswith("error: ") and f"m must be in 0..{MAX_ITEMS}" in done.stderr
+
+
+# A generator's n is bounded like its m, before anything is drawn: at
+# n = 10^12 the additive generator drew valuations until it was killed.
+@pytest.mark.parametrize("n", ["0", str(10**12)])
+def test_gen_agent_count_out_of_range_exits_2(n):
+    done = run_module("gen", "--kind", "random-additive", "--n", n, "--m", "1",
+                      preexec_fn=_limit_address_space)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: n must be in 1..{MAX_ITEMS}, got {n}\n"
 
 
 # Bivalued documents within MAX_ITEMS carry no table, so no table cap

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -216,6 +217,43 @@ def test_pmms_scan_builds_no_witness(monkeypatch):
     inst = Instance(2, 2, (v, v))
     assert not allocation_satisfies(inst, (0b11, 0), FairnessNotion.PMMS)
     assert exists_fair_allocation(gen_separation3(), FairnessNotion.PMMS) is None
+
+
+# Each search, check or graph keeps its own share memo: a share is computed,
+# and its splits charged, once per (agent, S). The stars-4 search looks a
+# share up 70,794 times, over 888 distinct (agent, S).
+@pytest.mark.parametrize("run,shares", [
+    (lambda: exists_fair_allocation(gen_nonexistence_stars(4), FairnessNotion.PMMS), 888),
+    (lambda: pair_compatibility_graph(gen_separation3()), 45),
+], ids=["stars-4-search", "separation3-graph"])
+def test_each_share_is_computed_once_per_call(monkeypatch, run, shares):
+    calls = collections.Counter()
+    mu2 = oracles._mu2
+
+    def counting_mu2(v, S):
+        calls[v, S] += 1
+        return mu2(v, S)
+
+    monkeypatch.setattr(oracles, "_mu2", counting_mu2)
+    run()
+    assert len(calls) == shares and max(calls.values()) == 1
+
+
+# The memo dies with its call, so a check under a smaller cap is charged as
+# if no search or check had run before it.
+def test_share_memo_does_not_outlive_its_call():
+    v = ExplicitTable.of(list(range(1 << 4)))
+    inst = Instance(2, 4, (v, v))
+    bundles = (0b1000, 0b0111)  # 8 and 7, the share of both: the split {7, 8}
+    assert exists_fair_allocation(inst, FairnessNotion.PMMS) is not None
+    assert check_pmms(inst, bundles).holds
+    token = BUDGET.set(15)
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            check_pmms(inst, bundles)
+    finally:
+        BUDGET.reset(token)
+    assert str(err.value) == "enumeration of size 2^4 exceeds budget 15"
 
 
 def test_iter_allocations_count_and_order():
