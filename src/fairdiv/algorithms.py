@@ -33,7 +33,7 @@ from .matching import (
     RoundGraph,
     max_cardinality_max_weight_matching,
 )
-from .oracles import mu, pmms_envies
+from .oracles import _pmms_test, mu
 
 
 class CutAndChooseStuckError(RuntimeError):
@@ -209,33 +209,37 @@ class CcgTrace:
     iterations: tuple[CcgIteration, ...]
 
 
-def _first_envied(inst: Instance, bundles, i: int, held: int) -> Optional[int]:
+def _first_envied(envies, bundles, i: int, held: int) -> Optional[int]:
     """The lowest-index j != held whose bundle agent i, holding X_held,
-    PMMS-envies; None when there is none."""
+    PMMS-envies by the bound test ``envies``; None when there is none."""
     # j == held is skipped: comparing X_held against itself decides nothing,
     # and for non-normalized values a bundle can lose to its own best split.
-    vi = inst.valuations[i]
-    return next((j for j in range(inst.n)
-                 if j != held and pmms_envies(vi, bundles[held], bundles[j])), None)
+    return next((j for j in range(len(bundles))
+                 if j != held and envies(i, j, bundles[held], bundles[j])), None)
+
+
+def _cut_graph(envies, bundles, s: int) -> tuple[int, ...]:
+    """pi relative to agent s under the bound PMMS test ``envies``."""
+    return tuple(s if (j := _first_envied(envies, bundles, i, s)) is None else j
+                 for i in range(len(bundles)))
 
 
 def build_cut_and_choose_graph(inst: Instance, bundles, s: int) -> tuple[int, ...]:
     """The functional digraph pi relative to agent s: pi(i) = s when agent i
     accepts X_s against every bundle, otherwise the lowest-index j whose
     bundle makes X_s unacceptable."""
-    return tuple(s if (j := _first_envied(inst, bundles, i, s)) is None else j
-                 for i in range(inst.n))
+    return _cut_graph(_pmms_test(inst).fails, bundles, s)
 
 
-def _pmms_state(inst: Instance, bundles) -> tuple[int, int, Optional[int]]:
+def _pmms_state(inst: Instance, envies, bundles) -> tuple[int, int, Optional[int]]:
     """(W, E, s) where s is the lowest-index PMMS-violating agent or None."""
     W = sum(v._value(b) for v, b in zip(inst.valuations, bundles))  # binary: scale 1
-    envious = [i for i in range(inst.n) if _first_envied(inst, bundles, i, i) is not None]
+    envious = [i for i in range(inst.n) if _first_envied(envies, bundles, i, i) is not None]
     return W, inst.n - len(envious), envious[0] if envious else None
 
 
 def _ccg_step(
-    inst: Instance, bundles, s: int,
+    inst: Instance, envies, bundles, s: int,
 ) -> tuple[list[int], tuple[int, ...], tuple[int, ...], str, bool]:
     """One cut-and-choose step from the PMMS-violating agent s.
 
@@ -247,7 +251,7 @@ def _ccg_step(
 
     Returns (new bundles, pi, walk, case, swap); swap says the chooser took B.
     """
-    pi = build_cut_and_choose_graph(inst, bundles, s)
+    pi = _cut_graph(envies, bundles, s)
     walk = [s]
     while pi[walk[-1]] not in walk:
         walk.append(pi[walk[-1]])
@@ -280,16 +284,17 @@ def cut_and_choose_graph_procedure(inst: Instance) -> tuple[tuple[int, ...], Ccg
     for g in range(inst.m):  # round-robin initial allocation
         bundles[g % n] |= 1 << g
 
+    envies = _pmms_test(inst).fails  # one share memo for the whole run
     iterations: list[CcgIteration] = []
-    W, E, s = _pmms_state(inst, bundles)
+    W, E, s = _pmms_state(inst, envies, bundles)
     initial_W, initial_E = W, E
     while s is not None:
         if len(iterations) >= n * n:
             raise CutAndChooseStuckError(
                 f"no PMMS allocation after {n * n} iterations; input is likely not MMS-feasible"
             )
-        bundles, pi, walk, case, swap = _ccg_step(inst, bundles, s)
-        W, E, s = _pmms_state(inst, bundles)
+        bundles, pi, walk, case, swap = _ccg_step(inst, envies, bundles, s)
+        W, E, s = _pmms_state(inst, envies, bundles)
         iterations.append(CcgIteration(walk[0], pi, walk, case, swap, W, E))
 
     return tuple(bundles), CcgTrace(initial_W, initial_E, tuple(iterations))

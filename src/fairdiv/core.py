@@ -118,8 +118,8 @@ class Valuation:
     """
 
     scale: int = field(init=False, repr=False, compare=False)
-    # The fair-share memo hashes its valuation on every lookup, so the hash
-    # is computed once, from the integer data that determines equality.
+    # mu's memo hashes its valuation on every lookup, so the hash is
+    # computed once, from the integer data that determines equality.
     _hash: int = field(init=False, repr=False, compare=False)
     _share2 = None
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
+    MAX_TABLE_ENTRIES,
     Additive,
     BinaryTable,
     ExplicitTable,
@@ -287,12 +288,14 @@ GENERATORS = {
 def sample_random(kind: str, seed: int = 0, params: Optional[dict] = None) -> Instance:
     """Build the instance of generator ``kind``. A missing entry of
     ``params`` raises ``KeyError``; an unknown kind, an ``n`` outside
-    1..MAX_ITEMS or an ``m`` outside 0..MAX_ITEMS raises ``ValueError``
-    before anything is drawn."""
+    1..MAX_ITEMS, an ``m`` outside 0..MAX_ITEMS or n * m above
+    MAX_TABLE_ENTRIES raises ``ValueError`` before anything is drawn."""
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator kind: {kind}")
     params = params or {}
     for name, low in (("n", 1), ("m", 0)):
         if name in params:
             require_count(name, params[name], low)
+    if (size := params.get("n", 0) * params.get("m", 0)) > MAX_TABLE_ENTRIES:
+        raise ValueError(f"n * m must be at most {MAX_TABLE_ENTRIES}, got {size}")
     return GENERATORS[kind](seed, params)

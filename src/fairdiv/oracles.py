@@ -3,9 +3,10 @@
 Everything here is exact: maximin shares with their witnesses enumerate the
 labeled partitions up to relabeling (one per restricted growth string), the
 existence search decides the n^m allocations by a pruned agent-by-agent
-search, and the PMMS share value (``_mu2``) is a class's closed form
-(``Valuation._share2``) or one pass over the bipartitions. Exceeding the
-enumeration budget is a hard error, never an approximation.
+search, and PMMS envy is asked of one bound test (``_pmms_test``), whose
+share (``_pmms_share``) is a class's closed form (``Valuation._share2``)
+or one pass over the bipartitions, memoized for that test's life alone.
+Exceeding the enumeration budget is a hard error, never an approximation.
 
 Every comparison is between two values of one agent's valuation, so it is
 made on that valuation's scaled integers (``Valuation._value``); a
@@ -134,12 +135,6 @@ def _split_bounds(value, S: int) -> tuple[int, int]:
     return maxmin, minmax
 
 
-@lru_cache(maxsize=1 << 18)
-def _mu2(v: Valuation, S: int) -> int:
-    """mu(v, S, 2) * v.scale, from v's closed form or else its bipartitions."""
-    return _split_bounds(v._value, S)[0] if v._share2 is None else v._share2(S)
-
-
 def mu(v: Valuation, S: int, k: int) -> MaximinResult:
     """Exact fair share: max over labeled k-part partitions of S of the
     minimum part value, with a witness partition attaining it."""
@@ -153,7 +148,6 @@ def mu(v: Valuation, S: int, k: int) -> MaximinResult:
 
 def clear_caches() -> None:
     _mu_search.cache_clear()
-    _mu2.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -202,25 +196,20 @@ def _efx_positive_test(inst: Instance) -> _Test:
 
 
 def _pmms_share(v: Valuation, S: int) -> int:
-    """mu(v, S, 2) * v.scale, charging 2^|S| splits unless v's class has a
-    closed form. The charge depends on S and the cap alone."""
-    if v._share2 is None:
-        _check_budget(2, S.bit_count())
-    return _mu2(v, S)
-
-
-def pmms_envies(v: Valuation, mine: int, theirs: int) -> bool:
-    """Whether v's best 2-split of ``mine | theirs``, both bundles in v's
-    items, leaves both parts worth more than ``mine``: decided on the share
-    value alone."""
-    return v._value(mine) < _pmms_share(v, mine | theirs)
+    """mu(v, S, 2) * v.scale: v's closed form, or else one pass over the
+    bipartitions of S, charged 2^|S|, which depends on S and the cap alone."""
+    if v._share2 is not None:
+        return v._share2(S)
+    _check_budget(2, S.bit_count())
+    return _split_bounds(v._value, S)[0]
 
 
 def _pmms_test(inst: Instance) -> _Test:
-    """The PMMS envy test, with each agent's shares memoized for the life
-    of the test: one search, check or graph. A share is computed, and its
-    2^|S| splits charged, once per (agent, S); the cap cannot change in
-    between, so a hit would pass the same charge again."""
+    """The PMMS envy test: i envies j when v_i(X_i) is below v_i's best
+    2-split of X_i | X_j, both in v_i's items. Each agent's shares are
+    memoized for the life of the test (one search, check, graph or
+    cut-and-choose run) and charged on a miss only: the cap cannot change
+    within it, so a hit would pass the same charge again."""
     vals = inst.valuations
     values = [v._value for v in vals]
     shares = [{} for _ in vals]  # agent -> {S: _pmms_share(v_i, S)}
@@ -377,6 +366,7 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
             out ^= (out >> top << top) | 1 << top
 
     place(0, inst.all_items, 0)
+    del place  # it refers to itself: break the cycle, free the search on return
     return found
 
 

@@ -32,7 +32,7 @@ from fairdiv.instances import (
     random_bivalued,
     random_pair_demand,
 )
-from fairdiv.oracles import check, check_efx, check_pmms, mu
+from fairdiv.oracles import _pmms_test, check, check_efx, check_pmms, mu
 
 from helpers import (
     agent_ratios,
@@ -189,7 +189,7 @@ def test_ccg_state_and_graph_agree_with_pmms_check():
             enviers = sorted({f.envier for f in violations})
             s = enviers[0] if enviers else None
             W = sum(inst.value(i, X[i]) for i in range(n))
-            assert _pmms_state(inst, X) == (W, n - len(enviers), s)
+            assert _pmms_state(inst, _pmms_test(inst).fails, X) == (W, n - len(enviers), s)
             if s is not None:
                 envied = min(f.envied for f in violations if f.envier == s)
                 assert build_cut_and_choose_graph(inst, X, s)[s] == envied
@@ -213,7 +213,7 @@ def test_ccg_step_matches_two_branch_reference():
                 X[rng.choices(range(n), weights)[0]] |= 1 << g
             enviers = {f.envier for f in check(inst, X, FairnessNotion.PMMS).violations}
             for s in sorted(enviers):
-                step = _ccg_step(inst, X, s)
+                step = _ccg_step(inst, _pmms_test(inst).fails, X, s)
                 assert step == reference_ccg_step(inst, X, s), (inst, X, s)
                 _, pi, walk, case, swap = step
                 w_pos = walk.index(pi[walk[-1]])

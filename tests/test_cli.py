@@ -13,6 +13,7 @@ from fairdiv.algorithms import CcgIteration, cut_and_choose_graph_procedure
 from fairdiv.cli import main
 from fairdiv.core import (
     MAX_ITEMS,
+    MAX_TABLE_ENTRIES,
     Additive,
     BinaryTable,
     FairnessNotion,
@@ -559,6 +560,20 @@ def test_gen_agent_count_out_of_range_exits_2(n):
                       preexec_fn=_limit_address_space)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == f"error: n must be in 1..{MAX_ITEMS}, got {n}\n"
+
+
+# n and m each within 1..MAX_ITEMS can still ask for 2^32 item values: a
+# random kind is refused past MAX_TABLE_ENTRIES values, before any is drawn.
+@pytest.mark.parametrize("kind,n,m", [
+    ("random-additive", 65536, 65536),
+    ("random-bivalued", 1025, 1024),
+    ("random-pair-demand", 17, 65536),
+], ids=["additive-2^32", "bivalued-just-over", "pair-demand-17-agents"])
+def test_gen_value_count_over_cap_exits_2(kind, n, m):
+    done = run_module("gen", "--kind", kind, "--n", str(n), "--m", str(m),
+                      preexec_fn=_limit_address_space)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: n * m must be at most {MAX_TABLE_ENTRIES}, got {n * m}\n"
 
 
 # Bivalued documents within MAX_ITEMS carry no table, so no table cap

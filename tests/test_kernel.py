@@ -25,7 +25,8 @@ from fairdiv.core import (
 from fairdiv.oracles import (
     BUDGET,
     BudgetExceededError,
-    _mu2,
+    _pmms_share,
+    _pmms_test,
     allocation_satisfies,
     check,
     check_efx,
@@ -35,7 +36,6 @@ from fairdiv.oracles import (
     check_pmms,
     mu,
     nash_welfare_maximizers,
-    pmms_envies,
 )
 
 from helpers import (
@@ -160,12 +160,21 @@ def share_case(draw):
     return v, mine, S ^ mine
 
 
+def pmms_test_envies(v, mine, theirs):
+    """Whether v, holding ``mine``, PMMS-envies ``theirs``: asked of the
+    PMMS test bound to a two-agent instance of v, with both flags off so
+    that a non-monotone or non-normalized table is allowed."""
+    inst = Instance(2, v.num_items, (v, v), monotone_required=False,
+                    normalized_required=False)
+    return _pmms_test(inst).fails(0, 1, mine, theirs)
+
+
 @KERNEL
 @given(share_case())
 def test_mu2_matches_reference(case):
     v, mine, theirs = case
     S = mine | theirs
-    assert _mu2(v, S) == reference_mu(v, S, 2)[0] * v.scale
+    assert _pmms_share(v, S) == reference_mu(v, S, 2)[0] * v.scale
 
 
 @KERNEL
@@ -173,7 +182,7 @@ def test_mu2_matches_reference(case):
 def test_pmms_envies_matches_reference(case):
     v, mine, theirs = case
     share, witness = reference_mu(v, mine | theirs, 2)
-    envy = pmms_envies(v, mine, theirs)
+    envy = pmms_test_envies(v, mine, theirs)
     assert envy is (reference_value(v, mine) < share)
     if envy:  # the witness the PMMS check reports
         result = mu(v, mine | theirs, 2)
@@ -212,9 +221,9 @@ def test_pmms_budget_charge_follows_the_class(v, answer):
     try:
         if answer is None:
             with pytest.raises(BudgetExceededError, match=r"size 2\^5 exceeds budget 31"):
-                pmms_envies(v, 0b00011, 0b11100)
+                pmms_test_envies(v, 0b00011, 0b11100)
         else:
-            assert pmms_envies(v, 0b00011, 0b11100) is answer
+            assert pmms_test_envies(v, 0b00011, 0b11100) is answer
     finally:
         BUDGET.reset(token)
 

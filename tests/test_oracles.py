@@ -1,10 +1,12 @@
 import collections
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
 from fairdiv import oracles
+from fairdiv.algorithms import cut_and_choose_graph_procedure
 from fairdiv.core import (
     Additive,
     BinaryTable,
@@ -21,6 +23,7 @@ from fairdiv.instances import (
     gen_nonexistence_stars,
     gen_pmms_not_efx_example,
     gen_separation3,
+    random_binary_mms_feasible,
 )
 from fairdiv.oracles import (
     BUDGET,
@@ -219,41 +222,67 @@ def test_pmms_scan_builds_no_witness(monkeypatch):
     assert exists_fair_allocation(gen_separation3(), FairnessNotion.PMMS) is None
 
 
-# Each search, check or graph keeps its own share memo: a share is computed,
-# and its splits charged, once per (agent, S). The stars-4 search looks a
-# share up 70,794 times, over 888 distinct (agent, S).
+# Each search, check, graph or cut-and-choose run keeps its own share memo:
+# a share is computed, and its splits charged, once per (agent, S). The
+# stars-4 search looks a share up 70,794 times, over 888 distinct
+# (agent, S); the ccg run takes two cycle steps, and each step re-asks
+# pairs the step before it asked.
 @pytest.mark.parametrize("run,shares", [
     (lambda: exists_fair_allocation(gen_nonexistence_stars(4), FairnessNotion.PMMS), 888),
     (lambda: pair_compatibility_graph(gen_separation3()), 45),
-], ids=["stars-4-search", "separation3-graph"])
+    (lambda: cut_and_choose_graph_procedure(random_binary_mms_feasible(5, 7, 12)), 39),
+], ids=["stars-4-search", "separation3-graph", "ccg-run"])
 def test_each_share_is_computed_once_per_call(monkeypatch, run, shares):
     calls = collections.Counter()
-    mu2 = oracles._mu2
+    share = oracles._pmms_share
 
-    def counting_mu2(v, S):
+    def counting_share(v, S):
         calls[v, S] += 1
-        return mu2(v, S)
+        return share(v, S)
 
-    monkeypatch.setattr(oracles, "_mu2", counting_mu2)
+    monkeypatch.setattr(oracles, "_pmms_share", counting_share)
     run()
     assert len(calls) == shares and max(calls.values()) == 1
 
 
-# The memo dies with its call, so a check under a smaller cap is charged as
-# if no search or check had run before it.
+# The memo dies with its call, so a check or a cut-and-choose run under a
+# smaller cap is charged as if no search, check or run had come before it.
 def test_share_memo_does_not_outlive_its_call():
     v = ExplicitTable.of(list(range(1 << 4)))
     inst = Instance(2, 4, (v, v))
     bundles = (0b1000, 0b0111)  # 8 and 7, the share of both: the split {7, 8}
+    binary = random_binary_mms_feasible(5, 7, 12)  # X_0 | X_1 has 4 items
     assert exists_fair_allocation(inst, FairnessNotion.PMMS) is not None
     assert check_pmms(inst, bundles).holds
+    cut_and_choose_graph_procedure(binary)
     token = BUDGET.set(15)
     try:
         with pytest.raises(BudgetExceededError) as err:
             check_pmms(inst, bundles)
+        with pytest.raises(BudgetExceededError) as ccg_err:
+            cut_and_choose_graph_procedure(binary)
     finally:
         BUDGET.reset(token)
-    assert str(err.value) == "enumeration of size 2^4 exceeds budget 15"
+    assert str(err.value) == str(ccg_err.value) == "enumeration of size 2^4 exceeds budget 15"
+
+
+# Every search, check, graph or run frees what it built on return: none
+# leaves a reference cycle for the collector to find.
+@pytest.mark.parametrize("run", [
+    lambda: exists_fair_allocation(gen_nonexistence_stars(3), FairnessNotion.PMMS),
+    lambda: exists_fair_allocation(gen_mnw_counterexample(), FairnessNotion.MMS),
+    lambda: check_pmms(gen_separation3(), (0b000011, 0b001100, 0b110000)),
+    lambda: cut_and_choose_graph_procedure(random_binary_mms_feasible(5, 7, 12)),
+    lambda: pair_compatibility_graph(gen_separation3()),
+], ids=["pmms-search", "mms-search", "check-pmms", "ccg-run", "compat-graph"])
+def test_call_leaves_no_reference_cycle(run):
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_iter_allocations_count_and_order():
