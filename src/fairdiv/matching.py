@@ -3,9 +3,36 @@
 Each agent's edges all carry that agent's uniform weight (a ratio of high
 to low value). The matcher returns the maximum-cardinality matching of
 maximum total weight, ties broken toward the lexicographically smallest
-sorted pair list. It folds all three criteria into one integer key per
-edge and solves a single maximum-weight assignment, exactly on Python ints,
-in O(A^2 (A + I)) key operations for A agents and I items that have edges.
+sorted pair list, exactly, for int or ``Fraction`` weights of any sign.
+
+With one weight per agent, a matching's weight is a sum over its agents,
+and the agent sets that can be matched together are the independent sets
+of a transversal matroid (Edmonds and Fulkerson 1965). All its bases have
+the maximum cardinality, and the greedy algorithm (Rado 1957; Edmonds
+1971) finds one of maximum weight: agents in (weight descending, index
+ascending) order, each kept when a Kuhn augmenting path reaches a free item.
+
+The tie-break then fixes agents in index order, each to the smallest item
+that some optimum keeping the earlier choices allows; an agent no such
+optimum matches is left out. It rests on one fact: adding one item to a
+graph, or deleting one, changes an optimum by at most one alternating path,
+since any other part of the symmetric difference with a new optimum could
+improve one of the two. For agent p, let H be the graph of the agents after
+p and the items not fixed. If p holds c, p is taken out and the greedy
+resumes over the unmatched agents of H; the first to reach c, y, if any,
+makes the matching an optimum of H. p can then hold item j exactly when H
+without j keeps that optimum less y: when j is free or its holder reaches a
+free item, or, if y exists, when j's holder is or reaches an agent no
+heavier than y, who leaves. If p is unmatched, the same holds with y = p.
+So one Kuhn search from p, items ascending, for such an item finds p's
+smallest allowed item and moves the path; an item that a failed branch of
+it visited leads to no such item for a later branch either.
+
+Each search visits each edge at most once, and the searches of a greedy
+run share their visited items until one succeeds, since a failed search
+leaves the matching as it was. A graph of A agents and E edges thus costs
+O(A E): the greedy, then per agent at most one resumed greedy and one
+search, against the O(A^2 (A + I)) of a Hungarian method on I items.
 """
 
 from __future__ import annotations
@@ -13,12 +40,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _scaled
-
 
 @dataclass(frozen=True)
 class RoundGraph:
-    """Bipartite graph between active agents and unallocated items."""
+    """Bipartite graph between active agents and unallocated items.
+
+    Each agent's edges must share one weight. That rule is what makes the
+    matcher's greedy exact: a matching's weight then depends only on which
+    agents it matches, and those agent sets form a matroid.
+    """
 
     agents: tuple[int, ...]
     items: tuple[int, ...]
@@ -41,92 +71,59 @@ Matching = tuple  # sorted (agent, item) pairs
 
 def max_cardinality_max_weight_matching(graph: RoundGraph) -> Matching:
     """Among maximum-cardinality matchings, one of maximum total weight;
-    ties broken toward the lexicographically smallest sorted pair list.
-
-    With agents p = 0..A-1 and items j = 0..I-1 (those with edges, sorted),
-    edge (p, j) of scaled integer weight w gets the key
-
-        card_unit + w * w_unit + (I + 1) ** (A - 1 - p) * (I - j).
-
-    The last term reads a matching as an A-digit number in base I + 1, one
-    digit per agent (I - j if matched to item j, else 0), so among matchings
-    of one size the lexicographically smallest pair list has the largest
-    number. ``w_unit`` exceeds every such number, and ``card_unit`` exceeds
-    the spread of weight terms over any two matchings, so the matching of
-    largest key total is the unique answer. Every key is positive, so the
-    pairs of gain 0 (non-edges and dummy columns) are the unmatched agents.
-    """
-    if not graph.edges:
-        return ()
-    agents = sorted({a for a, _, _ in graph.edges})
-    items = sorted({g for _, g, _ in graph.edges})
-    row = {a: p for p, a in enumerate(agents)}
-    col = {g: j for j, g in enumerate(items)}
-    agent_weight = {a: w for a, _, w in graph.edges}
-    _, scaled = _scaled(tuple(agent_weight.values()))
-    weight = dict(zip(agent_weight, scaled))
-
-    base = len(items) + 1
-    w_unit = base ** len(agents)
-    card_unit = w_unit * (2 * min(len(agents), len(items)) * max(map(abs, scaled)) + 1)
-    # One zero-gain dummy column per agent lets every agent stay unmatched.
-    gain = [[0] * (len(items) + len(agents)) for _ in agents]
-    for a, g, _ in graph.edges:
-        p, j = row[a], col[g]
-        tie_break = base ** (len(agents) - 1 - p) * (len(items) - j)
-        gain[p][j] = card_unit + weight[a] * w_unit + tie_break
-
-    assigned = _max_gain_assignment(gain)
-    return tuple((agents[p], items[j]) for p, j in enumerate(assigned) if gain[p][j])
+    ties broken toward the lexicographically smallest sorted pair list."""
+    adj: dict[int, list[int]] = {}
+    weight = {}
+    for a, g, w in graph.edges:
+        adj.setdefault(a, []).append(g)
+        weight[a] = w
+    for items in adj.values():
+        items.sort()
+    order = sorted(adj, key=lambda a: (-weight[a], a))
+    match: dict[int, int] = {}
+    owner: dict[int, int] = {}
+    seen: set[int] = set()
+    for a in order:
+        if _augment(adj, weight, match, owner, a, seen):
+            seen = set()
+    done: set[int] = set()  # the items of the fixed prefix
+    for p in sorted(adj):
+        bound = weight[p]
+        if p in match:
+            del owner[match.pop(p)]
+            seen = set(done)
+            y = next((y for y in order if y > p and y not in match
+                      and _augment(adj, weight, match, owner, y, seen)), None)
+            bound = None if y is None else weight[y]
+        if _augment(adj, weight, match, owner, p, set(done), bound):
+            done.add(match[p])
+    return tuple(sorted(match.items()))
 
 
-def _max_gain_assignment(gain: list[list[int]]) -> list[int]:
-    """Column of each row in an assignment of maximum total gain, for at
-    most as many rows as columns: Kuhn's Hungarian method in its shortest
-    augmenting path form, with row and column potentials, on exact ints.
-
-    Rows are added one at a time; each addition runs a Dijkstra-like search
-    over reduced costs from the new row to a free column and flips the path.
-    Row 0 and column 0 are a virtual root, so real rows and columns are
-    1-based inside.
-    """
-    rows, cols = len(gain), len(gain[0])
-    u = [0] * (rows + 1)  # row potentials
-    v = [0] * (cols + 1)  # column potentials
-    owner = [0] * (cols + 1)  # row holding each column; 0 when free
-    for i in range(1, rows + 1):
-        owner[0] = i
-        j0 = 0
-        slack: list = [None] * (cols + 1)
-        via = [0] * (cols + 1)
-        done = [False] * (cols + 1)
-        while owner[j0]:
-            done[j0] = True
-            i0 = owner[j0]
-            costs = gain[i0 - 1]
-            base = -u[i0]
-            delta = None
-            for j in range(1, cols + 1):
-                if done[j]:
-                    continue
-                reduced = base - costs[j - 1] - v[j]
-                if slack[j] is None or reduced < slack[j]:
-                    slack[j], via[j] = reduced, j0
-                if delta is None or slack[j] < delta:
-                    delta, j1 = slack[j], j
-            for j in range(cols + 1):
-                if done[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    slack[j] -= delta
-            j0 = j1
-        while j0:
-            j1 = via[j0]
-            owner[j0] = owner[j1]
-            j0 = j1
-    assigned = [0] * rows
-    for j in range(1, cols + 1):
-        if owner[j]:
-            assigned[owner[j] - 1] = j - 1
-    return assigned
+def _augment(adj, weight, match, owner, start, seen, bound=None) -> bool:
+    """Kuhn's search from the unmatched agent ``start``, items in ascending
+    order, for an alternating path to an item that is free or, given a
+    ``bound``, held by an agent of weight at most ``bound``. It enters no
+    item in ``seen`` (which it fills), flips the path found, if any, and
+    leaves that item's holder unmatched. It keeps its own stack, so a long
+    path cannot exhaust the recursion limit."""
+    stack = [(start, iter(adj[start]))]
+    path: list[int] = []  # path[k]: the item stack[k]'s agent is trying
+    while stack:
+        for g in stack[-1][1]:
+            if g not in seen:
+                seen.add(g)
+                path.append(g)
+                held = owner.get(g)
+                if held is None or bound is not None and weight[held] <= bound:
+                    if held is not None:
+                        del match[held]
+                    for (a, _), item in zip(stack, path):
+                        match[a], owner[item] = item, a
+                    return True
+                stack.append((held, iter(adj[held])))
+                break
+        else:
+            stack.pop()
+            del path[-1:]
+    return False

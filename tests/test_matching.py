@@ -17,6 +17,7 @@ from helpers import (
     bitmask_dp_matching,
     brute_force_matching_oracle,
     connected_components,
+    hungarian_matching,
 )
 
 
@@ -149,6 +150,65 @@ def test_matcher_cardinality_and_weight_match_networkx(graph):
     agent_of = (min(pair)[1] for pair in pairs)  # ("agent", a) < ("item", g)
     assert len(matching) == len(pairs)
     assert sum(weight[a] for a, _ in matching) == sum(weight[a] for a in agent_of)
+    assert matching == hungarian_matching(graph)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("factored", [False, True])
+def test_matcher_equals_hungarian_on_every_maf_round(seed, factored):
+    _, trace = match_and_freeze(random_bivalued(100, 400, seed, factored=factored))
+    for r in trace.rounds:
+        assert r.matching == hungarian_matching(r.graph), f"round {r.round}"
+
+
+A, B, C, D = 10, 11, 12, 13
+
+
+def _graph(adjacency, weights=None):
+    """Agents 0, 1, ... with the given item lists, each of weight 1 unless
+    ``weights`` says otherwise."""
+    weights = weights or [1] * len(adjacency)
+    edges = tuple((a, g, weights[a]) for a, items in enumerate(adjacency) for g in items)
+    return RoundGraph(tuple(range(len(adjacency))), (A, B, C, D), edges)
+
+
+@pytest.mark.parametrize("graph, expected", [
+    # The first greedy matches {0b, 1a}. With agent 0 out, the greedy resumes
+    # and agent 2 takes b; agent 0 then takes a from agent 1, who weighs no
+    # more than agent 2 and leaves.
+    (_graph([(A, B), (A,), (B,)]), ((0, A), (2, B))),
+    # The same, with agent 3 on (b, c): agent 2, whom the first greedy left
+    # out, comes in through the resumed greedy and keeps b.
+    (_graph([(A, B), (A,), (B,), (B, C)]), ((0, A), (2, B), (3, C))),
+    # No agent resumes; agent 0 takes a, and its holder, agent 1, moves to c
+    # along an alternating path.
+    (_graph([(A, B), (A, C), (D,)]), ((0, A), (1, C), (2, D))),
+    # Agent 0, on a alone and lightest, is in no optimum; agent 1 must still
+    # take a from agent 2, who moves to b along an alternating path.
+    (_graph([(A,), (A, B), (A, B)], [1, 2, 2]), ((1, A), (2, B))),
+    # Agent 0's turn brings in agent 2 and drops agent 1. Agent 1, now
+    # unmatched, is in an optimum all the same: its own search takes b from
+    # agent 2, who weighs the same and leaves.
+    (_graph([(A,), (A, B), (B,)], [3, 1, 1]), ((0, A), (1, B))),
+    # With agent 0 out, agent 1 (weight 2) and agent 3 (weight 3) can each
+    # reach the freed item b: the resumed greedy must try the heavier first.
+    (_graph([(A, B), (A, B), (A,), (B,)], [3, 2, 3, 3]), ((0, A), (3, B))),
+])
+def test_tie_break_cases(graph, expected):
+    assert brute_force_matching_oracle(graph) == expected
+    assert max_cardinality_max_weight_matching(graph) == expected
+
+
+@pytest.mark.parametrize("weights", ["equal", "rising"])
+def test_long_augmenting_paths_need_no_recursion(weights):
+    # Agent 0 has item 0 and agent i items i - 1 and i. With equal weights
+    # each augmentation walks down the chain; with rising weights the last
+    # one walks it from agent 0 up to agent 1499.
+    n = 1500
+    edges = tuple((i, g, 1 if weights == "equal" else i)
+                  for i in range(n) for g in ((0,) if i == 0 else (i - 1, i)))
+    graph = RoundGraph(tuple(range(n)), tuple(range(n)), edges)
+    assert max_cardinality_max_weight_matching(graph) == tuple((i, i) for i in range(n))
 
 
 def test_match_and_freeze_efx_at_ten_agents_24_items():
