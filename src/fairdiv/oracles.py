@@ -6,6 +6,10 @@ existence search decides the n^m allocations by a pruned agent-by-agent
 search, and PMMS envy is asked of one bound test (``_pmms_test``), whose
 share (``_pmms_share``) is a class's closed form (``Valuation._share2``)
 or one pass over the bipartitions, memoized for that test's life alone.
+MMS-feasibility (``check_mms_feasible``) is charged its 3^m splits before
+anything is built; a table of at most two values is then decided by
+disjoint-union bitsets, at most 2 * 2^m big-int steps in about 2^(3m/2)
+bits of memory, and any other by the bipartition pass of every subset.
 Exceeding the enumeration budget is a hard error, never an approximation.
 
 Every comparison is between two values of one agent's valuation, so it is
@@ -396,19 +400,72 @@ def nash_welfare_maximizers(inst: Instance):
 
 def check_mms_feasible(v: Valuation, budget: Optional[int] = None) -> bool:
     """True iff for every S: min over bipartitions of the max side value is
-    at least mu(v, S, 2). This collapses the all-pairs-of-partitions
-    condition to a single pass over the bipartitions of each subset, on a
-    table of v's values built once. ``budget``, when given, caps this call
-    in place of ``BUDGET``."""
+    at least mu(v, S, 2), on a table of v's values built once. The budget
+    is charged 3^m, the splits of every subset, before the table is built;
+    ``budget``, when given, caps this call in place of ``BUDGET``.
+
+    A table with at most two distinct values is decided by
+    ``_two_valued_feasible``: one step per mask, a submask product and a
+    masked shift, so at most 2 * 2^m big-int steps. Any other table is
+    decided by one pass over the bipartitions of each subset,
+    (3^m + 1) / 2 splits, which stops at the first subset that fails."""
     # The one budget parameter left: perfbench/tracer.py wraps this function
     # as check_mms_feasible(v, budget), two positional arguments.
     m = v.num_items
     _check_budget(3, m, budget)
-    value = list(map(v._value, range(1 << m))).__getitem__
+    table = list(map(v._value, range(1 << m)))
+    levels = set(table)
+    if len(levels) == 1:
+        return True
+    if len(levels) == 2:
+        return _two_valued_feasible(table, max(levels), m)
+    value = table.__getitem__
     for S in range(1 << m):
         maxmin, minmax = _split_bounds(value, S)
         if minmax < maxmin:
             return False
+    return True
+
+
+def _two_valued_feasible(table: list, top: int, m: int) -> bool:
+    """MMS-feasibility of a table whose values are ``top`` and one lower
+    value. Let H be the masks valued ``top`` and L the rest. S fails
+    exactly when some split of S has both sides in H (mu(v, S, 2) = top)
+    and some split has both sides in L (every split has a side below top):
+    when S is a disjoint union of two members of H and also of two
+    members of L.
+
+    Sets of masks are bitsets, bit S for mask S. The disjoint unions A | B
+    of a member A of H (of L) with the members B of H (of L) are one step,
+    (members & sub(full ^ A)) << A, where sub(C) holds the submasks of C:
+    B and A are disjoint, so A | B = A + B. sub(C) is the product of a
+    table entry for C's low ``lo`` bits and one for its high bits; the
+    high entries' bits are 2^lo apart and a low entry is below 2^(2^lo),
+    so the product has no carries. The tables take about 2^(3m/2) bits,
+    2 MB at m = 16.
+
+    Every union collected is a real one, so a union of H's that is also
+    one of L's fails at once. Once every mask has taken its step, both
+    union sets are whole, and none in common means feasible."""
+    full = (1 << m) - 1
+    lo = m - m // 2
+    low = [1]  # low[c]: the bitset of the submasks of c < 2^lo
+    for b in range(lo):
+        low += [x | x << (1 << b) for x in low]
+    high = [1]  # high[c]: the bitset of the submasks of c << lo
+    for b in range(lo, m):
+        high += [x | x << (1 << b) for x in high]
+    low_bits = (1 << lo) - 1
+    in_h = [x == top for x in table]
+    H = int("".join("1" if bit else "0" for bit in reversed(in_h)), 2)
+    members = (((1 << (1 << m)) - 1) ^ H, H)  # L, H: indexed by in_h
+    unions = [0, 0]
+    for A, bit in enumerate(in_h):
+        C = full ^ A
+        step = (members[bit] & low[C & low_bits] * high[C >> lo]) << A
+        if step & unions[not bit]:
+            return False
+        unions[bit] |= step
     return True
 
 

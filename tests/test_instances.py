@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from fairdiv import instances
+from fairdiv import instances, serialize
 from fairdiv.core import is_monotone, mask_of
 from fairdiv.instances import (
     gen_mnw_counterexample,
@@ -122,6 +123,38 @@ def test_rejection_sampler_outputs_feasible():
     inst = random_binary_mms_feasible(3, 6, 1, normalized=False)
     for v in inst.valuations:
         assert check_mms_feasible(v)
+
+
+# sha256 of the canonical JSON of random_binary_mms_feasible(3, m, seed, **flags),
+# recorded with the bipartition pass deciding every draw. The sampler's
+# output pins every accept/reject decision it made, at sizes above the
+# benchmark's m <= 8.
+SAMPLER_DIGESTS = [
+    (8, 0, {}, "ee72c90a48209594cb46a004dac421576b2b02a2c154f37ca2efbcd4c199763d"),
+    (8, 1, {}, "b3b0fa8be9483d3fb7a30429312737fcc1161ef7528d6ab6d5919ad344aebf99"),
+    (8, 2, {}, "bd672481649c9b464c511c0d4d8e2bd3ba4e8eed55a3f9a4a103ecc8e3821e56"),
+    (9, 0, {}, "ce9c6d3d7ef59f87a3356e2d2bf23067edd297bbebf2fc06cc942e68c47ae792"),
+    (9, 1, {}, "5efa8ea8a1ed71ae54dcab87cdeb737393ca1b53d50bd5659b5f12d335973bc7"),
+    (9, 2, {}, "dbf678c0fe86335c5d43380211dd3ccb0cf7599843ee03be1748165d76863159"),
+    (10, 0, {}, "79e16c60f081cb35ae61c90719c716d3471113f3897d9216b32e0f315e915a8d"),
+    (10, 1, {}, "0d57559be5bbb4b7963adb093953db66f3d55c37aa559a3a4daea039fe294729"),
+    (10, 2, {}, "47736eca48fa58d1b7d5da29dbc592d05ee149fafe70451fa48791694ace82d3"),
+    (11, 0, {}, "00f6eacdf77c04611db8bad20108233b405769894b483bb5d0a2e5b8ba994034"),
+    (11, 1, {}, "b87603609da1348b90088da58d09a56dcb37a9c18ef5ca727cbb378bfcbe2c87"),
+    (11, 2, {}, "7eba741bf1eec1834bd90cfc72a8550ec034e3e549d50bb992cffcec0f73a001"),
+    (12, 0, {}, "95f6fe2469a9002b5ec45cd0d4ff536907de272a309ad2548be61317bd7ca135"),
+    (12, 1, {}, "34038a01f41bd64c3dd2c34001ae58365477a2924e3c4aaf4b30fb8f562db152"),
+    (12, 2, {}, "55072d37a965c44cabf381a501cf42ff91c472701dff867b6b71e8cfa3b4f0d9"),
+    (10, 0, {"monotone": True}, "d570cb67480ebd0c061dfd84be76627848385250f660f0b9561b89d700089442"),
+    (10, 0, {"normalized": False},
+     "6fde7a08db6bdbd4f621d7edf715955c2a6db848b49d31aa2778132ec4af8b79"),
+]
+
+
+@pytest.mark.parametrize("m, seed, flags, digest", SAMPLER_DIGESTS)
+def test_rejection_sampler_golden(m, seed, flags, digest):
+    doc = serialize.instance_to_doc(random_binary_mms_feasible(3, m, seed, **flags))
+    assert hashlib.sha256(serialize.dumps(doc).encode()).hexdigest() == digest
 
 
 def test_rejection_limit(monkeypatch):

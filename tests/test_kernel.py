@@ -5,11 +5,12 @@ BinaryTable runs with a scale above 1; personalized bivalued valuations
 include b = 0.
 """
 
+import random
 from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fairdiv.core import (
@@ -22,6 +23,7 @@ from fairdiv.core import (
     PersonalizedBivalued,
     UnsupportedValuationError,
 )
+from fairdiv.instances import _draw_binary_table
 from fairdiv.oracles import (
     BUDGET,
     BudgetExceededError,
@@ -262,6 +264,40 @@ def test_efx_positive_rejects_non_additive_before_validation():
 @given(st.integers(1, 4).flatmap(valuations))
 def test_mms_feasible_matches_reference(v):
     assert check_mms_feasible(v) == reference_mms_feasible(v)
+
+
+signed_rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 6]))
+
+
+@st.composite
+def two_valued_tables(draw):
+    """Valuations with at most two distinct values: the sampler's binary
+    proposals in its four monotone/normalized flavours (both verdicts
+    occur), the same proposals with any two rationals in place of 1 and 0,
+    random two-valued tables, and one-valued tables. Values may be negative
+    and the empty bundle nonzero."""
+    m = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["proposal", "proposal-rational", "explicit", "one-valued"]))
+    if kind.startswith("proposal"):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        v = _draw_binary_table(rng, m, draw(st.booleans()), draw(st.booleans()))
+        if kind == "proposal":
+            return v
+        ones = [mask in v.ones for mask in range(1 << m)]
+    elif kind == "explicit":
+        ones = draw(st.lists(st.booleans(), min_size=1 << m, max_size=1 << m))
+    else:
+        ones = [True] * (1 << m)
+    one, zero = draw(signed_rationals), draw(signed_rationals)
+    return ExplicitTable(tuple(one if bit else zero for bit in ones))
+
+
+@KERNEL
+@given(two_valued_tables())
+def test_two_valued_mms_feasible_matches_reference(v):
+    verdict = check_mms_feasible(v)
+    event(f"feasible: {verdict}")
+    assert verdict == reference_mms_feasible(v)
 
 
 @KERNEL
