@@ -31,6 +31,7 @@ from .core import (
 from .matching import (
     Matching,
     RoundGraph,
+    alternating_reach,
     max_cardinality_max_weight_matching,
 )
 from .oracles import _pmms_test, mu
@@ -68,32 +69,6 @@ def ratio_substitute(inst: Instance) -> Fraction:
     finite = [v.a / v.b for v in inst.valuations
               if isinstance(v, PersonalizedBivalued) and v.b > 0]
     return Fraction(inst.m) * (1 + (max(finite) if finite else Fraction(0)))
-
-
-def alternating_reach(graph: RoundGraph, matching: Matching, start: int) -> set[int]:
-    """Matched agents reachable from the (unmatched) agent ``start`` by an
-    alternating path: a non-matching edge to an item, that item's matching
-    edge to its owner, and so on.
-
-    In an optimal matching, every reachable agent's weight is at least the
-    start agent's weight — otherwise swapping along the path would improve
-    the matching. Freezing is therefore restricted to reachable agents:
-    they are exactly the ones that out-competed the start agent, and their
-    own ratios provably cover the freeze length.
-    """
-    adj: dict[int, list[int]] = {}
-    for a, g, _ in graph.edges:
-        adj.setdefault(a, []).append(g)
-    owner = {g: a for a, g in matching}
-    reached: set[int] = set()
-    stack = [start]
-    while stack:
-        for g in adj.get(stack.pop(), ()):
-            a = owner.get(g)
-            if a is not None and a not in reached:
-                reached.add(a)
-                stack.append(a)
-    return reached
 
 
 def _require_class(inst: Instance, cls, name: str) -> None:
@@ -134,19 +109,18 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
         )
         graph = RoundGraph(tuple(active), pool_items, edges)
         matching = max_cardinality_max_weight_matching(graph)
-        matched_agents = {a for a, _ in matching}
+        unmatched = set(active) - {a for a, _ in matching}
         for a, g in matching:
             bundles[a] |= 1 << g
             pool &= ~(1 << g)
 
         # Freeze the matched agents that beat an unmatched agent to an item,
-        # i.e. those reachable from it by an alternating path; the freeze
-        # length is driven by the largest such loser's ratio, which never
-        # exceeds the frozen agent's own ratio.
+        # i.e. those reachable from it by an alternating path. Each weighs at
+        # least as much as the loser, or swapping along the path would give a
+        # heavier matching of the same size; so the freeze length, driven by
+        # the largest such loser's ratio, never exceeds the frozen agent's own.
         threat: dict[int, int] = {}
-        for u in active:
-            if u in matched_agents:
-                continue
+        for u in unmatched:
             for i in alternating_reach(graph, matching, u):
                 threat[i] = max(threat.get(i, 0), weight[u])
         frozen_now = []
@@ -157,7 +131,7 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
             frozen_now.append((i, duration))
 
         leftovers = []
-        for i in sorted(set(active) - matched_agents, key=lambda i: (w[i], i)):
+        for i in sorted(unmatched, key=lambda i: (w[i], i)):
             if not pool:
                 break
             g = (pool & -pool).bit_length() - 1  # lowest-index remaining item

@@ -57,7 +57,7 @@ def _load(path: str, from_doc, what: str):
         raise UsageError(f"cannot read {what} file {path!r}: {exc.strerror}") from None
     except KeyError as exc:
         raise UsageError(f"{what} document {path!r} is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise UsageError(f"invalid {what} document {path!r}: {exc}") from None
 
 
@@ -229,6 +229,7 @@ def _compat_dot(inst: Instance) -> str:
         label = "{" + ",".join(
             inst.labels[g] if inst.labels else str(g) for g in items_of(mask)
         ) + "}"
+        label = label.replace("\\", "\\\\").replace('"', '\\"')  # DOT quoted-string escapes
         color = AGENT_COLORS[agent % len(AGENT_COLORS)]
         lines.append(f'  {node_id(node)} [label="{agent}:{label}", color={color}];')
     for u, w in graph.edges:
@@ -334,7 +335,10 @@ def _run(args) -> int:
     if raw:
         if not raw.isdecimal():
             raise UsageError(f"FAIRDIV_BUDGET must be a non-negative integer, got {raw!r}")
-        oracles.BUDGET.set(int(raw))
+        try:
+            oracles.BUDGET.set(int(raw))
+        except ValueError:  # more digits than int() reads
+            raise UsageError(f"FAIRDIV_BUDGET has {len(raw)} digits, too many to read") from None
     return args.func(args)
 
 

@@ -33,37 +33,48 @@ run share their visited items until one succeeds, since a failed search
 leaves the matching as it was. A graph of A agents and E edges thus costs
 O(A E): the greedy, then per agent at most one resumed greedy and one
 search, against the O(A^2 (A + I)) of a Hungarian method on I items.
+
+Match-and-freeze's reach sets come from the same search. On a
+maximum-cardinality matching, a Kuhn search from an unmatched agent fails,
+having entered every item on an alternating path from that agent and no
+other; each such item is held, or the search would have succeeded. So the
+agents reachable by alternating paths are the holders of the items it
+visited. ``RoundGraph`` keeps the adjacency it checked for all searches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
 @dataclass(frozen=True)
 class RoundGraph:
-    """Bipartite graph between active agents and unallocated items.
-
-    Each agent's edges must share one weight. That rule is what makes the
-    matcher's greedy exact: a matching's weight then depends only on which
-    agents it matches, and those agent sets form a matroid.
-    """
+    """Bipartite graph between active agents and unallocated items. Each
+    agent's edges must share one weight, which makes the greedy exact."""
 
     agents: tuple[int, ...]
     items: tuple[int, ...]
     # (agent, item, weight); match_and_freeze passes ints, scaled once per run
     edges: tuple[tuple[int, int, int | Fraction], ...]
 
+    # per agent with edges: its items, ascending, and its one weight
+    adj: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    weight: dict[int, int | Fraction] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         agents = set(self.agents)
         items = set(self.items)
-        weight_of: dict[int, int | Fraction] = {}
+        adj: dict[int, list[int]] = {}
+        weight: dict[int, int | Fraction] = {}
         for a, g, w in self.edges:
             if a not in agents or g not in items:
                 raise ValueError(f"edge ({a}, {g}) references an unknown node")
-            if weight_of.setdefault(a, w) != w:
+            if weight.setdefault(a, w) != w:
                 raise ValueError(f"agent {a} has edges with differing weights")
+            adj.setdefault(a, []).append(g)
+        object.__setattr__(self, "adj", {a: tuple(sorted(gs)) for a, gs in adj.items()})
+        object.__setattr__(self, "weight", weight)
 
 
 Matching = tuple  # sorted (agent, item) pairs
@@ -72,13 +83,7 @@ Matching = tuple  # sorted (agent, item) pairs
 def max_cardinality_max_weight_matching(graph: RoundGraph) -> Matching:
     """Among maximum-cardinality matchings, one of maximum total weight;
     ties broken toward the lexicographically smallest sorted pair list."""
-    adj: dict[int, list[int]] = {}
-    weight = {}
-    for a, g, w in graph.edges:
-        adj.setdefault(a, []).append(g)
-        weight[a] = w
-    for items in adj.values():
-        items.sort()
+    adj, weight = graph.adj, graph.weight
     order = sorted(adj, key=lambda a: (-weight[a], a))
     match: dict[int, int] = {}
     owner: dict[int, int] = {}
@@ -98,6 +103,20 @@ def max_cardinality_max_weight_matching(graph: RoundGraph) -> Matching:
         if _augment(adj, weight, match, owner, p, set(done), bound):
             done.add(match[p])
     return tuple(sorted(match.items()))
+
+
+def alternating_reach(graph: RoundGraph, matching: Matching, start: int) -> set[int]:
+    """Matched agents reachable from the unmatched agent ``start`` by an
+    alternating path in a maximum-cardinality ``matching``: the holders of
+    the items a failed Kuhn search from ``start`` visits."""
+    match = dict(matching)
+    if start in match:
+        raise ValueError(f"agent {start} is matched")
+    owner = {g: a for a, g in matching}
+    seen: set[int] = set()
+    if start in graph.adj and _augment(graph.adj, graph.weight, match, owner, start, seen):
+        raise ValueError(f"agent {start} has an augmenting path; the matching is not maximum")
+    return {owner[g] for g in seen}
 
 
 def _augment(adj, weight, match, owner, start, seen, bound=None) -> bool:

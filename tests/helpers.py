@@ -1,9 +1,10 @@
-"""Shared verification helpers: per-round matching properties and
-match-and-freeze trace invariants, asserted on every randomized run; the
-padded reversed round-robin and the two-branch cut-and-choose step the
-production code is checked against; the matching oracles the polynomial
-matcher is checked against; and the Fraction brute-force references the
-integer kernel and the existence search are checked against."""
+"""Shared verification helpers: per-round matching properties, read off a
+reference alternating-path search, and match-and-freeze trace invariants,
+asserted on every randomized run; the padded reversed round-robin and the
+two-branch cut-and-choose step the production code is checked against; the
+matching oracles the polynomial matcher is checked against; and the
+Fraction brute-force references the integer kernel and the existence search
+are checked against."""
 
 import functools
 import itertools
@@ -13,7 +14,6 @@ from typing import Optional
 
 from fairdiv.algorithms import (
     MafTrace,
-    alternating_reach,
     build_cut_and_choose_graph,
     ratio_substitute,
 )
@@ -66,6 +66,25 @@ def round_item(trace: MafTrace, agent: int, round_no: int) -> Optional[int]:
     return None
 
 
+def reference_alternating_reach(graph: RoundGraph, matching, start: int) -> set[int]:
+    """Matched agents reachable from ``start`` by an alternating path, by a
+    plain graph search over the edge triples: from an agent to each of its
+    items, and from a held item to its holder."""
+    adj: dict[int, list[int]] = {}
+    for a, g, _ in graph.edges:
+        adj.setdefault(a, []).append(g)
+    owner = {g: a for a, g in matching}
+    reached: set[int] = set()
+    stack = [start]
+    while stack:
+        for g in adj.get(stack.pop(), ()):
+            a = owner.get(g)
+            if a is not None and a not in reached:
+                reached.add(a)
+                stack.append(a)
+    return reached
+
+
 def check_matching_round_property(graph: RoundGraph, matching) -> None:
     """Every matched agent reachable from an unmatched agent by an
     alternating path weighs at least as much as that unmatched agent
@@ -82,7 +101,7 @@ def check_matching_round_property(graph: RoundGraph, matching) -> None:
         wu = agent_weight(graph, u)
         if wu is None:
             continue
-        for a in alternating_reach(graph, matching, u):
+        for a in reference_alternating_reach(graph, matching, u):
             wa = agent_weight(graph, a)
             assert wa is not None and wu <= wa, (
                 f"unmatched agent {u} (weight {wu}) reaches matched agent "

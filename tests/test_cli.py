@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -290,7 +291,9 @@ def test_verify_budget_exceeded_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3 and "budget" in err
 
 
-@pytest.mark.parametrize("budget", ["abc", "-1", "1.5"])
+# 5000 nines are decimal, but more digits than int() reads
+@pytest.mark.parametrize("budget", ["abc", "-1", "1.5",
+                                    pytest.param("9" * 5000, id="5000-nines")])
 def test_malformed_budget_exits_2(tmp_path, capsys, monkeypatch, budget):
     inst = Instance(2, 3, (Additive.of([0, 0, 2]),) * 2)
     inst_path = write_instance(tmp_path, inst)
@@ -426,8 +429,17 @@ MALFORMED_DOCS = {
 }
 
 
+# Documents that are not JSON Python can parse, as raw text.
+MALFORMED_TEXTS = {
+    # nested past the interpreter's recursion limit
+    "deep-nesting": "[" * 200000 + "]" * 200000,
+}
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["check", "--notion", "feasible", "--in", "{absent}"], id="check-no-file"),
+    pytest.param(["check", "--notion", "feasible", "--in", "{deep-nesting}"],
+                 id="deep-nesting"),
     pytest.param(["solve", "--algo", "rrr", "--in", "{absent}"], id="solve-no-file"),
     pytest.param(["verify", "--claim", "no-pmms", "--in", "{absent}"], id="verify-no-file"),
     pytest.param(["check", "--notion", "feasible", "--in", "{partial}"], id="missing-key"),
@@ -481,6 +493,10 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     for name, doc in MALFORMED_DOCS.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    for name, text in MALFORMED_TEXTS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
         paths[name] = str(path)
     paths |= {
         "absent": str(tmp_path / "absent.json"),
@@ -629,6 +645,20 @@ def test_export_compat_dot_triangle_free(tmp_path, capsys):
     for u, w in edges:
         for x in adj[u] & adj[w]:
             assert len({agent(u), agent(w), agent(x)}) < 3, "triangle found"
+
+
+def test_export_compat_escapes_labels(tmp_path, capsys):
+    inst = Instance(2, 4, (Additive.of([1] * 4),) * 2, labels=('a"b', "c\\", "d", "e"))
+    inst_path = write_instance(tmp_path, inst)
+    code, out, _ = run(capsys, "export-graph", "--in", inst_path, "--kind", "compat")
+    assert code == 0
+    nodes = [line for line in out.splitlines() if "[label=" in line]
+    assert nodes
+    # one quoted string per label: quotes and backslashes inside it escaped
+    quoted = r'"(?:[^"\\]|\\.)*"'
+    for line in nodes:
+        assert re.fullmatch(rf"  a\d+_\d+ \[label={quoted}, color=\w+\];", line), line
+    assert '[label="0:{a\\"b,c\\\\}", color=red];' in out
 
 
 def test_export_compat_empty_body(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdiv.algorithms import match_and_freeze
+from fairdiv.algorithms import alternating_reach, match_and_freeze
 from fairdiv.instances import random_bivalued
 from fairdiv.matching import RoundGraph, max_cardinality_max_weight_matching
 from fairdiv.oracles import check_efx
@@ -18,6 +18,7 @@ from helpers import (
     brute_force_matching_oracle,
     connected_components,
     hungarian_matching,
+    reference_alternating_reach,
 )
 
 
@@ -54,6 +55,14 @@ def test_uniform_weight_invariant_enforced():
 def test_edge_endpoints_validated():
     with pytest.raises(ValueError):
         RoundGraph((0,), (1,), ((0, 2, Fraction(1)),))
+
+
+def test_kept_adjacency_stays_out_of_equality_hash_and_repr():
+    edges = ((0, 3, 2), (1, 3, 1), (0, 1, 2))
+    g, h = RoundGraph((0, 1), (1, 3), edges), RoundGraph((0, 1), (1, 3), edges)
+    assert g.adj == {0: (1, 3), 1: (3,)} and g.weight == {0: 2, 1: 1}
+    assert g == h and hash(g) == hash(h)
+    assert repr(g) == f"RoundGraph(agents=(0, 1), items=(1, 3), edges={edges!r})"
 
 
 def test_connected_components():
@@ -215,3 +224,28 @@ def test_match_and_freeze_efx_at_ten_agents_24_items():
     inst = random_bivalued(10, 24, 1)
     bundles, _ = match_and_freeze(inst)
     assert check_efx(inst, bundles).holds
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(round_graphs(10, 12, st.integers(-6, 12)))
+def test_alternating_reach_equals_reference_search(graph):
+    matching = max_cardinality_max_weight_matching(graph)
+    matched = {a for a, _ in matching}
+    for u in graph.agents:
+        if u not in matched:
+            assert alternating_reach(graph, matching, u) == \
+                reference_alternating_reach(graph, matching, u)
+
+
+def test_alternating_reach_refuses_a_matched_start():
+    g = RoundGraph((0, 1), (5,), ((0, 5, 1), (1, 5, 1)))
+    with pytest.raises(ValueError, match="agent 0 is matched"):
+        alternating_reach(g, ((0, 5),), 0)
+
+
+def test_alternating_reach_refuses_a_matching_that_is_not_maximum():
+    g = RoundGraph((0, 1, 2), (5, 6), ((0, 5, 1), (0, 6, 1), (1, 5, 1), (2, 5, 1)))
+    assert alternating_reach(g, ((0, 6), (1, 5)), 2) == {1}
+    # agent 1 reaches the free item 6 through agent 0's item 5
+    with pytest.raises(ValueError, match="not maximum"):
+        alternating_reach(g, ((0, 5),), 1)
