@@ -14,8 +14,8 @@ and traces are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .core import (
@@ -24,7 +24,6 @@ from .core import (
     PairDemand,
     PersonalizedBivalued,
     UnsupportedValuationError,
-    _scaled,
     full_mask,
     items_of,
 )
@@ -62,15 +61,6 @@ class MafTrace:
     r_star: tuple[int, ...]  # per agent: last round a high-value item was allocated
 
 
-def ratio_substitute(inst: Instance) -> Fraction:
-    """The 'sufficiently large' stand-in K for a_i / b_i when b_i = 0:
-    m * (1 + max finite ratio), which exceeds every finite ratio and keeps
-    floor(K - 1) past the m-round horizon."""
-    finite = [v.a / v.b for v in inst.valuations
-              if isinstance(v, PersonalizedBivalued) and v.b > 0]
-    return Fraction(inst.m) * (1 + (max(finite) if finite else Fraction(0)))
-
-
 def _require_class(inst: Instance, cls, name: str) -> None:
     for i, v in enumerate(inst.valuations):
         if not isinstance(v, cls):
@@ -79,14 +69,30 @@ def _require_class(inst: Instance, cls, name: str) -> None:
             )
 
 
+def _ratio_weights(valuations, m: int) -> tuple[int, tuple[int, ...]]:
+    """(scale, weights): each agent's ratio a_i / b_i times ``scale``, the
+    LCM of the ratios' reduced denominators, as ints. An agent with b_i = 0
+    gets the 'sufficiently large' stand-in K = m * (1 + max finite ratio),
+    which exceeds every finite ratio and keeps floor(K - 1) past the
+    m-round horizon; its denominator divides the largest ratio's, so
+    K * scale = m * (scale + the largest finite weight)."""
+    reduced = []  # each ratio a_i / b_i in lowest terms; b_i = 0 gives (1, 0)
+    for v in valuations:
+        d = math.gcd(v._a, v._b)
+        reduced.append((v._a // d, v._b // d))
+    scale = math.lcm(*(den for _, den in reduced if den))
+    finite = [num * (scale // den) if den else None for num, den in reduced]
+    K = m * (scale + max((x for x in finite if x is not None), default=0))
+    return scale, tuple(K if x is None else x for x in finite)
+
+
 def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
     """Personalized match-and-freeze. Returns an EFX allocation (PMMS if all
     valuations are factored) together with a full round-by-round trace."""
     _require_class(inst, PersonalizedBivalued, "match_and_freeze")
     n, m = inst.n, inst.m
-    K = ratio_substitute(inst)
-    # The round graphs' edge weights: each agent's ratio times ``scale``.
-    scale, weight = _scaled([v.a / v.b if v.b > 0 else K for v in inst.valuations])
+    scale, weight = _ratio_weights(inst.valuations, m)
+    high = [v.high_items for v in inst.valuations]
 
     pool = full_mask(m)
     bundles = [0] * n
@@ -101,13 +107,8 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
             raise RuntimeError("match-and-freeze failed to allocate an item per round")
         start_pool = pool
         active = [i for i in range(n) if frozen_until[i] < r]
-        pool_items = tuple(items_of(pool))
-        edges = tuple(
-            (i, g, weight[i])
-            for i in active
-            for g in items_of(pool & inst.valuations[i].high_items)
-        )
-        graph = RoundGraph(tuple(active), pool_items, edges)
+        adj = {i: mask for i in active if (mask := pool & high[i])}
+        graph = RoundGraph.from_masks(tuple(active), pool, adj, {i: weight[i] for i in adj})
         matching = max_cardinality_max_weight_matching(graph)
         unmatched = set(active) - {a for a, _ in matching}
         for a, g in matching:
@@ -140,8 +141,8 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
             leftovers.append((i, g))
 
         allocated = start_pool & ~pool
-        for i, v in enumerate(inst.valuations):
-            if allocated & v.high_items:
+        for i in range(n):
+            if allocated & high[i]:
                 r_star[i] = r
         rounds.append(MafRound(r, graph, matching, tuple(frozen_now), tuple(leftovers)))
 

@@ -115,6 +115,9 @@ class Valuation:
     A class whose structure gives the PMMS share in closed form overrides
     ``_share2(S)`` to return mu(v, S, 2) * ``scale``; under the base's
     ``_share2 = None``, S's 2^|S| splits are enumerated and charged.
+    Likewise a class overrides ``_drop1(S)``, for nonempty S, to return
+    the largest v(S \\ {g}) over g in S, times ``scale``; under the base's
+    ``_drop1 = None``, the EFX test removes S's items one by one.
     """
 
     scale: int = field(init=False, repr=False, compare=False)
@@ -122,6 +125,7 @@ class Valuation:
     # computed once, from the integer data that determines equality.
     _hash: int = field(init=False, repr=False, compare=False)
     _share2 = None
+    _drop1 = None
 
     def _set_kernel(self, scale: int, data) -> None:
         object.__setattr__(self, "scale", scale)
@@ -191,6 +195,10 @@ class Additive(_ItemValues):
             mask ^= low
         return total
 
+    def _drop1(self, S: int) -> int:
+        # dropping the least valuable item loses the least
+        return self._value(S) - min(self._ints[g] for g in items_of(S))
+
     def is_additive(self) -> bool:
         return True
 
@@ -235,6 +243,10 @@ class PersonalizedBivalued(Valuation):
     def is_additive(self) -> bool:
         return True
 
+    def _drop1(self, S: int) -> int:
+        # dropping a low item, if S has one, loses b <= a
+        return self._value(S) - (self._b if S & ~self.high_items else self._a)
+
     def _share2(self, S: int) -> int:
         # x high and y low items on one side. For each x the best y is the
         # floor of the balance point (a(h - 2x) + b l) / 2b, clipped to 0..l;
@@ -264,6 +276,13 @@ class PairDemand(_ItemValues):
             elif x > second:
                 second = x
         return best + second
+
+    def _drop1(self, S: int) -> int:
+        # past two items, dropping one outside the two best changes nothing
+        count = S.bit_count()
+        if count >= 3:
+            return self._value(S)
+        return max(self._ints[g] for g in items_of(S)) if count == 2 else 0
 
     def _share2(self, S: int) -> int:
         # Only the four largest items x1 >= x2 >= x3 >= x4 matter: the best

@@ -28,53 +28,98 @@ So one Kuhn search from p, items ascending, for such an item finds p's
 smallest allowed item and moves the path; an item that a failed branch of
 it visited leads to no such item for a later branch either.
 
-Each search visits each edge at most once, and the searches of a greedy
-run share their visited items until one succeeds, since a failed search
-leaves the matching as it was. A graph of A agents and E edges thus costs
-O(A E): the greedy, then per agent at most one resumed greedy and one
-search, against the O(A^2 (A + I)) of a Hungarian method on I items.
+The graph is kept as masks, one per agent, so a search never lists an
+edge. The visited items are a mask too, and every item a stack frame has
+tried is among them, so the next item a frame tries is the lowest bit of
+its agent's mask less the visited items. A search enters each item at
+most once and pushes a frame only for the holder of an item it enters, so
+it takes O(min(A, I)) mask steps on A agents and I items. The searches of
+a greedy run share their visited items until one succeeds, since a failed
+search leaves the matching as it was. A graph thus costs O(A^2) mask
+steps whatever its edge count: the greedy, then per agent at most one
+resumed greedy and one search. A step is a few operations on masks as
+wide as the largest item index, against the O(A^2 (A + I)) of a
+Hungarian method.
 
 Match-and-freeze's reach sets come from the same search. On a
 maximum-cardinality matching, a Kuhn search from an unmatched agent fails,
 having entered every item on an alternating path from that agent and no
 other; each such item is held, or the search would have succeeded. So the
 agents reachable by alternating paths are the holders of the items it
-visited. ``RoundGraph`` keeps the adjacency it checked for all searches.
+visited.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+
+from .core import items_of
 
 
-@dataclass(frozen=True)
 class RoundGraph:
     """Bipartite graph between active agents and unallocated items. Each
-    agent's edges must share one weight, which makes the greedy exact."""
+    agent's edges must share one weight, which makes the greedy exact.
 
-    agents: tuple[int, ...]
-    items: tuple[int, ...]
-    # (agent, item, weight); match_and_freeze passes ints, scaled once per run
-    edges: tuple[tuple[int, int, int | Fraction], ...]
+    The graph is kept as masks: ``pool``, the mask of its items, and, per
+    agent with edges, ``adj``, the mask of that agent's items, and
+    ``weight``, its one weight. ``RoundGraph(agents, items, edges)`` checks
+    every (agent, item, weight) triple; ``from_masks`` takes the masks as
+    they are. ``items`` and ``edges`` are read off the masks on first use
+    when not given: items ascending, edges by agent in ``agents`` order and
+    then by item. Equality, hashing and ``repr`` are over
+    (agents, items, edges)."""
 
-    # per agent with edges: its items, ascending, and its one weight
-    adj: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    weight: dict[int, int | Fraction] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        agents = set(self.agents)
-        items = set(self.items)
-        adj: dict[int, list[int]] = {}
+    def __init__(self, agents, items, edges) -> None:
+        agents, items, edges = tuple(agents), tuple(items), tuple(edges)
+        known = set(agents)
+        pool = 0
+        for g in items:
+            pool |= 1 << g
+        adj: dict[int, int] = {}
         weight: dict[int, int | Fraction] = {}
-        for a, g, w in self.edges:
-            if a not in agents or g not in items:
+        for a, g, w in edges:
+            if a not in known or g < 0 or not pool >> g & 1:
                 raise ValueError(f"edge ({a}, {g}) references an unknown node")
             if weight.setdefault(a, w) != w:
                 raise ValueError(f"agent {a} has edges with differing weights")
-            adj.setdefault(a, []).append(g)
-        object.__setattr__(self, "adj", {a: tuple(sorted(gs)) for a, gs in adj.items()})
-        object.__setattr__(self, "weight", weight)
+            adj[a] = adj.get(a, 0) | 1 << g
+        self.agents, self.pool, self.adj, self.weight = agents, pool, adj, weight
+        self.items, self.edges = items, edges
+
+    @classmethod
+    def from_masks(cls, agents: tuple[int, ...], pool: int,
+                   adj: dict[int, int], weight: dict) -> "RoundGraph":
+        """The graph with these masks, unchecked: each ``adj`` mask must be
+        a nonempty submask of ``pool``, and ``weight`` must have exactly
+        ``adj``'s agents, all in ``agents``."""
+        graph = cls.__new__(cls)
+        graph.agents, graph.pool, graph.adj, graph.weight = agents, pool, adj, weight
+        return graph
+
+    @cached_property
+    def items(self) -> tuple[int, ...]:
+        return tuple(items_of(self.pool))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int | Fraction], ...]:
+        adj, weight = self.adj, self.weight
+        return tuple((a, g, weight[a]) for a in self.agents if a in adj
+                     for g in items_of(adj[a]))
+
+    def _key(self) -> tuple:
+        return self.agents, self.items, self.edges
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RoundGraph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"RoundGraph(agents={self.agents!r}, items={self.items!r}, edges={self.edges!r})"
 
 
 Matching = tuple  # sorted (agent, item) pairs
@@ -87,21 +132,25 @@ def max_cardinality_max_weight_matching(graph: RoundGraph) -> Matching:
     order = sorted(adj, key=lambda a: (-weight[a], a))
     match: dict[int, int] = {}
     owner: dict[int, int] = {}
-    seen: set[int] = set()
+    seen = 0
     for a in order:
-        if _augment(adj, weight, match, owner, a, seen):
-            seen = set()
-    done: set[int] = set()  # the items of the fixed prefix
+        seen = _augment(adj, weight, match, owner, a, seen)
+        if seen is None:
+            seen = 0
+    done = 0  # the items of the fixed prefix
     for p in sorted(adj):
         bound = weight[p]
         if p in match:
             del owner[match.pop(p)]
-            seen = set(done)
-            y = next((y for y in order if y > p and y not in match
-                      and _augment(adj, weight, match, owner, y, seen)), None)
-            bound = None if y is None else weight[y]
-        if _augment(adj, weight, match, owner, p, set(done), bound):
-            done.add(match[p])
+            seen, bound = done, None
+            for y in order:
+                if y > p and y not in match:
+                    seen = _augment(adj, weight, match, owner, y, seen)
+                    if seen is None:
+                        bound = weight[y]
+                        break
+        if _augment(adj, weight, match, owner, p, done, bound) is None:
+            done |= 1 << match[p]
     return tuple(sorted(match.items()))
 
 
@@ -113,36 +162,43 @@ def alternating_reach(graph: RoundGraph, matching: Matching, start: int) -> set[
     if start in match:
         raise ValueError(f"agent {start} is matched")
     owner = {g: a for a, g in matching}
-    seen: set[int] = set()
-    if start in graph.adj and _augment(graph.adj, graph.weight, match, owner, start, seen):
-        raise ValueError(f"agent {start} has an augmenting path; the matching is not maximum")
-    return {owner[g] for g in seen}
+    seen = 0
+    if start in graph.adj:
+        seen = _augment(graph.adj, graph.weight, match, owner, start, 0)
+        if seen is None:
+            raise ValueError(f"agent {start} has an augmenting path; the matching is not maximum")
+    return {owner[g] for g in items_of(seen)}
 
 
-def _augment(adj, weight, match, owner, start, seen, bound=None) -> bool:
+def _augment(adj, weight, match, owner, start, seen, bound=None):
     """Kuhn's search from the unmatched agent ``start``, items in ascending
     order, for an alternating path to an item that is free or, given a
     ``bound``, held by an agent of weight at most ``bound``. It enters no
-    item in ``seen`` (which it fills), flips the path found, if any, and
-    leaves that item's holder unmatched. It keeps its own stack, so a long
-    path cannot exhaust the recursion limit."""
-    stack = [(start, iter(adj[start]))]
-    path: list[int] = []  # path[k]: the item stack[k]'s agent is trying
-    while stack:
-        for g in stack[-1][1]:
-            if g not in seen:
-                seen.add(g)
-                path.append(g)
-                held = owner.get(g)
-                if held is None or bound is not None and weight[held] <= bound:
-                    if held is not None:
-                        del match[held]
-                    for (a, _), item in zip(stack, path):
-                        match[a], owner[item] = item, a
-                    return True
-                stack.append((held, iter(adj[held])))
-                break
-        else:
-            stack.pop()
+    item in the mask ``seen``. It flips the path found, if any, leaves that
+    item's holder unmatched and returns None; otherwise it returns ``seen``
+    with the items it entered. Every item a frame has tried is in ``seen``,
+    so a frame's next item is the lowest bit of its agent's mask less
+    ``seen``. It keeps its own stack, so a long path cannot exhaust the
+    recursion limit."""
+    unseen = ~seen  # a negative int: every bit above the masks is set
+    agents = [start]  # the stack: agents[k + 1] holds path[k]
+    path: list[int] = []  # path[k]: the item agents[k] is trying
+    while agents:
+        free = adj[agents[-1]] & unseen
+        if not free:
+            agents.pop()
             del path[-1:]
-    return False
+            continue
+        low = free & -free
+        unseen ^= low
+        g = low.bit_length() - 1
+        path.append(g)
+        held = owner.get(g)
+        if held is None or bound is not None and weight[held] <= bound:
+            if held is not None:
+                del match[held]
+            for a, item in zip(agents, path):
+                match[a], owner[item] = item, a
+            return None
+        agents.append(held)
+    return ~unseen

@@ -177,7 +177,12 @@ def _require_additive(inst: Instance) -> None:
 
 
 def _efx_test(inst: Instance, positive_only: bool = False) -> _Test:
+    """The EFX (or EFX+) envy test. When every valuation has a closed form
+    for its best one-item removal (``Valuation._drop1``), EFX envy is one
+    comparison; otherwise, and for EFX+, X_j's items are removed one by
+    one. The witness, the first envied item, always comes from that loop."""
     values = [v._value for v in inst.valuations]
+    drop1 = [v._drop1 for v in inst.valuations]
 
     def envied_item(i, j, mine, theirs):
         """The first item of X_j (for EFX+, one i values above zero) whose
@@ -191,7 +196,11 @@ def _efx_test(inst: Instance, positive_only: bool = False) -> _Test:
                 return g
         return None
 
-    return _Test(True, lambda *pair: envied_item(*pair) is not None, envied_item)
+    if positive_only or any(d is None for d in drop1):
+        return _Test(True, lambda *pair: envied_item(*pair) is not None, envied_item)
+    # an empty X_j has no item to remove, so it is never envied
+    return _Test(True, lambda i, j, mine, theirs: theirs != 0
+                 and values[i](mine) < drop1[i](theirs), envied_item)
 
 
 def _efx_positive_test(inst: Instance) -> _Test:

@@ -12,11 +12,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from fairdiv.algorithms import (
-    MafTrace,
-    build_cut_and_choose_graph,
-    ratio_substitute,
-)
+from fairdiv.algorithms import MafTrace, build_cut_and_choose_graph
 from fairdiv.core import (
     Additive,
     BinaryTable,
@@ -30,7 +26,16 @@ from fairdiv.core import (
     items_of,
 )
 from fairdiv.matching import RoundGraph
-from fairdiv.oracles import iter_allocations, mu
+from fairdiv.oracles import FairnessReport, FairnessViolation, iter_allocations, mu
+
+
+def ratio_substitute(inst: Instance) -> Fraction:
+    """The 'sufficiently large' stand-in K for a_i / b_i when b_i = 0, on
+    Fractions: m * (1 + max finite ratio), which exceeds every finite ratio
+    and keeps floor(K - 1) past the m-round horizon."""
+    finite = [v.a / v.b for v in inst.valuations
+              if isinstance(v, PersonalizedBivalued) and v.b > 0]
+    return Fraction(inst.m) * (1 + (max(finite) if finite else Fraction(0)))
 
 
 def agent_ratios(inst: Instance) -> list[Fraction]:
@@ -541,6 +546,19 @@ def reference_efx_violations(inst: Instance, bundles, positive_only: bool = Fals
                 out.append((i, j, g))
                 break
     return out
+
+
+def loop_efx_report(inst: Instance, bundles) -> FairnessReport:
+    """The EFX report with no closed form: every item of X_j removed in
+    turn, on scaled integers, the first envied item the witness."""
+    found = []
+    for i, j in itertools.permutations(range(inst.n), 2):
+        value = inst.valuations[i]._value
+        own = value(bundles[i])
+        g = next((g for g in items_of(bundles[j]) if own < value(bundles[j] & ~(1 << g))), None)
+        if g is not None:
+            found.append(FairnessViolation(i, j, g))
+    return FairnessReport(FairnessNotion.EFX, not found, tuple(found))
 
 
 def reference_pmms_violations(inst: Instance, bundles) -> list:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -9,11 +10,11 @@ from fairdiv.algorithms import (
     CutAndChooseStuckError,
     _ccg_step,
     _pmms_state,
+    _ratio_weights,
     build_cut_and_choose_graph,
     cut_and_choose_graph_procedure,
     match_and_freeze,
     maf_trace_lines,
-    ratio_substitute,
     reversed_round_robin,
 )
 from fairdiv.core import (
@@ -24,6 +25,7 @@ from fairdiv.core import (
     PairDemand,
     PersonalizedBivalued,
     UnsupportedValuationError,
+    _scaled,
     full_mask,
 )
 from fairdiv.instances import (
@@ -42,6 +44,7 @@ from helpers import (
     inactive_rounds,
     padded_reversed_round_robin,
     pair_demand_mu_closed_form,
+    ratio_substitute,
     reference_ccg_step,
     sufficient_no_envy,
 )
@@ -105,6 +108,23 @@ def test_maf_b_zero_uses_substitute_ratio():
             assert weight[a] * ratios[b] == weight[b] * ratios[a]
 
 
+def test_maf_int_weights_equal_the_scaled_fraction_ratios():
+    rng = random.Random(3)
+    for trial in range(200):
+        n, m = rng.randint(1, 6), rng.randint(1, 12)
+        inst = random_bivalued(n, m, trial, factored=trial % 2 == 0)
+        if trial % 3 == 0:  # some or all agents with b = 0
+            vals = tuple(PersonalizedBivalued(v.a, Fraction(0), v.high_items, m)
+                         if rng.random() < 0.5 or trial % 9 == 0 else v
+                         for v in inst.valuations)
+            inst = Instance(n, m, vals)
+        scale, weight = _ratio_weights(inst.valuations, m)
+        assert (scale, weight) == _scaled(agent_ratios(inst))
+        _, trace = match_and_freeze(inst)
+        for rnd in trace.rounds:
+            assert rnd.graph.weight == {a: weight[a] for a in rnd.graph.adj}
+
+
 def test_maf_trace_lines_stable():
     inst = gen_table1_example()
     _, trace = match_and_freeze(inst)
@@ -119,6 +139,18 @@ def test_maf_factored_is_pmms_at_scale():
     inst = random_bivalued(100, 1000, 1, factored=True)
     bundles, _ = match_and_freeze(inst)
     assert check_pmms(inst, bundles).holds
+
+
+def test_maf_one_agent_8000_items_within_ten_seconds():
+    # The bound sits far above this run's 0.11 s and far below the 39 s it
+    # takes when every round lists its edges, which is quadratic in m (both
+    # on a shared 2-vCPU virtual machine).
+    inst = random_bivalued(1, 8000, 1)
+    start = time.monotonic()
+    bundles, trace = match_and_freeze(inst)
+    elapsed = time.monotonic() - start
+    assert bundles == (full_mask(8000),) and len(trace.rounds) == 8000
+    assert elapsed < 10, f"match_and_freeze(random_bivalued(1, 8000, 1)) took {elapsed:.1f} s"
 
 
 def test_sufficient_no_envy():

@@ -22,11 +22,13 @@ from fairdiv.core import (
     PairDemand,
     PersonalizedBivalued,
     UnsupportedValuationError,
+    items_of,
 )
 from fairdiv.instances import _draw_binary_table
 from fairdiv.oracles import (
     BUDGET,
     BudgetExceededError,
+    _efx_test,
     _pmms_share,
     _pmms_test,
     allocation_satisfies,
@@ -41,6 +43,7 @@ from fairdiv.oracles import (
 )
 
 from helpers import (
+    loop_efx_report,
     reference_efx_violations,
     reference_mms_feasible,
     reference_mms_violations,
@@ -247,6 +250,86 @@ def test_fairness_checks_match_reference(case):
         want = reference(inst, bundles)
         assert [(f.envier, f.envied, f.witness) for f in report.violations] == want
         assert report.holds == (not want) == allocation_satisfies(inst, bundles, notion)
+
+
+CLASSES = (Additive, PairDemand, PersonalizedBivalued, ExplicitTable, BinaryTable)
+DROP1_CLASSES = tuple(cls for cls in CLASSES if cls._drop1 is not None)
+
+
+def test_the_item_valued_classes_have_a_closed_form_drop1():
+    assert DROP1_CLASSES == (Additive, PairDemand, PersonalizedBivalued)
+
+
+@st.composite
+def drop1_valuations(draw):
+    """A valuation of a class with a closed-form ``_drop1``, on up to 8
+    items, with b = 0 among the bivalued ones."""
+    m = draw(st.integers(1, 8))
+    cls = draw(st.sampled_from(DROP1_CLASSES))
+    if cls is PersonalizedBivalued:
+        b = draw(st.one_of(st.just(Fraction(0)), rationals))
+        return cls(b + draw(positive_rationals), b, draw(st.integers(0, (1 << m) - 1)), m)
+    return cls(tuple(draw(st.lists(rationals, min_size=m, max_size=m))))
+
+
+@KERNEL
+@given(drop1_valuations())
+def test_drop1_is_the_best_one_item_removal(v):
+    for S in range(1, 1 << v.num_items):
+        assert v._drop1(S) == max(v._value(S & ~(1 << g)) for g in items_of(S))
+
+
+def _seeded_valuation(rng: random.Random, cls, m: int):
+    def value():
+        return Fraction(rng.randint(0, 12), rng.choice([1, 2, 3]))
+
+    if cls is PersonalizedBivalued:
+        b = rng.choice([Fraction(0), value()])
+        return cls(b + 1 + value(), b, rng.getrandbits(m), m)
+    if cls is ExplicitTable:
+        return cls(tuple(value() for _ in range(1 << m)))
+    if cls is BinaryTable:
+        return cls(m, frozenset(S for S in range(1 << m) if rng.random() < 0.5))
+    return cls(tuple(value() for _ in range(m)))
+
+
+def _seeded_efx_cases():
+    """Seeded instances, each all of one class (tables included) or of
+    mixed classes, with random allocations that leave some bundles empty."""
+    rng = random.Random(5)
+    for trial in range(400):
+        n, m = rng.randint(1, 4), rng.randint(0, 6)
+        one_class = CLASSES[trial % 6] if trial % 6 < 5 else None
+        vals = tuple(_seeded_valuation(rng, one_class or rng.choice(CLASSES), m)
+                     for _ in range(n))
+        inst = Instance(n, m, vals, monotone_required=False, normalized_required=False)
+        owners = [rng.randrange(n) for _ in range(m)]
+        yield inst, tuple(sum(1 << g for g, o in enumerate(owners) if o == i)
+                          for i in range(n))
+
+
+def test_efx_check_equals_the_item_by_item_loop():
+    violated = 0
+    for inst, bundles in _seeded_efx_cases():
+        report = check(inst, bundles, FairnessNotion.EFX)
+        assert report == loop_efx_report(inst, bundles)
+        assert allocation_satisfies(inst, bundles, FairnessNotion.EFX) == report.holds
+        violated += not report.holds
+    assert 50 < violated < 350
+
+
+@pytest.mark.parametrize("v", [
+    Additive.of([0, 3]), PairDemand.of([2, 5]), PersonalizedBivalued(2, 0, 0b01, 2),
+    PersonalizedBivalued(3, 1, 0b00, 2), ExplicitTable.of([4, 1, 1, 1]),
+    BinaryTable(2, frozenset({0})),
+], ids=["additive", "pair-demand", "bivalued-b0", "bivalued", "table", "binary"])
+def test_an_empty_bundle_is_never_efx_envied(v):
+    inst = Instance(2, 2, (v, v), monotone_required=False, normalized_required=False)
+    for positive_only in (False, True) if v.is_additive() else (False,):
+        fails = _efx_test(inst, positive_only).fails
+        assert not any(fails(0, 1, mine, 0) for mine in range(4))
+    assert check(inst, (0b11, 0), FairnessNotion.EFX).holds is (
+        v._value(0) >= max(v._value(0b01), v._value(0b10)))
 
 
 def test_efx_positive_rejects_non_additive_before_validation():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairdiv.algorithms import alternating_reach, match_and_freeze
+from fairdiv.core import Instance, PersonalizedBivalued, items_of
 from fairdiv.instances import random_bivalued
 from fairdiv.matching import RoundGraph, max_cardinality_max_weight_matching
 from fairdiv.oracles import check_efx
@@ -60,9 +61,51 @@ def test_edge_endpoints_validated():
 def test_kept_adjacency_stays_out_of_equality_hash_and_repr():
     edges = ((0, 3, 2), (1, 3, 1), (0, 1, 2))
     g, h = RoundGraph((0, 1), (1, 3), edges), RoundGraph((0, 1), (1, 3), edges)
-    assert g.adj == {0: (1, 3), 1: (3,)} and g.weight == {0: 2, 1: 1}
+    assert g.adj == {0: 0b1010, 1: 0b1000} and g.weight == {0: 2, 1: 1}
     assert g == h and hash(g) == hash(h)
     assert repr(g) == f"RoundGraph(agents=(0, 1), items=(1, 3), edges={edges!r})"
+
+
+def test_mask_built_graph_reads_off_items_and_edges_in_order():
+    g = RoundGraph.from_masks((2, 0, 1), 0b11010, {2: 0b10010, 0: 0b01000}, {2: 5, 0: 7})
+    assert g.items == (1, 3, 4)
+    assert g.edges == ((2, 1, 5), (2, 4, 5), (0, 3, 7))
+    h = RoundGraph(g.agents, g.items, g.edges)
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    assert g != RoundGraph((2, 0, 1), (1, 3, 4), ((2, 1, 5), (0, 3, 7)))
+
+
+@pytest.mark.parametrize("edges", [((0, 1, 1),), ((0, -1, 1),), ((0, 7, 1),), ((5, 3, 1),)])
+def test_validating_constructor_refuses_an_edge_off_the_graph(edges):
+    with pytest.raises(ValueError, match="unknown node"):
+        RoundGraph((0,), (3, 4), edges)
+
+
+def _maf_round_graph_cases():
+    rng = random.Random(19)
+    for n in range(1, 9):
+        for m in range(1, 25):
+            factored = rng.random() < 0.5
+            inst = random_bivalued(n, m, rng.randrange(1 << 30), factored=factored)
+            if rng.random() < 0.5:  # give some agents b = 0
+                vals = tuple(PersonalizedBivalued(v.a, Fraction(0), v.high_items, m)
+                             if rng.random() < 0.4 else v for v in inst.valuations)
+                inst = Instance(n, m, vals)
+            yield inst
+
+
+def test_every_maf_round_graph_equals_its_validated_rebuild():
+    graphs = 0
+    for inst in _maf_round_graph_cases():
+        _, trace = match_and_freeze(inst)
+        for rnd in trace.rounds:
+            g = rnd.graph
+            h = RoundGraph(g.agents, g.items, g.edges)
+            assert (g.pool, g.adj, g.weight) == (h.pool, h.adj, h.weight)
+            assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+            assert g.items == tuple(items_of(g.pool))
+            graphs += 1
+    assert graphs > 8 * 24  # more than one round per instance on average
 
 
 def test_connected_components():
