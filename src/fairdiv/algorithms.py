@@ -47,8 +47,11 @@ class CutAndChooseStuckError(RuntimeError):
 
 @dataclass(frozen=True)
 class MafRound:
+    """One round's decisions: its matching, the agents it froze and the
+    leftover picks. The round's graph is not kept; each round needs it only
+    for its matching and reach sets."""
+
     round: int
-    graph: RoundGraph
     matching: Matching
     frozen_now: tuple[tuple[int, int], ...]  # (agent, freeze duration in rounds)
     leftovers: tuple[tuple[int, int], ...]  # (agent, item), in pick order
@@ -56,6 +59,9 @@ class MafRound:
 
 @dataclass(frozen=True)
 class MafTrace:
+    """The decisions of a match-and-freeze run, round by round, and the
+    priorities and last high-value rounds they leave."""
+
     rounds: tuple[MafRound, ...]
     priorities_w: tuple[int, ...]
     r_star: tuple[int, ...]  # per agent: last round a high-value item was allocated
@@ -88,7 +94,8 @@ def _ratio_weights(valuations, m: int) -> tuple[int, tuple[int, ...]]:
 
 def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
     """Personalized match-and-freeze. Returns an EFX allocation (PMMS if all
-    valuations are factored) together with a full round-by-round trace."""
+    valuations are factored) together with its trace: per round, the
+    matching, the freezes and the leftover picks, but not the graph."""
     _require_class(inst, PersonalizedBivalued, "match_and_freeze")
     n, m = inst.n, inst.m
     scale, weight = _ratio_weights(inst.valuations, m)
@@ -108,7 +115,7 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
         start_pool = pool
         active = [i for i in range(n) if frozen_until[i] < r]
         adj = {i: mask for i in active if (mask := pool & high[i])}
-        graph = RoundGraph.from_masks(tuple(active), pool, adj, {i: weight[i] for i in adj})
+        graph = RoundGraph(tuple(active), pool, adj, weight)
         matching = max_cardinality_max_weight_matching(graph)
         unmatched = set(active) - {a for a, _ in matching}
         for a, g in matching:
@@ -144,7 +151,7 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
         for i in range(n):
             if allocated & high[i]:
                 r_star[i] = r
-        rounds.append(MafRound(r, graph, matching, tuple(frozen_now), tuple(leftovers)))
+        rounds.append(MafRound(r, matching, tuple(frozen_now), tuple(leftovers)))
 
     trace = MafTrace(tuple(rounds), tuple(w), tuple(r_star))
     return tuple(bundles), trace

@@ -39,7 +39,9 @@ search leaves the matching as it was. A graph thus costs O(A^2) mask
 steps whatever its edge count: the greedy, then per agent at most one
 resumed greedy and one search. A step is a few operations on masks as
 wide as the largest item index, against the O(A^2 (A + I)) of a
-Hungarian method.
+Hungarian method. Match-and-freeze builds one graph a round and keeps
+none: its trace keeps each round's matching and freezes, so a graph is
+freed when its round ends.
 
 Match-and-freeze's reach sets come from the same search. On a
 maximum-cardinality matching, a Kuhn search from an unmatched agent fails,
@@ -51,75 +53,31 @@ visited.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import items_of
 
 
-class RoundGraph:
-    """Bipartite graph between active agents and unallocated items. Each
-    agent's edges must share one weight, which makes the greedy exact.
+class RoundGraph(NamedTuple):
+    """Bipartite graph between active agents and unallocated items, as
+    masks, taken as given: ``pool`` is the mask of its items, ``adj[a]``
+    the nonempty submask of ``pool`` joined to agent ``a`` (agents with no
+    edges are left out), and ``weight[a]`` the one weight of all of ``a``'s
+    edges, which makes the greedy exact. ``weight`` is a mapping or a
+    sequence indexed by agent."""
 
-    The graph is kept as masks: ``pool``, the mask of its items, and, per
-    agent with edges, ``adj``, the mask of that agent's items, and
-    ``weight``, its one weight. ``RoundGraph(agents, items, edges)`` checks
-    every (agent, item, weight) triple; ``from_masks`` takes the masks as
-    they are. ``items`` and ``edges`` are read off the masks on first use
-    when not given: items ascending, edges by agent in ``agents`` order and
-    then by item. Equality, hashing and ``repr`` are over
-    (agents, items, edges)."""
+    agents: tuple[int, ...]
+    pool: int
+    adj: dict[int, int]
+    weight: Sequence | Mapping
 
-    def __init__(self, agents, items, edges) -> None:
-        agents, items, edges = tuple(agents), tuple(items), tuple(edges)
-        known = set(agents)
-        pool = 0
-        for g in items:
-            pool |= 1 << g
-        adj: dict[int, int] = {}
-        weight: dict[int, int | Fraction] = {}
-        for a, g, w in edges:
-            if a not in known or g < 0 or not pool >> g & 1:
-                raise ValueError(f"edge ({a}, {g}) references an unknown node")
-            if weight.setdefault(a, w) != w:
-                raise ValueError(f"agent {a} has edges with differing weights")
-            adj[a] = adj.get(a, 0) | 1 << g
-        self.agents, self.pool, self.adj, self.weight = agents, pool, adj, weight
-        self.items, self.edges = items, edges
-
-    @classmethod
-    def from_masks(cls, agents: tuple[int, ...], pool: int,
-                   adj: dict[int, int], weight: dict) -> "RoundGraph":
-        """The graph with these masks, unchecked: each ``adj`` mask must be
-        a nonempty submask of ``pool``, and ``weight`` must have exactly
-        ``adj``'s agents, all in ``agents``."""
-        graph = cls.__new__(cls)
-        graph.agents, graph.pool, graph.adj, graph.weight = agents, pool, adj, weight
-        return graph
-
-    @cached_property
-    def items(self) -> tuple[int, ...]:
-        return tuple(items_of(self.pool))
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int, int | Fraction], ...]:
+    @property
+    def edges(self) -> tuple[tuple[int, int, object], ...]:
+        """(agent, item, weight) triples, by agent in ``agents`` order and
+        then by item."""
         adj, weight = self.adj, self.weight
         return tuple((a, g, weight[a]) for a in self.agents if a in adj
                      for g in items_of(adj[a]))
-
-    def _key(self) -> tuple:
-        return self.agents, self.items, self.edges
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RoundGraph):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"RoundGraph(agents={self.agents!r}, items={self.items!r}, edges={self.edges!r})"
 
 
 Matching = tuple  # sorted (agent, item) pairs

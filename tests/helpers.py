@@ -1,6 +1,8 @@
-"""Shared verification helpers: per-round matching properties, read off a
-reference alternating-path search, and match-and-freeze trace invariants,
-asserted on every randomized run; the padded reversed round-robin and the
+"""Shared verification helpers: round graphs built from edge triples, and
+match-and-freeze's round graphs recorded off the matcher or rebuilt from
+its trace; per-round matching properties, read off a reference
+alternating-path search, and match-and-freeze trace invariants, asserted
+on every randomized run; the padded reversed round-robin and the
 two-branch cut-and-choose step the production code is checked against; the
 matching oracles the polynomial matcher is checked against; and the
 Fraction brute-force references the integer kernel and the existence search
@@ -12,6 +14,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
+from fairdiv import algorithms
 from fairdiv.algorithms import MafTrace, build_cut_and_choose_graph
 from fairdiv.core import (
     Additive,
@@ -44,10 +47,63 @@ def agent_ratios(inst: Instance) -> list[Fraction]:
 
 
 def agent_weight(graph: RoundGraph, agent: int) -> Optional[Fraction]:
-    for a, _, w in graph.edges:
-        if a == agent:
-            return w
-    return None
+    return graph.weight[agent] if agent in graph.adj else None
+
+
+def round_graph(agents, items, edges) -> RoundGraph:
+    """The round graph on ``agents`` and ``items`` with these
+    (agent, item, weight) edges, asserting that every edge joins one of
+    ``agents`` to one of ``items`` and that each agent's edges share one
+    weight."""
+    pool = 0
+    for g in items:
+        pool |= 1 << g
+    adj: dict[int, int] = {}
+    weight: dict[int, Fraction] = {}
+    for a, g, w in edges:
+        assert a in agents and g >= 0 and pool >> g & 1, (
+            f"edge ({a}, {g}) references an unknown node")
+        assert weight.setdefault(a, w) == w, f"agent {a} has edges with differing weights"
+        adj[a] = adj.get(a, 0) | 1 << g
+    return RoundGraph(tuple(agents), pool, adj, weight)
+
+
+def match_and_freeze_with_graphs(inst: Instance):
+    """(bundles, trace, graphs): ``match_and_freeze(inst)`` with each
+    round's graph, which the trace does not keep, recorded off the
+    matcher's argument."""
+    graphs: list[RoundGraph] = []
+    matcher = algorithms.max_cardinality_max_weight_matching
+
+    def record(graph):
+        graphs.append(graph)
+        return matcher(graph)
+
+    algorithms.max_cardinality_max_weight_matching = record
+    try:
+        bundles, trace = algorithms.match_and_freeze(inst)
+    finally:
+        algorithms.max_cardinality_max_weight_matching = matcher
+    assert len(graphs) == len(trace.rounds)
+    return bundles, trace, graphs
+
+
+def maf_round_graphs(inst: Instance, trace: MafTrace) -> list[RoundGraph]:
+    """Each round's graph rebuilt from the instance and the trace alone:
+    the agents not frozen in that round, the items not allocated before
+    it, each agent joined to its high items among them, and the agents'
+    ``Fraction`` ratios as weights."""
+    ratios = agent_ratios(inst)
+    frozen = [inactive_rounds(trace, i) for i in range(inst.n)]
+    pool = full_mask(inst.m)
+    graphs = []
+    for rnd in trace.rounds:
+        agents = tuple(i for i in range(inst.n) if rnd.round not in frozen[i])
+        adj = {i: mask for i in agents if (mask := pool & inst.valuations[i].high_items)}
+        graphs.append(RoundGraph(agents, pool, adj, {i: ratios[i] for i in adj}))
+        for _, g in rnd.matching + rnd.leftovers:
+            pool &= ~(1 << g)
+    return graphs
 
 
 def inactive_rounds(trace: MafTrace, agent: int) -> frozenset[int]:
@@ -126,7 +182,7 @@ def reference_r_star(inst: Instance, trace: MafTrace) -> tuple[int, ...]:
     return tuple(r_star)
 
 
-def check_maf_trace_invariants(inst: Instance, trace: MafTrace) -> None:
+def check_maf_trace_invariants(inst: Instance, trace: MafTrace, graphs) -> None:
     """Five per-run facts about freeze structure:
 
     1. every item an agent receives strictly before its last high-value
@@ -137,17 +193,18 @@ def check_maf_trace_invariants(inst: Instance, trace: MafTrace) -> None:
        agent values high, the first freezes for no longer than the second
        (every alternating path threatening the first extends to the second);
     4. the recorded r* agrees with the post-pass reference;
-    5. each round's graph leaves out exactly the agents frozen in that round.
+    5. each round's graph, of ``graphs``, leaves out exactly the agents
+       frozen in that round.
     """
     ratios = agent_ratios(inst)
     n = inst.n
 
     assert trace.r_star == reference_r_star(inst, trace)
     frozen_in = [inactive_rounds(trace, i) for i in range(n)]
-    for rnd in trace.rounds:
+    for rnd, graph in zip(trace.rounds, graphs, strict=True):
         frozen = {i for i in range(n) if rnd.round in frozen_in[i]}
-        assert set(rnd.graph.agents) == set(range(n)) - frozen, (
-            f"round {rnd.round}: graph agents {rnd.graph.agents}, frozen {sorted(frozen)}"
+        assert set(graph.agents) == set(range(n)) - frozen, (
+            f"round {rnd.round}: graph agents {graph.agents}, frozen {sorted(frozen)}"
         )
 
     for i in range(n):
@@ -440,7 +497,7 @@ def connected_components(graph: RoundGraph) -> list[dict]:
 
     for a in graph.agents:
         parent[("a", a)] = ("a", a)
-    for g in graph.items:
+    for g in items_of(graph.pool):
         parent[("g", g)] = ("g", g)
     for a, g, _ in graph.edges:
         union(("a", a), ("g", g))

@@ -39,7 +39,7 @@ from fairdiv.instances import (
     random_pair_demand,
     stars_partition_size,
 )
-from fairdiv.matching import RoundGraph, max_cardinality_max_weight_matching
+from fairdiv.matching import max_cardinality_max_weight_matching
 from fairdiv.oracles import (
     check_efx,
     check_efx_positive,
@@ -58,8 +58,10 @@ from helpers import (
     check_maf_trace_invariants,
     check_matching_round_property,
     inactive_rounds,
+    match_and_freeze_with_graphs,
     pair_demand_mu_closed_form,
     reference_first_fair,
+    round_graph,
 )
 
 GOLDEN_TRACE = os.path.join(os.path.dirname(__file__), "data", "table1_trace.txt")
@@ -185,11 +187,11 @@ def test_criterion_5_match_and_freeze_properties(capsys):
             n = rng.randint(2, 5)
             m = rng.randint(n, 10)
             inst = random_bivalued(n, m, seed=trial, factored=factored)
-            bundles, trace = match_and_freeze(inst)
+            bundles, trace, graphs = match_and_freeze_with_graphs(inst)
             assert check_efx(inst, bundles).holds, f"trial {trial}: EFX fails"
-            check_maf_trace_invariants(inst, trace)
-            for rnd in trace.rounds:
-                check_matching_round_property(rnd.graph, rnd.matching)
+            check_maf_trace_invariants(inst, trace, graphs)
+            for rnd, graph in zip(trace.rounds, graphs):
+                check_matching_round_property(graph, rnd.matching)
             if all(v.is_factored() for v in inst.valuations):
                 factored_count += 1
                 assert check_pmms(inst, bundles).holds, f"trial {trial}: PMMS fails"
@@ -294,7 +296,7 @@ def test_criterion_9_matching_oracle_equivalence(capsys):
                 for g in items:
                     if rng.random() < 0.55 and len(edges) < 20:
                         edges.append((a, g, w))
-            graph = RoundGraph(agents, items, tuple(edges))
+            graph = round_graph(agents, items, tuple(edges))
             fast = max_cardinality_max_weight_matching(graph)
             slow = brute_force_matching_oracle(graph)
             assert fast == slow, f"trial {trial}: {fast} != {slow}"

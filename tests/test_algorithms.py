@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from helpers import (
     check_matching_round_property,
     connected_components,
     inactive_rounds,
+    match_and_freeze_with_graphs,
     padded_reversed_round_robin,
     pair_demand_mu_closed_form,
     ratio_substitute,
@@ -56,10 +58,10 @@ from helpers import (
 
 def test_maf_table1_round1_matching_and_components():
     inst = gen_table1_example()
-    _, trace = match_and_freeze(inst)
+    _, trace, graphs = match_and_freeze_with_graphs(inst)
     first = trace.rounds[0]
     assert first.matching == ((1, 0), (3, 1))  # agents 2 and 4 win x and y
-    comps = [c for c in connected_components(first.graph) if c["agents"]]
+    comps = [c for c in connected_components(graphs[0]) if c["agents"]]
     assert {"agents": [0, 1], "items": [0]} in comps
     assert {"agents": [2, 3], "items": [1]} in comps
 
@@ -95,14 +97,14 @@ def test_maf_b_zero_uses_substitute_ratio():
     inst = Instance(2, 4, vals)
     K = ratio_substitute(inst)
     assert K == 4 * (1 + 3)
-    bundles, trace = match_and_freeze(inst)
+    bundles, trace, graphs = match_and_freeze_with_graphs(inst)
     assert check_efx(inst, bundles).holds
-    check_maf_trace_invariants(inst, trace)
+    check_maf_trace_invariants(inst, trace, graphs)
     ratios = agent_ratios(inst)
-    for rnd in trace.rounds:
-        check_matching_round_property(rnd.graph, rnd.matching)
+    for rnd, graph in zip(trace.rounds, graphs):
+        check_matching_round_property(graph, rnd.matching)
         # one int weight per agent, in proportion to the agents' ratios
-        weight = {a: w for a, _, w in rnd.graph.edges}
+        weight = {a: w for a, _, w in graph.edges}
         assert all(type(w) is int for w in weight.values())
         for a, b in itertools.combinations(weight, 2):
             assert weight[a] * ratios[b] == weight[b] * ratios[a]
@@ -120,9 +122,9 @@ def test_maf_int_weights_equal_the_scaled_fraction_ratios():
             inst = Instance(n, m, vals)
         scale, weight = _ratio_weights(inst.valuations, m)
         assert (scale, weight) == _scaled(agent_ratios(inst))
-        _, trace = match_and_freeze(inst)
-        for rnd in trace.rounds:
-            assert rnd.graph.weight == {a: weight[a] for a in rnd.graph.adj}
+        _, _, graphs = match_and_freeze_with_graphs(inst)
+        for graph in graphs:
+            assert all(graph.weight[a] == weight[a] for a in graph.adj)
 
 
 def test_maf_trace_lines_stable():
@@ -151,6 +153,20 @@ def test_maf_one_agent_8000_items_within_ten_seconds():
     elapsed = time.monotonic() - start
     assert bundles == (full_mask(8000),) and len(trace.rounds) == 8000
     assert elapsed < 10, f"match_and_freeze(random_bivalued(1, 8000, 1)) took {elapsed:.1f} s"
+
+
+def test_maf_one_agent_8000_items_frees_each_round_graph():
+    # The trace keeps each round's decisions, not its graph, so the run
+    # peaks at about 2 MB; keeping every round's graph, one 8000-bit pool
+    # and one adjacency mask a round, took 18 MB.
+    inst = random_bivalued(1, 8000, 1)
+    tracemalloc.start()
+    try:
+        match_and_freeze(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20, f"match_and_freeze(random_bivalued(1, 8000, 1)) peaked at {peak} bytes"
 
 
 def test_sufficient_no_envy():
