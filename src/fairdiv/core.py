@@ -110,8 +110,8 @@ class Valuation:
     implements ``_value(mask)``, which returns v(S) * ``scale`` as an int.
     Comparisons within one valuation can use ``_value`` directly, because
     scaling by a positive constant preserves order and equality.
-    Subclasses set ``__hash__ = Valuation.__hash__``; otherwise
-    ``@dataclass`` would generate one that rehashes every field.
+    Equality and the hash are the ones ``@dataclass`` generates from the
+    public fields; ``scale`` and the scaled integers take no part.
     A class whose structure gives the PMMS share in closed form overrides
     ``_share2(S)`` to return mu(v, S, 2) * ``scale``; under the base's
     ``_share2 = None``, S's 2^|S| splits are enumerated and charged.
@@ -121,18 +121,11 @@ class Valuation:
     """
 
     scale: int = field(init=False, repr=False, compare=False)
-    # mu's memo hashes its valuation on every lookup, so the hash is
-    # computed once, from the integer data that determines equality.
-    _hash: int = field(init=False, repr=False, compare=False)
     _share2 = None
     _drop1 = None
 
-    def _set_kernel(self, scale: int, data) -> None:
+    def _set_kernel(self, scale: int) -> None:
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_hash", hash((scale, data)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def num_items(self) -> int:
@@ -159,7 +152,6 @@ class _ItemValues(Valuation):
     ``__init__``, ``__eq__`` (same class only) and ``repr``."""
 
     values: tuple[Fraction, ...]
-    __hash__ = Valuation.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(as_fraction(x) for x in self.values))
@@ -167,7 +159,7 @@ class _ItemValues(Valuation):
             raise ValueError("item values must be non-negative")
         scale, ints = _scaled(self.values)
         object.__setattr__(self, "_ints", ints)
-        self._set_kernel(scale, ints)
+        self._set_kernel(scale)
 
     @classmethod
     def of(cls, values: Sequence[RationalLike]):
@@ -214,7 +206,6 @@ class PersonalizedBivalued(Valuation):
     b: Fraction
     high_items: int
     m: int
-    __hash__ = Valuation.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", as_fraction(self.a))
@@ -226,7 +217,7 @@ class PersonalizedBivalued(Valuation):
         scale, (a, b) = _scaled((self.a, self.b))
         object.__setattr__(self, "_a", a)  # a * scale
         object.__setattr__(self, "_b", b)  # b * scale
-        self._set_kernel(scale, (a, b, self.high_items, self.m))
+        self._set_kernel(scale)
 
     @property
     def num_items(self) -> int:
@@ -297,7 +288,6 @@ class ExplicitTable(Valuation):
     """Arbitrary set function stored as a 2^m table indexed by bundle mask."""
 
     table: tuple[Fraction, ...]
-    __hash__ = Valuation.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", tuple(as_fraction(x) for x in self.table))
@@ -308,7 +298,7 @@ class ExplicitTable(Valuation):
         require_table_items(self._m, "explicit")
         scale, ints = _scaled(self.table)
         object.__setattr__(self, "_ints", ints)
-        self._set_kernel(scale, ints)
+        self._set_kernel(scale)
 
     @classmethod
     def of(cls, table: Sequence[RationalLike]) -> "ExplicitTable":
@@ -329,14 +319,13 @@ class BinaryTable(Valuation):
 
     m: int
     ones: frozenset[int]
-    __hash__ = Valuation.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ones", frozenset(self.ones))
         require_table_items(self.m, "binary")
         if any(mask < 0 or mask >> self.m for mask in self.ones):
             raise InvalidBundleError("ones contains a mask outside the item range")
-        self._set_kernel(1, (self.m, self.ones))
+        self._set_kernel(1)
 
     @property
     def num_items(self) -> int:

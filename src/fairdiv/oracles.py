@@ -24,7 +24,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import (
@@ -77,7 +76,6 @@ class FairnessReport:
     violations: tuple[FairnessViolation, ...]
 
 
-@lru_cache(maxsize=1 << 18)
 def _mu_search(v: Valuation, S: int, k: int) -> MaximinResult:
     bits = [1 << g for g in items_of(S)]
     value = v._value
@@ -151,7 +149,8 @@ def mu(v: Valuation, S: int, k: int) -> MaximinResult:
 
 
 def clear_caches() -> None:
-    _mu_search.cache_clear()
+    """Does nothing: fairdiv keeps nothing across calls. It stays only for
+    ``perfbench/workloads.py``, which calls it before every task."""
 
 
 # ---------------------------------------------------------------------------

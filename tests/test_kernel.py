@@ -5,7 +5,11 @@ BinaryTable runs with a scale above 1; personalized bivalued valuations
 include b = 0.
 """
 
+import gc
+import importlib
+import pkgutil
 import random
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import fairdiv
 from fairdiv.core import (
     Additive,
     BinaryTable,
@@ -22,9 +27,10 @@ from fairdiv.core import (
     PairDemand,
     PersonalizedBivalued,
     UnsupportedValuationError,
+    full_mask,
     items_of,
 )
-from fairdiv.instances import _draw_binary_table
+from fairdiv.instances import _draw_binary_table, random_binary_mms_feasible
 from fairdiv.oracles import (
     BUDGET,
     BudgetExceededError,
@@ -104,11 +110,51 @@ def test_scale_is_the_lcm_of_the_denominators():
 def test_hash_follows_equality_and_stays_out_of_repr():
     v, w = PairDemand.of(["1/2", 3]), PairDemand.of([Fraction(1, 2), Fraction(3)])
     assert v is not w and v == w and hash(v) == hash(w)
-    assert "_hash" not in repr(v) and "scale" not in repr(v)
-    assert v != PairDemand.of([1, 3])
+    assert "scale" not in repr(v)
+    assert v != PairDemand.of([1, 3]) and v != Additive.of(["1/2", 3])
     t, u = ExplicitTable.of([0, 1, 1, 2]), ExplicitTable.of(["0", "1", "1", "2"])
-    assert t == u and hash(t) == hash(u) and t.num_items == 2
+    assert t.num_items == 2
     assert repr(t) == f"ExplicitTable(table={t.table!r})"
+    # one equal pair per class, each spelled two ways
+    pairs = [
+        (v, w),
+        (t, u),
+        (Additive.of(["2/4", 3]), Additive((Fraction(1, 2), Fraction(6, 2)))),
+        (PersonalizedBivalued("3/2", 0, 0b01, 2),
+         PersonalizedBivalued(Fraction(3, 2), Fraction(0), 1, 2)),
+        (BinaryTable(2, [0b11, 0b01]), BinaryTable(2, frozenset({1, 3}))),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+
+
+# Nothing in fairdiv outlives its call: mu on an instance that is then
+# dropped leaves no reference to its valuation.
+def test_mu_keeps_no_valuation_alive():
+    refs = []
+    for seed in range(50):
+        v = random_binary_mms_feasible(1, 10, seed).valuations[0]
+        mu(v, full_mask(10), 2 + seed % 2)
+        refs.append(weakref.ref(v))
+    del v
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+
+
+# The package keeps no cache keyed by its input. build_parser takes no
+# arguments, so its one entry cannot grow.
+def test_no_function_in_the_package_has_a_cache():
+    cached = set()
+    for info in pkgutil.iter_modules(fairdiv.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"fairdiv.{info.name}")
+        for obj in vars(module).values():
+            members = vars(obj).values() if isinstance(obj, type) else ()
+            for fn in (obj, *members):
+                if hasattr(fn, "cache_info"):
+                    cached.add(f"{fn.__module__}.{fn.__qualname__}")
+    assert cached == {"fairdiv.cli.build_parser"}
 
 
 @KERNEL
