@@ -107,7 +107,8 @@ class Valuation:
     """Base class. Subclasses answer ``value(bundle)`` for bitmask bundles.
 
     Every subclass calls ``_set_kernel`` from ``__post_init__`` and
-    implements ``_value(mask)``, which returns v(S) * ``scale`` as an int.
+    implements ``_value(mask)``, which returns v(S) * ``scale`` as an int;
+    both table classes inherit it from ``_Table``, one 2^m sequence.
     Comparisons within one valuation can use ``_value`` directly, because
     scaling by a positive constant preserves order and equality.
     Equality and the hash are the ones ``@dataclass`` generates from the
@@ -283,8 +284,25 @@ class PairDemand(_ItemValues):
         return min(x1 + x4, x2 + x3)
 
 
+class _Table(Valuation):
+    """A set function stored as one scaled value per bundle mask:
+    ``_cells[S]`` is v(S) * ``scale``, a tuple of ints for ``ExplicitTable``
+    and 2^m bytes for ``BinaryTable``, each built from its public fields."""
+
+    def _set_cells(self, scale: int, cells) -> None:
+        object.__setattr__(self, "_cells", cells)
+        self._set_kernel(scale)
+
+    @property
+    def num_items(self) -> int:
+        return len(self._cells).bit_length() - 1
+
+    def _value(self, mask: int) -> int:
+        return self._cells[mask]
+
+
 @dataclass(frozen=True)
-class ExplicitTable(Valuation):
+class ExplicitTable(_Table):
     """Arbitrary set function stored as a 2^m table indexed by bundle mask."""
 
     table: tuple[Fraction, ...]
@@ -294,28 +312,19 @@ class ExplicitTable(Valuation):
         size = len(self.table)
         if size == 0 or size & (size - 1):
             raise ValueError("table length must be a power of two")
-        object.__setattr__(self, "_m", size.bit_length() - 1)
-        require_table_items(self._m, "explicit")
-        scale, ints = _scaled(self.table)
-        object.__setattr__(self, "_ints", ints)
-        self._set_kernel(scale)
+        require_table_items(size.bit_length() - 1, "explicit")
+        self._set_cells(*_scaled(self.table))
 
     @classmethod
     def of(cls, table: Sequence[RationalLike]) -> "ExplicitTable":
         return cls(tuple(as_fraction(x) for x in table))
 
-    @property
-    def num_items(self) -> int:
-        return self._m
-
-    def _value(self, mask: int) -> int:
-        return self._ints[mask]
-
 
 @dataclass(frozen=True)
-class BinaryTable(Valuation):
+class BinaryTable(_Table):
     """Binary-valued set function: v(S) in {0, 1}, not necessarily monotone
-    or normalized. ``ones`` is the set of bundle masks with value 1."""
+    or normalized. ``ones`` is the set of bundle masks with value 1; the
+    values are held as 2^m bytes, whatever the density of ``ones``."""
 
     m: int
     ones: frozenset[int]
@@ -323,16 +332,12 @@ class BinaryTable(Valuation):
     def __post_init__(self) -> None:
         object.__setattr__(self, "ones", frozenset(self.ones))
         require_table_items(self.m, "binary")
-        if any(mask < 0 or mask >> self.m for mask in self.ones):
+        if self.ones and (min(self.ones) < 0 or max(self.ones) >> self.m):
             raise InvalidBundleError("ones contains a mask outside the item range")
-        self._set_kernel(1)
-
-    @property
-    def num_items(self) -> int:
-        return self.m
-
-    def _value(self, mask: int) -> int:
-        return 1 if mask in self.ones else 0
+        cells = bytearray(1 << self.m)
+        for mask in self.ones:
+            cells[mask] = 1
+        self._set_cells(1, bytes(cells))
 
 
 def to_explicit_table(v: Valuation) -> ExplicitTable:
@@ -386,7 +391,7 @@ class Instance:
         if self.monotone_required:
             for i, v in enumerate(self.valuations):
                 # non-table classes are monotone by construction
-                if isinstance(v, (ExplicitTable, BinaryTable)) and not is_monotone(v):
+                if isinstance(v, _Table) and not is_monotone(v):
                     raise ValueError(f"valuation of agent {i} is not monotone")
 
     @property

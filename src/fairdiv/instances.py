@@ -185,28 +185,23 @@ def random_bivalued(n: int, m: int, seed: int, factored: bool = False) -> Instan
     return Instance(n, m, tuple(valuations))
 
 
-def random_pair_demand(n: int, m: int, seed: int) -> Instance:
+def _random_item_values(cls, n: int, m: int, seed: int, top: int) -> Instance:
+    """n valuations of class cls, each item's value drawn from 0..top."""
     rng = random.Random(seed)
-    valuations = tuple(
-        PairDemand.of([Fraction(rng.randint(0, 9)) for _ in range(m)]) for _ in range(n)
-    )
-    return Instance(n, m, valuations)
+    return Instance(n, m, tuple(cls.of([rng.randint(0, top) for _ in range(m)])
+                                for _ in range(n)))
+
+
+def random_pair_demand(n: int, m: int, seed: int) -> Instance:
+    return _random_item_values(PairDemand, n, m, seed, 9)
 
 
 def random_binary_additive(n: int, m: int, seed: int) -> Instance:
-    rng = random.Random(seed)
-    valuations = tuple(
-        Additive.of([rng.randint(0, 1) for _ in range(m)]) for _ in range(n)
-    )
-    return Instance(n, m, valuations)
+    return _random_item_values(Additive, n, m, seed, 1)
 
 
 def random_additive(n: int, m: int, seed: int) -> Instance:
-    rng = random.Random(seed)
-    valuations = tuple(
-        Additive.of([rng.randint(0, 9) for _ in range(m)]) for _ in range(n)
-    )
-    return Instance(n, m, valuations)
+    return _random_item_values(Additive, n, m, seed, 9)
 
 
 def _draw_binary_table(rng: random.Random, m: int, monotone: bool, normalized: bool) -> BinaryTable:

@@ -31,6 +31,7 @@ from .core import (
     Instance,
     UnsupportedValuationError,
     Valuation,
+    _Table,
     items_of,
     require_valid_allocation,
 )
@@ -408,9 +409,9 @@ def nash_welfare_maximizers(inst: Instance):
 
 def check_mms_feasible(v: Valuation, budget: Optional[int] = None) -> bool:
     """True iff for every S: min over bipartitions of the max side value is
-    at least mu(v, S, 2), on a table of v's values built once. The budget
-    is charged 3^m, the splits of every subset, before the table is built;
-    ``budget``, when given, caps this call in place of ``BUDGET``.
+    at least mu(v, S, 2), on v's 2^m scaled values (a table's own, else
+    built once). The budget is charged 3^m, the splits of every subset,
+    first; ``budget``, when given, caps this call in place of ``BUDGET``.
 
     A table with at most two distinct values is decided by
     ``_two_valued_feasible``: one step per mask, a submask product and a
@@ -421,12 +422,12 @@ def check_mms_feasible(v: Valuation, budget: Optional[int] = None) -> bool:
     # as check_mms_feasible(v, budget), two positional arguments.
     m = v.num_items
     _check_budget(3, m, budget)
-    table = list(map(v._value, range(1 << m)))
+    table = v._cells if isinstance(v, _Table) else list(map(v._value, range(1 << m)))
     levels = set(table)
     if len(levels) == 1:
         return True
     if len(levels) == 2:
-        return _two_valued_feasible(table, max(levels), m)
+        return _two_valued_feasible(bytes(map(max(levels).__eq__, table)), m)
     value = table.__getitem__
     for S in range(1 << m):
         maxmin, minmax = _split_bounds(value, S)
@@ -435,9 +436,9 @@ def check_mms_feasible(v: Valuation, budget: Optional[int] = None) -> bool:
     return True
 
 
-def _two_valued_feasible(table: list, top: int, m: int) -> bool:
-    """MMS-feasibility of a table whose values are ``top`` and one lower
-    value. Let H be the masks valued ``top`` and L the rest. S fails
+def _two_valued_feasible(in_h: bytes, m: int) -> bool:
+    """MMS-feasibility of a two-valued table, given as ``in_h``: 2^m bytes,
+    1 at the masks H of the higher value ``top``, 0 at the rest, L. S fails
     exactly when some split of S has both sides in H (mu(v, S, 2) = top)
     and some split has both sides in L (every split has a side below top):
     when S is a disjoint union of two members of H and also of two
@@ -464,8 +465,7 @@ def _two_valued_feasible(table: list, top: int, m: int) -> bool:
     for b in range(lo, m):
         high += [x | x << (1 << b) for x in high]
     low_bits = (1 << lo) - 1
-    in_h = [x == top for x in table]
-    H = int("".join("1" if bit else "0" for bit in reversed(in_h)), 2)
+    H = int(in_h.translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
     members = (((1 << (1 << m)) - 1) ^ H, H)  # L, H: indexed by in_h
     unions = [0, 0]
     for A, bit in enumerate(in_h):

@@ -9,6 +9,7 @@ import os
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -85,7 +86,7 @@ def test_criterion_1_table1_trace(capsys):
         lines = maf_trace_lines(trace)
         elapsed = time.monotonic() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
-        golden = open(GOLDEN_TRACE).read().splitlines()
+        golden = Path(GOLDEN_TRACE).read_text().splitlines()
         assert lines == golden
         assert inactive_rounds(trace, 1) == {2}
         assert inactive_rounds(trace, 3) == {2, 3, 4}

@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,7 +64,7 @@ def test_gen_deterministic(tmp_path, capsys):
                  "--seed", "7", "--out", a]) == 0
     assert main(["gen", "--kind", "random-bivalued", "--n", "3", "--m", "6",
                  "--seed", "7", "--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 # The direct call each generator kind stands for, at --n 2 --m 4 --seed 3.
@@ -126,9 +127,9 @@ def test_solve_maf_trace_golden(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--algo", "maf", "--in", inst_path,
                        "--trace", "--out", out_path)
     assert code == 0
-    golden = open(os.path.join(os.path.dirname(__file__), "data", "table1_trace.txt")).read()
+    golden = (Path(__file__).parent / "data" / "table1_trace.txt").read_text()
     assert out == golden
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(Path(out_path).read_text())
     assert sorted(itertools.chain.from_iterable(doc["bundles"])) == list(range(18))
 
 
@@ -152,7 +153,7 @@ def test_solve_ccg_trace_round_trips(tmp_path, capsys, n, m, seed, cases):
     code, out, _ = run(capsys, "solve", "--algo", "ccg", "--in", inst_path, "--trace",
                        "--out", alloc_path)
     assert code == 0
-    inst = serialize.instance_from_doc(json.loads(open(inst_path).read()))
+    inst = serialize.instance_from_doc(json.loads(Path(inst_path).read_text()))
     bundles, trace = cut_and_choose_graph_procedure(inst)
     head, *lines = out.splitlines()
     assert head == f"init W={trace.initial_W} E={trace.initial_E}"
@@ -160,7 +161,7 @@ def test_solve_ccg_trace_round_trips(tmp_path, capsys, n, m, seed, cases):
     assert [t for t, _ in parsed] == list(range(1, len(trace.iterations) + 1))
     assert tuple(it for _, it in parsed) == trace.iterations
     assert tuple(it.case for it in trace.iterations) == cases
-    assert json.loads(open(alloc_path).read()) == serialize.allocation_to_doc(bundles)
+    assert json.loads(Path(alloc_path).read_text()) == serialize.allocation_to_doc(bundles)
 
 
 def test_solve_rrr_single_agent(tmp_path, capsys):
@@ -633,7 +634,7 @@ def test_export_compat_dot_triangle_free(tmp_path, capsys):
     main(["gen", "--kind", "separation3", "--out", inst_path])
     assert main(["export-graph", "--in", inst_path, "--kind", "compat",
                  "--dot", dot_path]) == 0
-    text = open(dot_path).read()
+    text = Path(dot_path).read_text()
     assert text.startswith("graph compat {") and text.rstrip().endswith("}")
     edges = _parse_dot_edges(text)
     assert len(edges) == 93

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fairdiv.core import (
+    MAX_TABLE_ITEMS,
     Additive,
     BinaryTable,
     ExplicitTable,
@@ -11,6 +12,7 @@ from fairdiv.core import (
     InvalidBundleError,
     PairDemand,
     PersonalizedBivalued,
+    as_fraction,
     full_mask,
     is_monotone,
     items_of,
@@ -66,6 +68,29 @@ def test_binary_table_values():
     assert v.value(0b011) == 1
     assert v.value(0b111) == 0
     assert v.value(0) == 0
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError, match="floats are not allowed"):
+        as_fraction(1.5)
+
+
+def test_high_item_past_m_is_refused():
+    PersonalizedBivalued(Fraction(2), Fraction(1), 0b100, 3)
+    with pytest.raises(InvalidBundleError):
+        PersonalizedBivalued(Fraction(2), Fraction(1), 0b1000, 3)
+
+
+@pytest.mark.parametrize("mask", [1 << 3, 1 << 40, -1], ids=["2^m", "far-past", "negative"])
+def test_binary_table_mask_outside_items_is_refused(mask):
+    BinaryTable(3, frozenset({0b111}))
+    with pytest.raises(InvalidBundleError):
+        BinaryTable(3, frozenset({0b001, mask}))
+
+
+def test_to_explicit_table_is_capped():
+    with pytest.raises(ValueError, match="too many items"):
+        to_explicit_table(Additive.of([1] * (MAX_TABLE_ITEMS + 1)))
 
 
 def test_explicit_table_requires_power_of_two():

@@ -172,3 +172,10 @@ def test_sample_random_dispatch():
         sample_random("nope")
     with pytest.raises(KeyError):
         sample_random("stars")
+    with pytest.raises(ValueError, match="n \\* m must be at most"):
+        sample_random("random-bivalued", 0, {"n": 2048, "m": 1024})
+
+
+def test_stars_needs_two_agents():
+    with pytest.raises(ValueError, match="at least two agents"):
+        gen_nonexistence_stars(1)

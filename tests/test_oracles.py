@@ -56,6 +56,15 @@ def test_mu_empty_set():
     assert res.witness == (0, 0, 0)
 
 
+def test_mu_refuses_k_below_one_and_items_outside():
+    v = Additive.of([1, 2])
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        mu(v, 0b11, 0)
+    for S in (0b100, -1):
+        with pytest.raises(ValueError, match="outside the valuation's range"):
+            mu(v, S, 2)
+
+
 def test_mu_witness_is_partition():
     v = PairDemand.of([2, 3, 5, 7, 11])
     S = 0b10111
@@ -169,6 +178,26 @@ def test_mms_feasible_counterexample():
         if (mask & 0b0011) == 0b0011 or (mask & 0b1100) == 0b1100
     )
     assert not check_mms_feasible(BinaryTable(4, ones))
+
+
+# check_mms_feasible reads a table valuation's stored values, one sequence
+# of 2^m, and asks _value of no mask.
+@pytest.mark.parametrize("v,feasible", [
+    (BinaryTable(4, frozenset({0b0011, 0b1100, 0b0111, 0b1011, 0b1101, 0b1110, 0b1111})),
+     False),
+    (BinaryTable(3, frozenset(range(1, 8))), True),
+    (BinaryTable(2, frozenset()), True),
+    (ExplicitTable.of([0, 1, 1, 2]), True),
+    (ExplicitTable.of(["-1/2", 3, 3, 3]), True),
+], ids=["binary-infeasible", "binary-feasible", "binary-one-valued",
+        "explicit-three-valued", "explicit-two-valued"])
+def test_mms_feasible_reads_table_without_value_calls(monkeypatch, v, feasible):
+    def refuse(self, mask):
+        raise AssertionError("check_mms_feasible called _value")
+
+    for cls in (ExplicitTable, BinaryTable):
+        monkeypatch.setattr(cls, "_value", refuse)
+    assert check_mms_feasible(v) is feasible
 
 
 def test_exists_fair_allocation_and_first_witness():
