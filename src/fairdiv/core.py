@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -119,11 +120,15 @@ class Valuation:
     Likewise a class overrides ``_drop1(S)``, for nonempty S, to return
     the largest v(S \\ {g}) over g in S, times ``scale``; under the base's
     ``_drop1 = None``, the EFX test removes S's items one by one.
+    ``_monotone`` is whether v is known to be monotone (S within T implies
+    v(S) <= v(T)): True by construction for the item-value classes, a
+    table's own scan for the tables, and False, not known, from the base.
     """
 
     scale: int = field(init=False, repr=False, compare=False)
     _share2 = None
     _drop1 = None
+    _monotone = False
 
     def _set_kernel(self, scale: int) -> None:
         object.__setattr__(self, "scale", scale)
@@ -153,6 +158,7 @@ class _ItemValues(Valuation):
     ``__init__``, ``__eq__`` (same class only) and ``repr``."""
 
     values: tuple[Fraction, ...]
+    _monotone = True  # a bundle's value combines non-negative item values
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(as_fraction(x) for x in self.values))
@@ -207,6 +213,7 @@ class PersonalizedBivalued(Valuation):
     b: Fraction
     high_items: int
     m: int
+    _monotone = True  # a sum of item values a > b >= 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", as_fraction(self.a))
@@ -300,6 +307,14 @@ class _Table(Valuation):
     def _value(self, mask: int) -> int:
         return self._cells[mask]
 
+    @cached_property
+    def _monotone(self) -> bool:
+        """Scanned on first use and kept, outside equality, hash and repr:
+        no cell is above the cell of its mask plus one item."""
+        cells = self._cells
+        return not any(cells[S] > cells[S | 1 << g] for g in range(self.num_items)
+                       for S in range(len(cells)) if not S >> g & 1)
+
 
 @dataclass(frozen=True)
 class ExplicitTable(_Table):
@@ -349,15 +364,10 @@ def to_explicit_table(v: Valuation) -> ExplicitTable:
 
 
 def is_monotone(v: Valuation) -> bool:
-    """Scan S subset-of T => v(S) <= v(T) over single-item extensions."""
-    m = v.num_items
-    for mask in range(1 << m):
-        base = v._value(mask)
-        for g in range(m):
-            bit = 1 << g
-            if not mask & bit and v._value(mask | bit) < base:
-                return False
-    return True
+    """Whether S subset-of T => v(S) <= v(T) is known: by construction for
+    the item-value classes; a table is scanned once, on first use, and keeps
+    the answer, so validation and ``mu`` share one scan."""
+    return v._monotone
 
 
 @dataclass(frozen=True)

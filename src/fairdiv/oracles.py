@@ -1,7 +1,8 @@
 """Fair-share computation and fairness verification.
 
-Everything here is exact: maximin shares with their witnesses enumerate the
-labeled partitions up to relabeling (one per restricted growth string), the
+Everything here is exact: maximin shares with their witnesses walk the
+labeled partitions up to relabeling (one per restricted growth string),
+cutting, for a monotone valuation, every branch that cannot improve; the
 existence search decides the n^m allocations by a pruned agent-by-agent
 search, and PMMS envy is asked of one bound test (``_pmms_test``), whose
 share (``_pmms_share``) is a class's closed form (``Valuation._share2``)
@@ -78,42 +79,71 @@ class FairnessReport:
 
 
 def _mu_search(v: Valuation, S: int, k: int) -> MaximinResult:
-    bits = [1 << g for g in items_of(S)]
-    value = v._value
-    labels = [0] * len(bits)  # the label (part) of each item of S
-    parts = [S] + [0] * (k - 1)
-    best_min = min(map(value, parts))
-    best_parts = tuple(parts)
+    """The best labeled k-part partition of S by one depth-first walk over
+    the restricted growth strings: label vectors in which each item's label
+    is at most one more than the largest label before it. Items are placed
+    in increasing order, labels ascending, so the walk meets the vectors in
+    lexicographic order (the lowest item most significant), and only strict
+    improvements replace the best: the first optimum found has the smallest
+    optimal vector. Relabeling any vector's parts in order of first
+    appearance gives such a string, with the same part values and no larger,
+    so that smallest vector, the witness, is one of them.
 
-    # An odometer over the label vectors, the last item varying fastest, so
-    # they are visited in lexicographic order and the first optimum found
-    # has the smallest label vector; only strict improvements replace it.
-    # Only restricted growth strings are visited: an item's label is at most
-    # one more than the largest label before it. Relabeling the parts of
-    # any vector in order of first appearance gives such a string, with the
-    # same part values and no larger, so the smallest optimal vector is one.
-    # top[idx] is the largest label item idx may take.
-    top = [0] + [min(1, k - 1)] * (len(bits) - 1)
-    last = idx = len(bits) - 1
-    while idx > 0:  # the first item's label is always 0
-        label, bit = labels[idx], bits[idx]
-        parts[label] ^= bit
-        if label < top[idx]:
+    Where v is known to be monotone, a node is cut when no part, given every
+    unplaced item, is worth more than the best so far: each completion's
+    parts lie within those, so none improves strictly, and the witness is
+    unchanged. Otherwise the walk visits every leaf. The best starts at the
+    first leaf, everything in part 0, since values may be negative. Labels
+    past |S| - 1 are never used, so one empty part stands for the k - |S|
+    of them until the witness is returned."""
+    value = v._value
+    items = list(items_of(S))  # indices: the masks 2^g of m items hold m^2/16 bytes
+    parts = [S] + [0] * (min(k, len(items) + 1) - 1)
+    best = min(map(value, parts))
+    best_parts = tuple(parts)
+    last = len(items) - 1
+    if last > 0:
+        prune = v._monotone
+        parts[0] = 1 << items[0]  # item 0's label is always 0; the rest are unplaced
+        labels = [0] + [-1] * (last - 1)  # each inner item's label, -1 while unplaced
+        used = [1] * last  # used[d]: 1 + the largest label of items 0..d
+        final = 1 << items[last]
+        d = 1
+        while d:
+            if d == last:  # the leaves: the last item in each label it may take
+                for label in range(min(used[d - 1] + 1, k)):
+                    parts[label] |= final
+                    worst = min(map(value, parts))
+                    if worst > best:
+                        best, best_parts = worst, tuple(parts)
+                    parts[label] ^= final
+                d -= 1
+                continue
+            label, bit = labels[d], 1 << items[d]
+            if label >= 0:
+                parts[label] ^= bit
+            if label == used[d - 1] or label == k - 1:  # every label tried: back up
+                labels[d] = -1
+                d -= 1
+                continue
             label += 1
-            labels[idx] = label
+            labels[d] = label
             parts[label] |= bit
-            worst = min(map(value, parts))
-            if worst > best_min:
-                best_min = worst
-                best_parts = tuple(parts)
-            if idx < last:  # the items after idx are all at label 0
-                top[idx + 1:] = [min(max(top[idx], label + 1), k - 1)] * (last - idx)
-                idx = last
-        else:  # wrap this digit to 0 and carry into the one before it
-            labels[idx] = 0
-            parts[0] |= bit
-            idx -= 1
-    return MaximinResult(Fraction(best_min, v.scale), best_parts, best_min)
+            used[d] = max(used[d - 1], label + 1)
+            if prune:
+                # the best any part can reach: its value given every unplaced
+                # item, the items after d; while a part is empty, its value
+                # given them is the least, v being monotone
+                rest = S & -(bit << 1)
+                if used[d] < k:
+                    bound = value(rest)
+                else:
+                    bound = min(map(value, map(rest.__or__, parts)))
+                if bound <= best:
+                    continue
+            d += 1
+    best_parts += (0,) * (k - len(parts))
+    return MaximinResult(Fraction(best, v.scale), best_parts, best)
 
 
 def _split_bounds(value, S: int) -> tuple[int, int]:
@@ -138,14 +168,42 @@ def _split_bounds(value, S: int) -> tuple[int, int]:
     return maxmin, minmax
 
 
+def _check_leaves(n: int, k: int) -> None:
+    """Refuse a walk over the restricted growth strings of n items with at
+    most k labels, sum over j <= k of S(n, j) (Stirling numbers of the
+    second kind), when they exceed the cap. The count is 1 for k = 1 and
+    2^(n-1) for k = 2, refused as that power. For k >= 3 each row's entries
+    are capped just past the cap; the row total never falls as n grows, so
+    the first row past the cap decides, within about log2(cap) rows of at
+    most k entries."""
+    k = min(k, n)
+    if k < 2:
+        _check_budget(1)
+        return
+    if k == 2:
+        _check_budget(2, n - 1)
+        return
+    cap = BUDGET.get()
+    row = [1]  # S(i, j) for j = 0..min(i, k), each at most cap + 1
+    for i in range(1, n + 1):
+        if i <= k:
+            row.append(0)
+        row = [0] + [min(j * row[j] + row[j - 1], cap + 1) for j in range(1, len(row))]
+        if sum(row) > cap:
+            raise BudgetExceededError(f"enumeration of the partitions of {n} items into "
+                                      f"at most {k} parts exceeds budget {cap}")
+
+
 def mu(v: Valuation, S: int, k: int) -> MaximinResult:
     """Exact fair share: max over labeled k-part partitions of S of the
-    minimum part value, with a witness partition attaining it."""
+    minimum part value, with a witness partition attaining it. The budget
+    is charged the walk's leaves, the restricted growth strings of S with
+    at most k labels."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if S < 0 or S >> v.num_items:
         raise ValueError("S addresses items outside the valuation's range")
-    _check_budget(k, S.bit_count())
+    _check_leaves(S.bit_count(), k)
     return _mu_search(v, S, k)
 
 

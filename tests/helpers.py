@@ -560,6 +560,14 @@ def reference_value(v, mask: int) -> Fraction:
     raise TypeError(type(v).__name__)
 
 
+def reference_monotone(v) -> bool:
+    """Whether v(S) <= v(S | {g}) for every S and item g, on Fraction
+    values."""
+    m = v.num_items
+    return all(reference_value(v, S) <= reference_value(v, S | 1 << g)
+               for S in range(1 << m) for g in range(m))
+
+
 @functools.lru_cache(maxsize=1 << 16)
 def reference_mu(v, S: int, k: int) -> tuple[Fraction, tuple[int, ...]]:
     """Fair share and lexicographically smallest witness by exhaustive

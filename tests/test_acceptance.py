@@ -165,6 +165,22 @@ def test_criterion_3_stars_family(capsys):
     report(capsys, "criterion 3 (stars family: no PMMS, fair shares, MMS, EFX)", body)
 
 
+# The stars fair share at sizes criterion 3's searches do not reach: every
+# agent's mu(v, M, n) = k under the default budget, each in under 0.3 s.
+def test_criterion_3_stars_fair_shares_at_n6_and_n7(capsys):
+    def body():
+        for n in (6, 7):
+            inst = gen_nonexistence_stars(n)
+            k = stars_partition_size(n)
+            for i, v in enumerate(inst.valuations):
+                start = time.monotonic()
+                assert mu(v, inst.all_items, n).mu == k
+                elapsed = time.monotonic() - start
+                assert elapsed < 0.3, f"n={n}, agent {i} took {elapsed:.3f}s"
+
+    report(capsys, "criterion 3 (stars n = 6, 7: fair share k, under 0.3 s per agent)", body)
+
+
 def test_criterion_4_nash_welfare(capsys):
     def body():
         inst = gen_mnw_counterexample()

@@ -380,6 +380,21 @@ def test_gen_over_feasibility_budget_exits_3(capsys):
     assert err.count("\n") == 1 and err.startswith("error: ") and "budget" in err
 
 
+# Stars n = 7 has 11 items: each fair share walks at most the 665,479
+# partitions into at most 7 parts, charged that count, not 7^11, so the
+# check runs under the default budget. The stated MMS allocation gives the
+# five stars to agents 0-4, then agent 5's special split of the commons.
+def test_check_mms_on_stars_7_runs_under_the_default_budget(tmp_path, capsys):
+    inst_path = str(tmp_path / "stars7.json")
+    assert main(["gen", "--kind", "stars", "--n", "7", "--out", inst_path]) == 0
+    A, B = mask_of([5, 7, 9]), mask_of([6, 8, 10])
+    assert instances.gen_nonexistence_stars(7).value(5, A) == 4  # k + 1
+    alloc_path = write_allocation(tmp_path, (1, 2, 4, 8, 16, A, B))
+    code, out, err = run(capsys, "check", "--notion", "mms", "--in", inst_path,
+                         "--alloc", alloc_path)
+    assert (code, err) == (0, "") and json.loads(out)["holds"] is True
+
+
 # The pair-demand and bivalued share values are closed forms that enumerate
 # no splits, so checking a 30-item pair costs nothing against the budget.
 @pytest.mark.parametrize("kind,algo", [("random-factored-bivalued", "maf"),
@@ -702,7 +717,7 @@ def test_export_budget_exceeded_exits_3(tmp_path, capsys, monkeypatch, kind):
         monkeypatch.setenv("FAIRDIV_BUDGET", "1")
         argv = ["export-graph", "--in", inst_path, "--kind", "compat"]
     else:
-        # mu over all 28 items enumerates 2^28 splits, past the default budget
+        # the PMMS share of all 28 items enumerates 2^28 splits, past the default budget
         inst_path = str(tmp_path / "additive.json")
         main(["gen", "--kind", "random-additive", "--n", "2", "--m", "28", "--out", inst_path])
         alloc_path = write_allocation(tmp_path, ((1 << 28) - 1, 0))

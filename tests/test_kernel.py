@@ -28,6 +28,7 @@ from fairdiv.core import (
     PersonalizedBivalued,
     UnsupportedValuationError,
     full_mask,
+    is_monotone,
     items_of,
 )
 from fairdiv.instances import _draw_binary_table, random_binary_mms_feasible
@@ -53,6 +54,7 @@ from helpers import (
     reference_efx_violations,
     reference_mms_feasible,
     reference_mms_violations,
+    reference_monotone,
     reference_mu,
     reference_nash_welfare,
     reference_pmms_violations,
@@ -63,11 +65,29 @@ KERNEL = settings(max_examples=150, deadline=None, database=None)
 
 rationals = st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 3, 6]))
 positive_rationals = st.builds(Fraction, st.integers(1, 12), st.sampled_from([1, 2, 3, 6]))
+signed_rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 6]))
+
+
+def up_closure(cells) -> tuple:
+    """v(S) = the largest cell at a submask of S: monotone, whatever the
+    cells, and negative wherever every cell below S is."""
+    cells = list(cells)
+    bit = 1
+    while bit < len(cells):
+        for S in range(len(cells)):
+            if S & bit:
+                cells[S] = max(cells[S], cells[S ^ bit])
+        bit <<= 1
+    return tuple(cells)
 
 
 @st.composite
 def valuations(draw, m: int):
-    kind = draw(st.sampled_from(["additive", "bivalued", "pair", "table", "binary"]))
+    """A valuation of every class. The random tables are almost never
+    monotone, so ``monotone-table`` draws the up-closure of signed cells,
+    a table whose fair shares take the pruned walk."""
+    kind = draw(st.sampled_from(["additive", "bivalued", "pair", "table", "monotone-table",
+                                 "binary"]))
     if kind == "additive":
         return Additive(tuple(draw(st.lists(rationals, min_size=m, max_size=m))))
     if kind == "pair":
@@ -79,6 +99,10 @@ def valuations(draw, m: int):
     if kind == "table":
         size = 1 << m
         return ExplicitTable(tuple(draw(st.lists(rationals, min_size=size, max_size=size))))
+    if kind == "monotone-table":
+        size = 1 << m
+        return ExplicitTable(up_closure(draw(st.lists(signed_rationals, min_size=size,
+                                                      max_size=size))))
     return BinaryTable(m, draw(st.frozensets(st.integers(0, (1 << m) - 1))))
 
 
@@ -168,14 +192,48 @@ def test_value_matches_reference(case):
         assert v._value(mask) == got * v.scale
 
 
+# Both walks: the pruned one wherever v is known to be monotone (a table,
+# in an instance that does not ask, scans itself on the first mu), and the
+# same valuation's walk over every leaf, with that knowledge hidden.
 @KERNEL
-@given(valuation_and_subset(), st.sampled_from([2, 3, 4]))
+@given(valuation_and_subset(), st.integers(1, 5))
 def test_mu_matches_reference(case, k):
     v, S = case
-    result = mu(v, S, k)
+    inst = Instance(1, v.num_items, (v,), monotone_required=False, normalized_required=False)
+    result = mu(inst.valuations[0], S, k)
+    event(f"{type(v).__name__}, pruned: {v._monotone}")
     assert type(result.mu) is Fraction
     assert (result.mu, result.witness) == reference_mu(v, S, k)
     assert result.scaled == result.mu * v.scale
+    vars(v)["_monotone"] = False
+    unpruned = mu(v, S, k)
+    assert (unpruned.mu, unpruned.witness, unpruned.scaled) == (result.mu, result.witness,
+                                                                result.scaled)
+
+
+@KERNEL
+@given(st.integers(0, 5).flatmap(valuations))
+def test_monotone_scan_matches_reference(v):
+    assert is_monotone(v) is reference_monotone(v)
+
+
+# A table is scanned on first use, not at construction nor by an instance
+# that does not ask, and keeps the answer outside equality, hash and repr,
+# so validation and mu share one scan.
+@pytest.mark.parametrize("make", [
+    lambda: ExplicitTable.of(up_closure([0, 2, -1, 1, 3, 0, 0, 1])),
+    lambda: BinaryTable(3, frozenset({0b011, 0b111})),
+], ids=["table", "binary"])
+def test_table_monotonicity_is_scanned_once_on_first_use(make):
+    v, w = make(), make()
+    Instance(1, 3, (v,), monotone_required=False)
+    assert "_monotone" not in vars(v)
+    Instance(1, 3, (v,))
+    assert vars(v)["_monotone"] is True
+    assert v == w and hash(v) == hash(w) and repr(v) == repr(w)
+    vars(v)["_monotone"] = False  # the kept answer is the one read
+    assert not is_monotone(v) and is_monotone(w) and "_monotone" in vars(w)
+    assert not is_monotone(BinaryTable(2, frozenset({0b01})))
 
 
 @st.composite
@@ -393,9 +451,6 @@ def test_efx_positive_rejects_non_additive_before_validation():
 @given(st.integers(1, 4).flatmap(valuations))
 def test_mms_feasible_matches_reference(v):
     assert check_mms_feasible(v) == reference_mms_feasible(v)
-
-
-signed_rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 6]))
 
 
 @st.composite

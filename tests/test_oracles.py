@@ -1,6 +1,8 @@
 import collections
 import gc
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from fairdiv.instances import (
 )
 from fairdiv.oracles import (
     BUDGET,
+    DEFAULT_BUDGET,
     BudgetExceededError,
     allocation_satisfies,
     check_efx,
@@ -107,6 +110,76 @@ def test_mu_budget():
             mu(Additive.of([1] * 10), full_mask(10), 3)
     finally:
         BUDGET.reset(token)
+
+
+def _growth_strings(n: int, k: int) -> int:
+    """The label vectors of n items over k labels in which each label is at
+    most one more than the largest before it, counted one by one."""
+    return sum(all(x <= max(vec[:i], default=-1) + 1 for i, x in enumerate(vec))
+               for vec in itertools.product(range(k), repeat=n))
+
+
+# mu is charged its walk's leaves: it runs under a cap of exactly that
+# count and is refused one below it.
+def test_mu_is_charged_its_leaf_count():
+    v = Additive.of([1, 2, 3, 4, 5, 6])
+    for n in range(7):
+        for k in range(1, 6):
+            count = _growth_strings(n, k)
+            token = BUDGET.set(count)
+            try:
+                mu(v, full_mask(n), k)
+                BUDGET.set(count - 1)
+                with pytest.raises(BudgetExceededError):
+                    mu(v, full_mask(n), k)
+            finally:
+                BUDGET.reset(token)
+
+
+@pytest.mark.parametrize("m,k,cap,message", [
+    (6, 1, 0, "enumeration of size 1 exceeds budget 0"),
+    (6, 2, 31, "enumeration of size 2^5 exceeds budget 31"),
+    (10, 3, 100, "enumeration of the partitions of 10 items into at most 3 parts "
+                 "exceeds budget 100"),
+    (3, 10**6, 4, "enumeration of the partitions of 3 items into at most 3 parts "
+                  "exceeds budget 4"),
+], ids=["one-part", "two-parts", "three-parts", "more-parts-than-items"])
+def test_mu_budget_message(m, k, cap, message):
+    token = BUDGET.set(cap)
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            mu(Additive.of([1] * m), full_mask(m), k)
+    finally:
+        BUDGET.reset(token)
+    assert str(err.value) == message
+
+
+# Past the cap by far, a refusal is immediate and prints no number past the
+# 4,300 digits Python will format: for k = 2 the count is 2^(|S| - 1).
+def test_mu_refuses_a_huge_walk_at_once():
+    v = PersonalizedBivalued(2, 1, 0b1011, 10_000)
+    for k, size in ((2, "size 2^9999"), (3, "the partitions of 10000 items into at most 3 parts"),
+                    (10_000, "the partitions of 10000 items into at most 10000 parts")):
+        with pytest.raises(BudgetExceededError) as err:
+            mu(v, full_mask(10_000), k)
+        assert str(err.value) == f"enumeration of {size} exceeds budget {DEFAULT_BUDGET}"
+
+
+# One part has one leaf, whatever S: charged 1. The walk is iterative and
+# holds item indices, not the 65,536 item masks (268 MB).
+def test_mu_one_part_of_65536_items():
+    v = PersonalizedBivalued(2, 1, 0b1011, 65_536)
+    S = full_mask(65_536)
+    token = BUDGET.set(1)
+    tracemalloc.start()
+    try:
+        result = mu(v, S, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        BUDGET.reset(token)
+    assert (result.mu, result.witness) == (v.value(S), (S,))
+    assert peak < 16 << 20, f"peak {peak >> 20} MB"
 
 
 def test_efx_example_and_pmms_separation():
