@@ -43,11 +43,25 @@ def full_mask(m: int) -> int:
     return (1 << m) - 1
 
 
+_WORD = (1 << 64) - 1
+
+
 def items_of(mask: int) -> Iterator[int]:
-    """Yield the item indices of a bundle mask in increasing order."""
-    while mask:
+    """Yield the item indices of a bundle mask in increasing order. Bits are
+    cleared one 64-bit window at a time, so each step touches one window, not
+    the whole mask: linear in the mask's length."""
+    offset = -1  # the window's first index, less the 1 that bit_length adds
+    while mask > _WORD:
+        word = mask & _WORD
+        mask >>= 64
+        while word:
+            low = word & -word
+            yield low.bit_length() + offset
+            word ^= low
+        offset += 64
+    while mask:  # the top window
         low = mask & -mask
-        yield low.bit_length() - 1
+        yield low.bit_length() + offset
         mask ^= low
 
 
@@ -123,11 +137,18 @@ class Valuation:
     ``_monotone`` is whether v is known to be monotone (S within T implies
     v(S) <= v(T)): True by construction for the item-value classes, a
     table's own scan for the tables, and False, not known, from the base.
+    ``_item_classes(within)`` returns one label per item. Two items g and
+    h with equal entries in ``within`` get equal labels exactly when they
+    are interchangeable: swapping them leaves v(S) unchanged for every S.
+    Items that ``within`` tells apart need not be told apart again. Under
+    the base's ``_item_classes = None`` no two items are known to be
+    interchangeable.
     """
 
     scale: int = field(init=False, repr=False, compare=False)
     _share2 = None
     _drop1 = None
+    _item_classes = None
     _monotone = False
 
     def _set_kernel(self, scale: int) -> None:
@@ -175,6 +196,10 @@ class _ItemValues(Valuation):
     @property
     def num_items(self) -> int:
         return len(self.values)
+
+    def _item_classes(self, within) -> tuple[int, ...]:
+        # items of one value are interchangeable, however a bundle combines them
+        return self._ints
 
 
 class Additive(_ItemValues):
@@ -230,6 +255,10 @@ class PersonalizedBivalued(Valuation):
     @property
     def num_items(self) -> int:
         return self.m
+
+    def _item_classes(self, within) -> tuple[int, ...]:
+        # two high or two low items are interchangeable
+        return tuple(self.high_items >> g & 1 for g in range(self.m))
 
     def is_factored(self) -> bool:
         """True iff b = 0 or a is an integer multiple of b."""
@@ -307,6 +336,39 @@ class _Table(Valuation):
     def _value(self, mask: int) -> int:
         return self._cells[mask]
 
+    def _item_classes(self, within) -> tuple[int, ...]:
+        """Each item's label is the lowest item interchangeable with it that
+        ``within`` does not tell apart from it. A swap of g and h maps {g}
+        to {h} and M \\ {g} to M \\ {h}, so items are first grouped by their
+        ``within`` entry and those two cells; within a group, each item is
+        swap-tested against the lowest item of each class found so far, at
+        most m^2 / 2 tests. A test reads the table's bit planes, stacked in
+        one int P (``_bit_planes``): g < h are interchangeable when each
+        mask S holding g and not h has, in every plane, the bit of
+        S - 2^g + 2^h, that is ((P & A) << d) == P & (A << d), where A is
+        the bitset of those masks in every plane and d = 2^h - 2^g. So a
+        test is a few big-int steps over 2^m bits per plane, and there are
+        at most m planes, whatever the number of distinct values; planes
+        are built only if some group has two items."""
+        cells, m = self._cells, self.num_items
+        full = (1 << m) - 1
+        planes = without = None  # built for the first test
+        labels = list(range(m))
+        firsts = {}  # (within, v({g}), v(M - {g})) -> the lowest item of each class
+        for h in range(m):
+            reps = firsts.setdefault((within[h], cells[1 << h], cells[full ^ 1 << h]), [])
+            for g in reps:
+                if planes is None:
+                    planes, count = _bit_planes(cells)
+                    without = _masks_without(m, count)
+                A, d = without[h] & ~without[g], (1 << h) - (1 << g)
+                if (planes & A) << d == planes & (A << d):
+                    labels[h] = g
+                    break
+            else:
+                reps.append(h)
+        return tuple(labels)
+
     @cached_property
     def _monotone(self) -> bool:
         """Scanned on first use and kept, outside equality, hash and repr:
@@ -314,6 +376,38 @@ class _Table(Valuation):
         cells = self._cells
         return not any(cells[S] > cells[S | 1 << g] for g in range(self.num_items)
                        for S in range(len(cells)) if not S >> g & 1)
+
+
+def _bit_planes(cells) -> tuple[int, int]:
+    """(P, w): a table's 2^m values as w bit planes stacked in one int.
+    Plane b, the bits from b * 2^m, is the bitset (bit S for mask S) of
+    the masks whose value's rank among the distinct values has bit b set;
+    a binary table's values are their own one plane. Each plane is read
+    like ``_two_valued_feasible``'s H: one ASCII digit per mask, reversed
+    and read as a base-2 int."""
+    if isinstance(cells, bytes):  # a BinaryTable: 0 or 1 at every mask
+        return int(cells.translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2), 1
+    levels = sorted(set(cells))
+    count = max(1, (len(levels) - 1).bit_length())
+    planes = 0
+    for b in range(count):
+        digit = {x: 48 + (rank >> b & 1) for rank, x in enumerate(levels)}  # b"0", b"1"
+        planes |= int(bytes(map(digit.__getitem__, cells))[::-1], 2) << b * len(cells)
+    return planes, count
+
+
+def _masks_without(m: int, copies: int) -> list[int]:
+    """Entry g is the bitset, bit S for mask S < 2^m, of the masks that do
+    not hold item g: runs of 2^g masks without g and 2^g with it, repeated
+    in each of ``copies`` stacked blocks of 2^m bits. Entry m - 1 is the
+    lower half of each block, and each entry splits every run of the one
+    after it, as B ^ (B << 2^g) does."""
+    without = [0] * m
+    bits = sum(1 << (b << m) for b in range(copies)) * ((1 << (1 << m >> 1)) - 1)
+    for g in reversed(range(m)):
+        without[g] = bits
+        bits ^= bits << (1 << g >> 1)
+    return without
 
 
 @dataclass(frozen=True)

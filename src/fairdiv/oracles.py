@@ -4,9 +4,11 @@ Everything here is exact: maximin shares with their witnesses walk the
 labeled partitions up to relabeling (one per restricted growth string),
 cutting, for a monotone valuation, every branch that cannot improve; the
 existence search decides the n^m allocations by a pruned agent-by-agent
-search, and PMMS envy is asked of one bound test (``_pmms_test``), whose
-share (``_pmms_share``) is a class's closed form (``Valuation._share2``)
-or one pass over the bipartitions, memoized for that test's life alone.
+search that visits one allocation per orbit of interchangeable items
+(``_interchangeable``, from ``Valuation._item_classes``), and PMMS envy
+is asked of one bound test (``_pmms_test``), whose share
+(``_pmms_share``) is a class's closed form (``Valuation._share2``) or
+one pass over the bipartitions, memoized for that test's life alone.
 MMS-feasibility (``check_mms_feasible``) is charged its 3^m splits before
 anything is built; a table of at most two values is then decided by
 disjoint-union bitsets, at most 2 * 2^m big-int steps in about 2^(3m/2)
@@ -380,6 +382,28 @@ def iter_allocations(n: int, m: int) -> Iterable[tuple[int, ...]]:
         yield tuple(bundles)
 
 
+def _interchangeable(inst: Instance) -> list[int]:
+    """The classes of at least two items that every agent finds
+    interchangeable, as masks. Agent by agent, each item's class number is
+    renumbered from its number so far and its label under the agent's
+    valuation (``_item_classes``), which need test only the items the
+    numbers so far put together; once every item is alone, or a valuation
+    knows no labels, there are none."""
+    numbers = [0] * inst.m
+    for v in inst.valuations:
+        if v._item_classes is None:
+            return []
+        index = {}
+        numbers = [index.setdefault(key, len(index))
+                   for key in zip(numbers, v._item_classes(numbers))]
+        if len(index) == inst.m:
+            return []
+    classes = [0] * inst.m
+    for g, number in enumerate(numbers):
+        classes[number] |= 1 << g
+    return [c for c in classes if c & (c - 1)]
+
+
 def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[tuple[int, ...]]:
     """The first allocation in lexicographic owner-vector order (item 0's
     owner most significant) that satisfies the notion, or None when none of
@@ -394,10 +418,20 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
     X_k are tried members first, the lowest item most significant, so the
     bound rises from child to child and a node stops at the first child
     whose bound reaches the best allocation found. Owner vectors are
-    compared as base-n numbers."""
+    compared as base-n numbers.
+
+    Swapping two interchangeable items (``_interchangeable``) maps a fair
+    allocation to a fair one under every notion, and where the higher
+    item had the smaller owner it moves that owner onto the lower item.
+    So the first fair allocation has owners non-decreasing along each
+    class, and the search visits only such allocations: each X_k takes
+    the lowest items of each class still in the rest. The children of a
+    node keep their order; the counter jumps past the ones that break a
+    class. The charge, n^m, is taken before the classes are found."""
     n, m = inst.n, inst.m
     _check_budget(n, m)
     pairwise, fails, _ = _TESTS[notion](inst)
+    classes = _interchangeable(inst) if n > 1 else []  # one agent has one allocation
     weight = [n ** (m - 1 - g) for g in range(m)]  # item g's owner digit
     bundles = [0] * n
     best, found = n ** m, None  # above every owner vector until one is found
@@ -422,6 +456,8 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
         for g in reversed([*items_of(rest)]):
             above[g] = total
             total += weight[g]
+        # the classes within rest; with no classes at all, no list is built
+        tied = classes and [t for c in classes if (t := c & rest) & (t - 1)]
         out = out_weight = 0  # the items of rest left to later agents, their weight
         while bound + out_weight < best:
             bundles[k] = rest ^ out
@@ -435,6 +471,15 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
             top = free.bit_length() - 1
             out_weight += weight[top] - above[top]
             out ^= (out >> top << top) | 1 << top
+            if tied:
+                # out holds no item above top now; a class with an item out
+                # of X_k leaves X_k from that item up, so its items above top
+                # leave too: the next subset in counter order that breaks no class
+                for c in tied:
+                    if c & out:
+                        for g in items_of(c >> top + 1 << top + 1):
+                            out |= 1 << g
+                            out_weight += weight[g]
 
     place(0, inst.all_items, 0)
     del place  # it refers to itself: break the cycle, free the search on return

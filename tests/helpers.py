@@ -5,8 +5,8 @@ alternating-path search, and match-and-freeze trace invariants, asserted
 on every randomized run; the padded reversed round-robin and the
 two-branch cut-and-choose step the production code is checked against; the
 matching oracles the polynomial matcher is checked against; and the
-Fraction brute-force references the integer kernel and the existence search
-are checked against."""
+Fraction brute-force references the integer kernel, the interchangeable-item
+classes and the existence search are checked against."""
 
 import functools
 import itertools
@@ -558,6 +558,21 @@ def reference_value(v, mask: int) -> Fraction:
     if isinstance(v, BinaryTable):
         return Fraction(int(mask in v.ones))
     raise TypeError(type(v).__name__)
+
+
+def reference_interchangeable(inst: Instance) -> list[int]:
+    """The classes of at least two interchangeable items, as sorted masks:
+    g and h are interchangeable when swapping them in every mask leaves
+    every agent's Fraction value unchanged. Every pair is tested."""
+    def swap(S, g, h):
+        return S ^ (1 << g | 1 << h) if S >> g & 1 != S >> h & 1 else S
+
+    def same(g, h):
+        return all(reference_value(v, S) == reference_value(v, swap(S, g, h))
+                   for v in inst.valuations for S in range(1 << inst.m))
+
+    classes = {sum(1 << h for h in range(inst.m) if same(g, h)) for g in range(inst.m)}
+    return sorted(c for c in classes if c & (c - 1))
 
 
 def reference_monotone(v) -> bool:

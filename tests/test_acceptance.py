@@ -138,7 +138,7 @@ def test_criterion_3_stars_family(capsys):
         efx2 = exists_fair_allocation(inst2, FairnessNotion.EFX)
         assert efx2 is not None and efx2 == reference_first_fair(inst2, FairnessNotion.EFX)
 
-        for n in (3, 4, 5):
+        for n in (3, 4, 5, 6):
             start = time.monotonic()
             inst = gen_nonexistence_stars(n)
             k = stars_partition_size(n)

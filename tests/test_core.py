@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,21 @@ def test_mask_helpers():
     assert full_mask(3) == 0b111
     assert list(items_of(0b1011)) == [0, 1, 3]
     assert mask_of([0, 1, 3]) == 0b1011
+
+
+# Bits are cleared one 64-bit window at a time, so listing a mask's items is
+# linear in its length. Clearing each bit of the whole mask is quadratic and
+# takes about 4 s on 2^18 bits, so the bound tells the two apart.
+def test_items_of_is_linear_in_the_mask_length():
+    rng = random.Random(3)
+    for bits in (1, 63, 64, 65, 127, 128, 129, 200, 1000):
+        for _ in range(50):
+            mask = rng.getrandbits(bits)
+            assert list(items_of(mask)) == [g for g in range(bits) if mask >> g & 1]
+    start = time.monotonic()
+    assert list(items_of(full_mask(1 << 18))) == list(range(1 << 18))
+    elapsed = time.monotonic() - start
+    assert elapsed < 1.5, f"took {elapsed:.2f}s"
 
 
 def test_pair_demand_top_two():

@@ -31,11 +31,17 @@ from fairdiv.core import (
     is_monotone,
     items_of,
 )
-from fairdiv.instances import _draw_binary_table, random_binary_mms_feasible
+from fairdiv.instances import (
+    GENERATORS,
+    _draw_binary_table,
+    random_binary_mms_feasible,
+    sample_random,
+)
 from fairdiv.oracles import (
     BUDGET,
     BudgetExceededError,
     _efx_test,
+    _interchangeable,
     _pmms_share,
     _pmms_test,
     allocation_satisfies,
@@ -52,6 +58,7 @@ from fairdiv.oracles import (
 from helpers import (
     loop_efx_report,
     reference_efx_violations,
+    reference_interchangeable,
     reference_mms_feasible,
     reference_mms_violations,
     reference_monotone,
@@ -215,6 +222,81 @@ def test_mu_matches_reference(case, k):
 @given(st.integers(0, 5).flatmap(valuations))
 def test_monotone_scan_matches_reference(v):
     assert is_monotone(v) is reference_monotone(v)
+
+
+@st.composite
+def symmetric_valuations(draw, m: int, inside: int):
+    """A valuation under which the items inside the mask ``inside`` are
+    interchangeable, and so are those outside it: one value for each side,
+    or a table whose value depends only on how many items a mask holds on
+    each side."""
+    kind = draw(st.sampled_from(["additive", "pair", "table", "binary"]))
+    if kind in ("additive", "pair"):
+        cls = Additive if kind == "additive" else PairDemand
+        two = draw(st.lists(rationals, min_size=2, max_size=2))
+        return cls(tuple(two[inside >> g & 1] for g in range(m)))
+    counts = [((S & inside).bit_count(), (S & ~inside).bit_count()) for S in range(1 << m)]
+    if kind == "table":
+        f = draw(st.lists(rationals, min_size=(m + 1) ** 2, max_size=(m + 1) ** 2))
+        return ExplicitTable(tuple(f[a * (m + 1) + b] for a, b in counts))
+    ones = draw(st.frozensets(st.tuples(st.integers(0, m), st.integers(0, m))))
+    return BinaryTable(m, frozenset(S for S, key in enumerate(counts) if key in ones))
+
+
+# The kernel's classes, one label per item from each valuation intersected
+# over the agents, equal the classes found by swapping every pair of items
+# on Fraction values. Symmetric instances share one inside set.
+@KERNEL
+@given(st.integers(1, 3), st.integers(0, 5), st.booleans(), st.data())
+def test_item_classes_match_reference(n, m, symmetric, data):
+    inside = data.draw(st.integers(0, (1 << m) - 1))
+    kind = partial(symmetric_valuations, inside=inside) if symmetric else valuations
+    vals = tuple(data.draw(kind(m)) for _ in range(n))
+    inst = Instance(n, m, vals, monotone_required=False, normalized_required=False)
+    classes = reference_interchangeable(inst)
+    event(f"{'symmetric' if symmetric else 'any'}: {'some' if classes else 'no'} classes")
+    assert sorted(_interchangeable(inst)) == classes
+
+
+@pytest.mark.parametrize("vals,classes", [
+    ([Additive.of([1, 2, 1, 2, 3])], [0b00101, 0b01010]),
+    ([Additive.of([1, 2, 1, 2, 3]), PairDemand.of([1, 2, 1, 2, 3])], [0b00101, 0b01010]),
+    ([Additive.of([1, 1, 1, 1, 1]), PersonalizedBivalued(2, 1, 0b00110, 5)], [0b00110, 0b11001]),
+    ([ExplicitTable.of([S.bit_count() ** 2 for S in range(32)])], [0b11111]),
+    ([BinaryTable(5, frozenset(S for S in range(32) if S.bit_count() >= 3))], [0b11111]),
+    # every item has the same singleton and complement cells, so each pair
+    # is swap-tested: {0, 1} and {2, 3} are the bonus bundles
+    ([ExplicitTable.of([S.bit_count() + (S in (0b0011, 0b1100)) for S in range(16)])],
+     [0b0011, 0b1100]),
+    ([ExplicitTable.of([S.bit_count() + (S in (0b0011, 0b1100)) for S in range(16)]),
+      Additive.of([1, 2, 1, 1])], [0b1100]),
+    ([ExplicitTable.of(range(16))], []),
+    # 80 distinct values, so 7 bit planes; items 0-3 count, items 4-7 weigh
+    # 5, 10, 20 and 40
+    ([ExplicitTable.of([(S & 0b1111).bit_count() + 5 * (S >> 4) for S in range(256)])],
+     [0b1111]),
+    # swapping items 0 and 3 turns pair values 7 and 6 into 5 and 4, ranks 4
+    # and 3 into 2 and 1: the ranks differ only above their lowest bit
+    ([ExplicitTable.of([12 if S == 15 else {0b0011: 7, 0b0101: 6, 0b0110: 5, 0b1001: 7,
+                                            0b1010: 5, 0b1100: 4}.get(S, 0)
+                        for S in range(16)])], []),
+], ids=["additive", "additive-and-pair", "bivalued", "count-table", "count-binary",
+        "bonus-pairs", "bonus-pairs-and-additive", "distinct", "many-values", "high-rank-bit"])
+def test_item_classes_of_constructed_instances(vals, classes):
+    m = vals[0].num_items
+    inst = Instance(len(vals), m, vals, monotone_required=False, normalized_required=False)
+    assert sorted(_interchangeable(inst)) == classes == reference_interchangeable(inst)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("stars", {"n": 2}), ("stars", {"n": 3}), ("stars", {"n": 4}), ("separation3", {}),
+    ("mnw", {}), ("pmms-not-efx", {}),
+    *[(kind, {"n": 3, "m": 6}) for kind in GENERATORS if kind.startswith("random")],
+])
+def test_item_classes_of_every_generator(kind, params):
+    for seed in range(4 if kind.startswith("random") else 1):
+        inst = sample_random(kind, seed, params)
+        assert sorted(_interchangeable(inst)) == reference_interchangeable(inst)
 
 
 # A table is scanned on first use, not at construction nor by an instance

@@ -25,12 +25,14 @@ from fairdiv.instances import (
     gen_nonexistence_stars,
     gen_pmms_not_efx_example,
     gen_separation3,
+    random_binary_additive,
     random_binary_mms_feasible,
 )
 from fairdiv.oracles import (
     BUDGET,
     DEFAULT_BUDGET,
     BudgetExceededError,
+    _interchangeable,
     allocation_satisfies,
     check_efx,
     check_efx_positive,
@@ -313,6 +315,63 @@ def test_search_returns_the_first_owner_vector_not_the_first_found():
     assert reference_first_fair(inst, FairnessNotion.EFX) == (0b100, 0b001, 0b010)
 
 
+def _count_table(rng: random.Random, m: int, inside: int) -> ExplicitTable:
+    """A monotone, normalized table whose value depends only on how many
+    items a mask holds inside and outside the mask ``inside``."""
+    f = [[a + b + rng.randint(0, 1) * (a > 0) for b in range(m + 1)] for a in range(m + 1)]
+    return ExplicitTable.of([f[(S & inside).bit_count()][(S & ~inside).bit_count()]
+                             for S in range(1 << m)])
+
+
+# Instances with interchangeable items: the search visits only allocations
+# whose owners never decrease along a class, and must still return the
+# scan's first fair allocation, or None, under every notion.
+def test_search_with_interchangeable_items_matches_reference_scan():
+    rng = random.Random(24)
+    with_classes = cases = 0
+    for case in range(90):
+        n, m = rng.randint(2, 3), rng.randint(2, 6)
+        kind = case % 3
+        if kind == 0:
+            inst = random_binary_additive(n, m, case)
+        elif kind == 1:  # additive, item values drawn from two
+            two = rng.sample(range(5), 2)
+            inst = Instance(n, m, tuple(Additive.of([rng.choice(two) for _ in range(m)])
+                                        for _ in range(n)))
+        else:
+            inside = rng.getrandbits(m)
+            inst = Instance(n, m, tuple(_count_table(rng, m, inside) for _ in range(n)))
+        with_classes += bool(_interchangeable(inst))
+        for notion in FairnessNotion:
+            if notion is FairnessNotion.EFX_POSITIVE and kind == 2:
+                continue  # EFX+ is defined for additive valuations only
+            assert exists_fair_allocation(inst, notion) == reference_first_fair(inst, notion)
+            cases += 1
+    assert with_classes >= 60 and cases == 330
+
+
+# The stars n = 4 search visits one allocation per orbit of the two stars
+# (and of the two commons every agent's special split keeps together). The
+# search over every allocation made 70,794 envy tests.
+def test_stars_4_pmms_search_makes_at_most_30000_envy_tests(monkeypatch):
+    calls = 0
+    bind = oracles._TESTS[FairnessNotion.PMMS]
+
+    def counting(inst):
+        test = bind(inst)
+
+        def fails(*args):
+            nonlocal calls
+            calls += 1
+            return test.fails(*args)
+
+        return test._replace(fails=fails)
+
+    monkeypatch.setitem(oracles._TESTS, FairnessNotion.PMMS, counting)
+    assert exists_fair_allocation(gen_nonexistence_stars(4), FairnessNotion.PMMS) is None
+    assert 0 < calls <= 30_000
+
+
 def test_pmms_scan_builds_no_witness(monkeypatch):
     def no_witness(*args):
         raise AssertionError("mu called")
@@ -326,11 +385,11 @@ def test_pmms_scan_builds_no_witness(monkeypatch):
 
 # Each search, check, graph or cut-and-choose run keeps its own share memo:
 # a share is computed, and its splits charged, once per (agent, S). The
-# stars-4 search looks a share up 70,794 times, over 888 distinct
+# stars-4 search looks a share up 27,083 times, over 826 distinct
 # (agent, S); the ccg run takes two cycle steps, and each step re-asks
 # pairs the step before it asked.
 @pytest.mark.parametrize("run,shares", [
-    (lambda: exists_fair_allocation(gen_nonexistence_stars(4), FairnessNotion.PMMS), 888),
+    (lambda: exists_fair_allocation(gen_nonexistence_stars(4), FairnessNotion.PMMS), 826),
     (lambda: pair_compatibility_graph(gen_separation3()), 45),
     (lambda: cut_and_choose_graph_procedure(random_binary_mms_feasible(5, 7, 12)), 39),
 ], ids=["stars-4-search", "separation3-graph", "ccg-run"])
