@@ -182,10 +182,11 @@ class _ItemValues(Valuation):
     _monotone = True  # a bundle's value combines non-negative item values
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(as_fraction(x) for x in self.values))
-        if any(x < 0 for x in self.values):
+        values = tuple(as_fraction(x) for x in self.values)
+        object.__setattr__(self, "values", values)
+        scale, ints = _scaled(values)
+        if min(ints, default=0) < 0:  # the sign survives the positive scale
             raise ValueError("item values must be non-negative")
-        scale, ints = _scaled(self.values)
         object.__setattr__(self, "_ints", ints)
         self._set_kernel(scale)
 
@@ -241,13 +242,15 @@ class PersonalizedBivalued(Valuation):
     _monotone = True  # a sum of item values a > b >= 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
-        if not (self.a > self.b >= 0):
+        a, b = as_fraction(self.a), as_fraction(self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        scale = math.lcm(a.denominator, b.denominator)
+        a, b = a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator)
+        if not (a > b >= 0):  # on the scaled ints: the scale is positive
             raise ValueError("personalized bivalued requires a > b >= 0")
         if self.high_items >> self.m:
             raise InvalidBundleError("high_items addresses items outside 0..m-1")
-        scale, (a, b) = _scaled((self.a, self.b))
         object.__setattr__(self, "_a", a)  # a * scale
         object.__setattr__(self, "_b", b)  # b * scale
         self._set_kernel(scale)

@@ -175,11 +175,12 @@ def random_bivalued(n: int, m: int, seed: int, factored: bool = False) -> Instan
     valuations = []
     for _ in range(n):
         if factored:
-            b = Fraction(rng.choice([0, 1, 1, 2]))
-            a = Fraction(rng.randint(1, 6)) if b == 0 else b * rng.randint(2, 6)
-        else:
-            b = Fraction(rng.randint(0, 8), rng.choice([1, 2]))
-            a = b + Fraction(rng.randint(1, 6), rng.choice([1, 2]))
+            b = rng.choice([0, 1, 1, 2])
+            a = rng.randint(1, 6) if b == 0 else b * rng.randint(2, 6)
+        else:  # b = p/q, a = b + r/s, drawn in that order
+            p, q = rng.randint(0, 8), rng.choice([1, 2])
+            r, s = rng.randint(1, 6), rng.choice([1, 2])
+            b, a = Fraction(p, q), Fraction(p * s + r * q, q * s)
         high = rng.getrandbits(m)
         valuations.append(PersonalizedBivalued(a, b, high, m))
     return Instance(n, m, tuple(valuations))

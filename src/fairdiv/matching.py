@@ -5,6 +5,16 @@ to low value). The matcher returns the maximum-cardinality matching of
 maximum total weight, ties broken toward the lexicographically smallest
 sorted pair list, exactly, for int or ``Fraction`` weights of any sign.
 
+First comes one ascending pass: the agents with edges, in index order, each
+take the lowest item of their mask not taken yet. If every agent gets an
+item, that is the answer, and no search runs. A matching that covers every
+agent has the greatest possible cardinality, so it is maximum; every
+maximum-cardinality matching then matches the same agents, so all have the
+same weight, whatever the weights' signs; and among them the pass's pair
+list is the lexicographically smallest, since at the first agent where
+another one differs, the pass took the lowest item the earlier agents left.
+Otherwise the pass is dropped and the greedy below runs from scratch.
+
 With one weight per agent, a matching's weight is a sum over its agents,
 and the agent sets that can be matched together are the independent sets
 of a transversal matroid (Edmonds and Fulkerson 1965). All its bases have
@@ -37,7 +47,8 @@ it takes O(min(A, I)) mask steps on A agents and I items. The searches of
 a greedy run share their visited items until one succeeds, since a failed
 search leaves the matching as it was. A graph thus costs O(A^2) mask
 steps whatever its edge count: the greedy, then per agent at most one
-resumed greedy and one search. A step is a few operations on masks as
+resumed greedy and one search; a graph the ascending pass saturates costs
+A mask steps and no search. A step is a few operations on masks as
 wide as the largest item index, against the O(A^2 (A + I)) of a
 Hungarian method. Match-and-freeze builds one graph a round and keeps
 none: its trace keeps each round's matching and freezes, so a graph is
@@ -87,6 +98,18 @@ def max_cardinality_max_weight_matching(graph: RoundGraph) -> Matching:
     """Among maximum-cardinality matchings, one of maximum total weight;
     ties broken toward the lexicographically smallest sorted pair list."""
     adj, weight = graph.adj, graph.weight
+    agents = sorted(adj)
+    taken = 0  # the ascending pass: each agent, by index, takes its lowest free item
+    pairs = []
+    for a in agents:
+        free = adj[a] & ~taken
+        if not free:
+            break
+        low = free & -free
+        taken |= low
+        pairs.append((a, low.bit_length() - 1))
+    else:
+        return tuple(pairs)
     order = sorted(adj, key=lambda a: (-weight[a], a))
     match: dict[int, int] = {}
     owner: dict[int, int] = {}
@@ -96,7 +119,7 @@ def max_cardinality_max_weight_matching(graph: RoundGraph) -> Matching:
         if seen is None:
             seen = 0
     done = 0  # the items of the fixed prefix
-    for p in sorted(adj):
+    for p in agents:
         bound = weight[p]
         if p in match:
             del owner[match.pop(p)]

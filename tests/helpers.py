@@ -6,11 +6,13 @@ on every randomized run; the padded reversed round-robin and the
 two-branch cut-and-choose step the production code is checked against; the
 matching oracles the polynomial matcher is checked against; and the
 Fraction brute-force references the integer kernel, the interchangeable-item
-classes and the existence search are checked against."""
+classes, the existence search and the bivalued sampler are checked
+against."""
 
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import Optional
 
@@ -386,6 +388,24 @@ def brute_force_matching_oracle(graph: RoundGraph):
     return best[2]
 
 
+def ascending_pass(graph: RoundGraph):
+    """The agents with edges, in index order, each given the lowest item of
+    its edges that no earlier agent took: that pair list if every agent
+    gets one, else None. Read off the edge triples."""
+    items: dict[int, list[int]] = {}
+    for a, g, _ in graph.edges:
+        items.setdefault(a, []).append(g)
+    taken: set[int] = set()
+    pairs = []
+    for a in sorted(items):
+        g = min((g for g in items[a] if g not in taken), default=None)
+        if g is None:
+            return None
+        taken.add(g)
+        pairs.append((a, g))
+    return tuple(pairs)
+
+
 def hungarian_matching(graph: RoundGraph):
     """Among maximum-cardinality matchings, one of maximum total weight;
     ties broken toward the lexicographically smallest sorted pair list.
@@ -698,3 +718,21 @@ def reference_nash_welfare(inst: Instance) -> tuple[Fraction, list]:
         elif product == best:
             argmax.append(bundles)
     return best, argmax
+
+
+def reference_random_bivalued(n: int, m: int, seed: int, factored: bool = False) -> Instance:
+    """``instances.random_bivalued`` as it was written on ``Fraction``
+    arithmetic: the same draws in the same order, a = b + r/s as a sum of
+    two ``Fraction``s."""
+    rng = random.Random(seed)
+    valuations = []
+    for _ in range(n):
+        if factored:
+            b = Fraction(rng.choice([0, 1, 1, 2]))
+            a = Fraction(rng.randint(1, 6)) if b == 0 else b * rng.randint(2, 6)
+        else:
+            b = Fraction(rng.randint(0, 8), rng.choice([1, 2]))
+            a = b + Fraction(rng.randint(1, 6), rng.choice([1, 2]))
+        high = rng.getrandbits(m)
+        valuations.append(PersonalizedBivalued(a, b, high, m))
+    return Instance(n, m, tuple(valuations))

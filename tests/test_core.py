@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from fairdiv.core import (
     InvalidBundleError,
     PairDemand,
     PersonalizedBivalued,
+    _scaled,
     as_fraction,
     full_mask,
     is_monotone,
@@ -72,6 +74,45 @@ def test_personalized_bivalued_requires_a_greater_b():
         PersonalizedBivalued(Fraction(1), Fraction(1), 0b01, 2)
     with pytest.raises(ValueError):
         PersonalizedBivalued(Fraction(1), Fraction(-1), 0b01, 2)
+
+
+@pytest.mark.parametrize("a, b, high, error, message", [
+    (1, 1, 0b01, ValueError, "personalized bivalued requires a > b >= 0"),
+    (Fraction(1, 2), Fraction(2, 3), 0b01, ValueError, "personalized bivalued requires a > b >= 0"),
+    (2, -1, 0b01, ValueError, "personalized bivalued requires a > b >= 0"),
+    (1, 1, 0b100, ValueError, "personalized bivalued requires a > b >= 0"),  # before the mask
+    (1.5, 1, 0b01, TypeError, "floats are not allowed; pass int, Fraction or 'p/q'"),
+    (2, "1/0", 0b01, ValueError, "zero denominator in '1/0'"),
+    (2, 1, 0b100, InvalidBundleError, "high_items addresses items outside 0..m-1"),
+], ids=["a=b", "a<b", "b<0", "a=b-and-item-m", "float", "1/0", "item-m"])
+def test_personalized_bivalued_refusals(a, b, high, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        PersonalizedBivalued(a, b, high, 2)
+
+
+@pytest.mark.parametrize("cls", [Additive, PairDemand])
+@pytest.mark.parametrize("values, error, message", [
+    ([1, Fraction(-1, 2)], ValueError, "item values must be non-negative"),
+    (["3", -1], ValueError, "item values must be non-negative"),
+    ([0.5], TypeError, "floats are not allowed; pass int, Fraction or 'p/q'"),
+    (["1/0", -1], ValueError, "zero denominator in '1/0'"),  # before the sign
+])
+def test_item_values_refusals(cls, values, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        cls.of(values)
+
+
+def test_scaled_integers_follow_the_lcm_rule():
+    rng = random.Random(5)
+    for _ in range(300):
+        a, b = (Fraction(rng.randint(0, 30), rng.randint(1, 12)) for _ in range(2))
+        if a > b:
+            v = PersonalizedBivalued(a, b, 0b1, 1)
+            assert (v.scale, (v._a, v._b)) == _scaled((a, b))
+        values = tuple(Fraction(rng.randint(0, 30), rng.randint(1, 12)) for _ in range(rng.randint(0, 5)))
+        for cls in (Additive, PairDemand):
+            v = cls(values)
+            assert (v.scale, v._ints) == _scaled(values)
 
 
 def test_out_of_range_bundle_rejected():

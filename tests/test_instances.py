@@ -21,6 +21,8 @@ from fairdiv.instances import (
 )
 from fairdiv.oracles import check_mms_feasible
 
+from helpers import reference_random_bivalued
+
 
 def test_stars_parameters():
     assert stars_partition_size(2) == 2
@@ -98,6 +100,19 @@ def test_samplers_deterministic():
     for maker in (random_bivalued, random_pair_demand, random_binary_additive):
         assert maker(3, 5, 7) == maker(3, 5, 7)
     assert random_binary_mms_feasible(2, 5, 7) == random_binary_mms_feasible(2, 5, 7)
+
+
+@pytest.mark.parametrize("factored", [False, True])
+def test_random_bivalued_equals_its_fraction_reference(factored):
+    for n in range(1, 7):
+        for m in range(19):
+            for seed in range(10):
+                inst = random_bivalued(n, m, seed, factored=factored)
+                ref = reference_random_bivalued(n, m, seed, factored=factored)
+                assert inst == ref
+                assert [(v.scale, v._a, v._b) for v in inst.valuations] == \
+                    [(v.scale, v._a, v._b) for v in ref.valuations]
+                assert all(type(v.a) is type(v.b) is Fraction for v in inst.valuations)
 
 
 def test_random_factored_bivalued_allows_b_zero():

@@ -4,17 +4,19 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fairdiv.algorithms import alternating_reach, match_and_freeze
 from fairdiv.core import Instance, PersonalizedBivalued
 from fairdiv.instances import gen_table1_example, random_bivalued
+from fairdiv import matching
 from fairdiv.matching import RoundGraph, max_cardinality_max_weight_matching
 from fairdiv.oracles import check_efx
 
 from helpers import (
     BRUTE_FORCE_EDGE_LIMIT,
+    ascending_pass,
     bitmask_dp_matching,
     brute_force_matching_oracle,
     connected_components,
@@ -261,6 +263,81 @@ def test_long_augmenting_paths_need_no_recursion(weights):
                   for i in range(n) for g in ((0,) if i == 0 else (i - 1, i)))
     graph = round_graph(tuple(range(n)), tuple(range(n)), edges)
     assert max_cardinality_max_weight_matching(graph) == tuple((i, i) for i in range(n))
+
+
+@st.composite
+def saturable_graphs(draw, private):
+    """Agents 0, 1, ... with weights of mixed kind (int or ``Fraction``,
+    zero and negative included) over shuffled items 100, 101, .... With
+    ``private``, each agent has an item no other agent has, so the
+    ascending pass covers every agent; without, there are no more items
+    than agents and every edge is drawn at one density, so most graphs do
+    not saturate."""
+    rng = draw(st.randoms(use_true_random=False))
+    n_agents = draw(st.integers(1, 8))
+    shared = draw(st.integers(0, 8) if private else st.integers(1, n_agents))
+    items = list(range(100, 100 + shared + n_agents * private))
+    rng.shuffle(items)
+    density = draw(st.sampled_from((0.2, 0.5, 0.8)))
+    edges = []
+    for a in range(n_agents):
+        w = draw(st.one_of(st.integers(-4, 9),
+                           st.fractions(-4, 9, max_denominator=3)))
+        mine = [items[shared + a]] if private else []
+        edges += [(a, g, w) for g in items[:shared] + mine
+                  if g in mine or rng.random() < density]
+    return round_graph(tuple(range(n_agents)), tuple(items), tuple(edges))
+
+
+@pytest.mark.parametrize("private", [True, False])  # all of one half saturate, about a fifth of the other
+def test_matcher_equals_hungarian_and_the_saturating_pass(private):
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(saturable_graphs(private))
+    def check(graph):
+        result = max_cardinality_max_weight_matching(graph)
+        assert result == hungarian_matching(graph)
+        pairs = ascending_pass(graph)
+        event("saturating" if pairs is not None else "not saturating")
+        if pairs is not None:
+            assert result == pairs
+        else:
+            assert not private
+
+    check()
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The number of Kuhn searches the matcher and the reach sets have run
+    since the fixture was set up, as a one-element list."""
+    count = [0]
+    augment = matching._augment
+
+    def counting(*args):
+        count[0] += 1
+        return augment(*args)
+
+    monkeypatch.setattr(matching, "_augment", counting)
+    return count
+
+
+def test_a_saturating_graph_makes_no_search(searches):
+    g = _graph([(B, C), (C,), (A, B, D)], [2, -1, Fraction(1, 2)])
+    assert max_cardinality_max_weight_matching(g) == ((0, B), (1, C), (2, A))
+    assert searches == [0]
+    # agent 1's only item is taken, so the greedy and tie-break run
+    assert max_cardinality_max_weight_matching(_graph([(B,), (B,)])) == ((0, B),)
+    assert searches[0] > 0
+
+
+@pytest.mark.parametrize("n, m, factored, limit", [
+    (256, 4096, False, 0),  # 8,192 searches without the ascending pass
+    (100, 1000, True, 0),  # 2,000 without it
+    (16, 8000, False, 32),  # 16,000 without it
+])
+def test_match_and_freeze_rounds_with_many_agents_saturate(searches, n, m, factored, limit):
+    match_and_freeze(random_bivalued(n, m, 1, factored=factored))
+    assert searches[0] <= limit
 
 
 def test_match_and_freeze_efx_at_ten_agents_24_items():
