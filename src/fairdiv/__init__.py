@@ -17,7 +17,6 @@ from .core import (
     is_monotone,
     items_of,
     mask_of,
-    to_explicit_table,
     validate_allocation,
 )
 from .oracles import (
@@ -25,7 +24,6 @@ from .oracles import (
     FairnessReport,
     check,
     check_efx,
-    check_efx_positive,
     check_mms,
     check_mms_feasible,
     check_pmms,
@@ -41,7 +39,7 @@ from .algorithms import (
     reversed_round_robin,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Additive",
@@ -59,7 +57,6 @@ __all__ = [
     "Valuation",
     "check",
     "check_efx",
-    "check_efx_positive",
     "check_mms",
     "check_mms_feasible",
     "check_pmms",
@@ -74,6 +71,5 @@ __all__ = [
     "nash_welfare_maximizers",
     "pair_compatibility_graph",
     "reversed_round_robin",
-    "to_explicit_table",
     "validate_allocation",
 ]

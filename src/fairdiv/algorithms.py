@@ -197,7 +197,7 @@ def _first_envied(envies, bundles, i: int, held: int) -> Optional[int]:
     # j == held is skipped: comparing X_held against itself decides nothing,
     # and for non-normalized values a bundle can lose to its own best split.
     return next((j for j in range(len(bundles))
-                 if j != held and envies(i, j, bundles[held], bundles[j])), None)
+                 if j != held and envies(i, bundles[held], bundles[j])), None)
 
 
 def _cut_graph(envies, bundles, s: int) -> tuple[int, ...]:

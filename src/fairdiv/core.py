@@ -137,12 +137,10 @@ class Valuation:
     ``_monotone`` is whether v is known to be monotone (S within T implies
     v(S) <= v(T)): True by construction for the item-value classes, a
     table's own scan for the tables, and False, not known, from the base.
-    ``_item_classes(within)`` returns one label per item. Two items g and
-    h with equal entries in ``within`` get equal labels exactly when they
-    are interchangeable: swapping them leaves v(S) unchanged for every S.
-    Items that ``within`` tells apart need not be told apart again. Under
-    the base's ``_item_classes = None`` no two items are known to be
-    interchangeable.
+    ``_item_classes()`` returns one label per item: two items get equal
+    labels exactly when they are interchangeable, that is, swapping them
+    leaves v(S) unchanged for every S. Under the base's
+    ``_item_classes = None`` no two items are known to be interchangeable.
     """
 
     scale: int = field(init=False, repr=False, compare=False)
@@ -198,7 +196,7 @@ class _ItemValues(Valuation):
     def num_items(self) -> int:
         return len(self.values)
 
-    def _item_classes(self, within) -> tuple[int, ...]:
+    def _item_classes(self) -> tuple[int, ...]:
         # items of one value are interchangeable, however a bundle combines them
         return self._ints
 
@@ -259,7 +257,7 @@ class PersonalizedBivalued(Valuation):
     def num_items(self) -> int:
         return self.m
 
-    def _item_classes(self, within) -> tuple[int, ...]:
+    def _item_classes(self) -> tuple[int, ...]:
         # two high or two low items are interchangeable
         return tuple(self.high_items >> g & 1 for g in range(self.m))
 
@@ -339,11 +337,10 @@ class _Table(Valuation):
     def _value(self, mask: int) -> int:
         return self._cells[mask]
 
-    def _item_classes(self, within) -> tuple[int, ...]:
-        """Each item's label is the lowest item interchangeable with it that
-        ``within`` does not tell apart from it. A swap of g and h maps {g}
-        to {h} and M \\ {g} to M \\ {h}, so items are first grouped by their
-        ``within`` entry and those two cells; within a group, each item is
+    def _item_classes(self) -> tuple[int, ...]:
+        """Each item's label is the lowest item interchangeable with it. A
+        swap of g and h maps {g} to {h} and M \\ {g} to M \\ {h}, so items
+        are first grouped by those two cells; within a group, each item is
         swap-tested against the lowest item of each class found so far, at
         most m^2 / 2 tests. A test reads the table's bit planes, stacked in
         one int P (``_bit_planes``): g < h are interchangeable when each
@@ -357,9 +354,9 @@ class _Table(Valuation):
         full = (1 << m) - 1
         planes = without = None  # built for the first test
         labels = list(range(m))
-        firsts = {}  # (within, v({g}), v(M - {g})) -> the lowest item of each class
+        firsts = {}  # (v({g}), v(M - {g})) -> the lowest item of each class
         for h in range(m):
-            reps = firsts.setdefault((within[h], cells[1 << h], cells[full ^ 1 << h]), [])
+            reps = firsts.setdefault((cells[1 << h], cells[full ^ 1 << h]), [])
             for g in reps:
                 if planes is None:
                     planes, count = _bit_planes(cells)
@@ -429,7 +426,7 @@ class ExplicitTable(_Table):
 
     @classmethod
     def of(cls, table: Sequence[RationalLike]) -> "ExplicitTable":
-        return cls(tuple(as_fraction(x) for x in table))
+        return cls(tuple(table))
 
 
 @dataclass(frozen=True)
@@ -450,14 +447,6 @@ class BinaryTable(_Table):
         for mask in self.ones:
             cells[mask] = 1
         self._set_cells(1, bytes(cells))
-
-
-def to_explicit_table(v: Valuation) -> ExplicitTable:
-    """Materialize any valuation on m <= MAX_TABLE_ITEMS items as a table."""
-    m = v.num_items
-    if m > MAX_TABLE_ITEMS:
-        raise ValueError("valuation has too many items to materialize")
-    return ExplicitTable(tuple(v.value(mask) for mask in range(1 << m)))
 
 
 def is_monotone(v: Valuation) -> bool:
@@ -504,9 +493,6 @@ class Instance:
     @property
     def all_items(self) -> int:
         return full_mask(self.m)
-
-    def value(self, agent: int, mask: int) -> Fraction:
-        return self.valuations[agent].value(mask)
 
 
 @dataclass(frozen=True)

@@ -218,10 +218,10 @@ def clear_caches() -> None:
 # fairness checks: one test per notion, one dispatch table
 #
 # ``_TESTS[notion](inst)`` binds the notion's test to an instance. EFX, EFX+
-# and PMMS are pairwise: fails(i, j, X_i, X_j) is whether i envies j. MMS is
-# per agent: fails(i, X_i) is whether X_i is worth less to i than its
-# maximin share. No test searches for a witness; ``check`` asks ``witness``,
-# with the same arguments, for the failures only.
+# and PMMS are pairwise: fails(i, X_i, X_j) is whether i, holding X_i,
+# envies X_j. MMS is per agent: fails(i, X_i) is whether X_i is worth less
+# to i than its maximin share. No test searches for a witness; ``check``
+# asks ``witness``, with the same arguments, for the failures only.
 
 
 class _Test(NamedTuple):
@@ -244,7 +244,7 @@ def _efx_test(inst: Instance, positive_only: bool = False) -> _Test:
     values = [v._value for v in inst.valuations]
     drop1 = [v._drop1 for v in inst.valuations]
 
-    def envied_item(i, j, mine, theirs):
+    def envied_item(i, mine, theirs):
         """The first item of X_j (for EFX+, one i values above zero) whose
         removal leaves X_j worth more to i than X_i; None if there is none."""
         value = values[i]
@@ -259,7 +259,7 @@ def _efx_test(inst: Instance, positive_only: bool = False) -> _Test:
     if positive_only or any(d is None for d in drop1):
         return _Test(True, lambda *pair: envied_item(*pair) is not None, envied_item)
     # an empty X_j has no item to remove, so it is never envied
-    return _Test(True, lambda i, j, mine, theirs: theirs != 0
+    return _Test(True, lambda i, mine, theirs: theirs != 0
                  and values[i](mine) < drop1[i](theirs), envied_item)
 
 
@@ -287,7 +287,7 @@ def _pmms_test(inst: Instance) -> _Test:
     values = [v._value for v in vals]
     shares = [{} for _ in vals]  # agent -> {S: _pmms_share(v_i, S)}
 
-    def envies(i, j, mine, theirs):
+    def envies(i, mine, theirs):
         S = mine | theirs
         share = shares[i].get(S)
         if share is None:
@@ -295,7 +295,7 @@ def _pmms_test(inst: Instance) -> _Test:
         return values[i](mine) < share
 
     return _Test(True, envies,
-                 lambda i, j, mine, theirs: mu(vals[i], mine | theirs, 2).witness)
+                 lambda i, mine, theirs: mu(vals[i], mine | theirs, 2).witness)
 
 
 def _mms_test(inst: Instance) -> _Test:
@@ -323,8 +323,8 @@ def _failures(inst: Instance, bundles, test: _Test):
                 yield i, None, (i, bundles[i])
             continue
         for j in range(inst.n):
-            if i != j and test.fails(i, j, bundles[i], bundles[j]):
-                yield i, j, (i, j, bundles[i], bundles[j])
+            if i != j and test.fails(i, bundles[i], bundles[j]):
+                yield i, j, (i, bundles[i], bundles[j])
 
 
 def check(inst: Instance, bundles, notion: FairnessNotion) -> FairnessReport:
@@ -341,6 +341,12 @@ def check(inst: Instance, bundles, notion: FairnessNotion) -> FairnessReport:
     return FairnessReport(notion, not found, found)
 
 
+# ``allocation_satisfies`` and the three wrappers after it are read by nothing
+# in the package, which reaches every notion through ``check``: the
+# benchmark's tracer (``perfbench/tracer.py``) spans all four by name, and its
+# workloads call ``check_efx`` and ``check_mms``.
+
+
 def allocation_satisfies(inst: Instance, bundles, notion: FairnessNotion) -> bool:
     """Whether the notion holds, stopping at the first violation; no witness
     is built. The allocation is not validated."""
@@ -350,14 +356,6 @@ def allocation_satisfies(inst: Instance, bundles, notion: FairnessNotion) -> boo
 def check_efx(inst: Instance, bundles) -> FairnessReport:
     """EFX: v_i(X_i) >= v_i(X_j \\ {g}) for all pairs i,j and all g in X_j."""
     return check(inst, bundles, FairnessNotion.EFX)
-
-
-def check_efx_positive(inst: Instance, bundles) -> FairnessReport:
-    """EFX restricted to removal of items the envier values positively.
-
-    Defined for additive valuations only.
-    """
-    return check(inst, bundles, FairnessNotion.EFX_POSITIVE)
 
 
 def check_pmms(inst: Instance, bundles) -> FairnessReport:
@@ -386,8 +384,7 @@ def _interchangeable(inst: Instance) -> list[int]:
     """The classes of at least two items that every agent finds
     interchangeable, as masks. Agent by agent, each item's class number is
     renumbered from its number so far and its label under the agent's
-    valuation (``_item_classes``), which need test only the items the
-    numbers so far put together; once every item is alone, or a valuation
+    valuation (``_item_classes``); once every item is alone, or a valuation
     knows no labels, there are none."""
     numbers = [0] * inst.m
     for v in inst.valuations:
@@ -395,7 +392,7 @@ def _interchangeable(inst: Instance) -> list[int]:
             return []
         index = {}
         numbers = [index.setdefault(key, len(index))
-                   for key in zip(numbers, v._item_classes(numbers))]
+                   for key in zip(numbers, v._item_classes())]
         if len(index) == inst.m:
             return []
     classes = [0] * inst.m
@@ -441,7 +438,7 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
         if not pairwise:
             return fails(k, mine)
         for i in range(k):
-            if fails(i, k, bundles[i], mine) or fails(k, i, mine, bundles[i]):
+            if fails(i, bundles[i], mine) or fails(k, mine, bundles[i]):
                 return True
         return False
 
@@ -618,6 +615,6 @@ def pair_compatibility_graph(inst: Instance) -> CompatGraph:
     for (i, S), (j, T) in itertools.combinations(nodes, 2):
         if i == j or S & T:
             continue
-        if not envies(i, j, S, T) and not envies(j, i, T, S):
+        if not envies(i, S, T) and not envies(j, T, S):
             edges.append(((i, S), (j, T)))
     return CompatGraph(nodes, tuple(edges))

@@ -4,8 +4,9 @@ its trace; per-round matching properties, read off a reference
 alternating-path search, and match-and-freeze trace invariants, asserted
 on every randomized run; the padded reversed round-robin and the
 two-branch cut-and-choose step the production code is checked against; the
-matching oracles the polynomial matcher is checked against; and the
-Fraction brute-force references the integer kernel, the interchangeable-item
+matching oracles the polynomial matcher is checked against; the table
+materializer every representation is checked against; and the Fraction
+brute-force references the integer kernel, the interchangeable-item
 classes, the existence search and the bivalued sampler are checked
 against."""
 
@@ -564,6 +565,11 @@ def pair_demand_mu_closed_form(v: PairDemand) -> Fraction:
 # ---------------------------------------------------------------------------
 # Fraction references for the integer kernel: each recomputes from the
 # public Fraction fields what fairdiv computes on scaled integers.
+
+
+def to_explicit_table(v) -> ExplicitTable:
+    """v materialized as a table, one value per bundle mask."""
+    return ExplicitTable(tuple(v.value(mask) for mask in range(1 << v.num_items)))
 
 
 def reference_value(v, mask: int) -> Fraction:

@@ -42,8 +42,8 @@ from fairdiv.instances import (
 )
 from fairdiv.matching import max_cardinality_max_weight_matching
 from fairdiv.oracles import (
+    check,
     check_efx,
-    check_efx_positive,
     check_mms,
     check_pmms,
     exists_fair_allocation,
@@ -91,7 +91,7 @@ def test_criterion_1_table1_trace(capsys):
         assert inactive_rounds(trace, 1) == {2}
         assert inactive_rounds(trace, 3) == {2, 3, 4}
         assert sorted(a for a, _ in trace.rounds[5].leftovers) == [0, 2]
-        assert [inst.value(i, bundles[i]) for i in range(4)] == [6, 6, 6, 6]
+        assert [v.value(X) for v, X in zip(inst.valuations, bundles)] == [6, 6, 6, 6]
 
     report(capsys, "criterion 1 (Table 1 execution trace)", body)
 
@@ -292,7 +292,7 @@ def test_criterion_8_cross_notion_properties(capsys):
             inst = Instance(n, m, vals)
             for X in iter_allocations(n, m):
                 if check_pmms(inst, X).holds:
-                    assert check_efx_positive(inst, X).holds
+                    assert check(inst, X, FairnessNotion.EFX_POSITIVE).holds
 
     report(capsys, "criterion 8 (cross-notion implications on random instances)", body)
 

@@ -73,7 +73,7 @@ def test_maf_table1_freezes_and_values():
     assert inactive_rounds(trace, 3) == {2, 3, 4}
     round6 = trace.rounds[5]
     assert sorted(a for a, _ in round6.leftovers) == [0, 2]
-    assert [inst.value(i, bundles[i]) for i in range(4)] == [6, 6, 6, 6]
+    assert [v.value(X) for v, X in zip(inst.valuations, bundles)] == [6, 6, 6, 6]
 
 
 def test_maf_single_agent():
@@ -236,7 +236,7 @@ def test_ccg_state_and_graph_agree_with_pmms_check():
             violations = check(inst, X, FairnessNotion.PMMS).violations
             enviers = sorted({f.envier for f in violations})
             s = enviers[0] if enviers else None
-            W = sum(inst.value(i, X[i]) for i in range(n))
+            W = sum(v.value(X_i) for v, X_i in zip(inst.valuations, X))
             assert _pmms_state(inst, _pmms_test(inst).fails, X) == (W, n - len(enviers), s)
             if s is not None:
                 envied = min(f.envied for f in violations if f.envier == s)
@@ -321,7 +321,7 @@ def test_rrr_hand_trace():
     inst = Instance(2, 4, (v, v))
     bundles = reversed_round_robin(inst)
     assert bundles == (0b1001, 0b0110)
-    assert inst.value(0, bundles[0]) == inst.value(1, bundles[1]) == 5
+    assert v.value(bundles[0]) == v.value(bundles[1]) == 5
     assert mu(v, full_mask(4), 2).mu == 5
 
 

@@ -388,7 +388,7 @@ def test_check_mms_on_stars_7_runs_under_the_default_budget(tmp_path, capsys):
     inst_path = str(tmp_path / "stars7.json")
     assert main(["gen", "--kind", "stars", "--n", "7", "--out", inst_path]) == 0
     A, B = mask_of([5, 7, 9]), mask_of([6, 8, 10])
-    assert instances.gen_nonexistence_stars(7).value(5, A) == 4  # k + 1
+    assert instances.gen_nonexistence_stars(7).valuations[5].value(A) == 4  # k + 1
     alloc_path = write_allocation(tmp_path, (1, 2, 4, 8, 16, A, B))
     code, out, err = run(capsys, "check", "--notion", "mms", "--in", inst_path,
                          "--alloc", alloc_path)

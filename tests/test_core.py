@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from fairdiv.core import (
-    MAX_TABLE_ITEMS,
     Additive,
     BinaryTable,
     ExplicitTable,
@@ -21,9 +20,9 @@ from fairdiv.core import (
     is_monotone,
     items_of,
     mask_of,
-    to_explicit_table,
     validate_allocation,
 )
+from helpers import to_explicit_table
 
 
 def test_mask_helpers():
@@ -144,11 +143,6 @@ def test_binary_table_mask_outside_items_is_refused(mask):
     BinaryTable(3, frozenset({0b111}))
     with pytest.raises(InvalidBundleError):
         BinaryTable(3, frozenset({0b001, mask}))
-
-
-def test_to_explicit_table_is_capped():
-    with pytest.raises(ValueError, match="too many items"):
-        to_explicit_table(Additive.of([1] * (MAX_TABLE_ITEMS + 1)))
 
 
 def test_explicit_table_requires_power_of_two():

@@ -47,7 +47,6 @@ from fairdiv.oracles import (
     allocation_satisfies,
     check,
     check_efx,
-    check_efx_positive,
     check_mms,
     check_mms_feasible,
     check_pmms,
@@ -270,6 +269,10 @@ def test_item_classes_match_reference(n, m, symmetric, data):
      [0b0011, 0b1100]),
     ([ExplicitTable.of([S.bit_count() + (S in (0b0011, 0b1100)) for S in range(16)]),
       Additive.of([1, 2, 1, 1])], [0b1100]),
+    # each table alone has two classes, {0, 1} and {2, 3} against {0, 2}
+    # and {1, 3}; no two items are interchangeable for both agents
+    ([ExplicitTable.of([S.bit_count() + (S in (0b0011, 0b1100)) for S in range(16)]),
+      ExplicitTable.of([S.bit_count() + (S in (0b0101, 0b1010)) for S in range(16)])], []),
     ([ExplicitTable.of(range(16))], []),
     # 80 distinct values, so 7 bit planes; items 0-3 count, items 4-7 weigh
     # 5, 10, 20 and 40
@@ -281,7 +284,8 @@ def test_item_classes_match_reference(n, m, symmetric, data):
                                             0b1010: 5, 0b1100: 4}.get(S, 0)
                         for S in range(16)])], []),
 ], ids=["additive", "additive-and-pair", "bivalued", "count-table", "count-binary",
-        "bonus-pairs", "bonus-pairs-and-additive", "distinct", "many-values", "high-rank-bit"])
+        "bonus-pairs", "bonus-pairs-and-additive", "bonus-pairs-crossed", "distinct",
+        "many-values", "high-rank-bit"])
 def test_item_classes_of_constructed_instances(vals, classes):
     m = vals[0].num_items
     inst = Instance(len(vals), m, vals, monotone_required=False, normalized_required=False)
@@ -357,7 +361,7 @@ def pmms_test_envies(v, mine, theirs):
     that a non-monotone or non-normalized table is allowed."""
     inst = Instance(2, v.num_items, (v, v), monotone_required=False,
                     normalized_required=False)
-    return _pmms_test(inst).fails(0, 1, mine, theirs)
+    return _pmms_test(inst).fails(0, mine, theirs)
 
 
 @KERNEL
@@ -429,7 +433,8 @@ def test_fairness_checks_match_reference(case):
         (check_mms, reference_mms_violations, FairnessNotion.MMS),
     ]
     if all(v.is_additive() for v in inst.valuations):
-        cases.append((check_efx_positive, partial(reference_efx_violations, positive_only=True),
+        cases.append((partial(check, notion=FairnessNotion.EFX_POSITIVE),
+                      partial(reference_efx_violations, positive_only=True),
                       FairnessNotion.EFX_POSITIVE))
     for check_notion, reference, notion in cases:
         report = check_notion(inst, bundles)
@@ -513,7 +518,7 @@ def test_an_empty_bundle_is_never_efx_envied(v):
     inst = Instance(2, 2, (v, v), monotone_required=False, normalized_required=False)
     for positive_only in (False, True) if v.is_additive() else (False,):
         fails = _efx_test(inst, positive_only).fails
-        assert not any(fails(0, 1, mine, 0) for mine in range(4))
+        assert not any(fails(0, mine, 0) for mine in range(4))
     assert check(inst, (0b11, 0), FairnessNotion.EFX).holds is (
         v._value(0) >= max(v._value(0b01), v._value(0b10)))
 

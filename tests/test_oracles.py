@@ -34,8 +34,8 @@ from fairdiv.oracles import (
     BudgetExceededError,
     _interchangeable,
     allocation_satisfies,
+    check,
     check_efx,
-    check_efx_positive,
     check_mms,
     check_mms_feasible,
     check_pmms,
@@ -191,7 +191,8 @@ def test_efx_example_and_pmms_separation():
     assert not report.holds
     assert any(f.envier == 0 and f.envied == 1 and f.witness == 1 for f in report.violations)
     assert check_pmms(inst, X).holds
-    assert check_efx_positive(inst, X).holds  # the removable item is zero-valued
+    # the removable item is zero-valued
+    assert check(inst, X, FairnessNotion.EFX_POSITIVE).holds
     assert mu(inst.valuations[0], inst.all_items, 2).mu == 0
 
 
@@ -203,7 +204,7 @@ def test_efx_single_agent():
 def test_efx_positive_requires_additive():
     inst = Instance(2, 2, (PairDemand.of([1, 1]), PairDemand.of([1, 1])))
     with pytest.raises(UnsupportedValuationError):
-        check_efx_positive(inst, (0b01, 0b10))
+        check(inst, (0b01, 0b10), FairnessNotion.EFX_POSITIVE)
 
 
 def test_efx_positive_equals_efx_when_all_positive():
@@ -212,7 +213,8 @@ def test_efx_positive_equals_efx_when_all_positive():
         vals = tuple(Additive.of([rng.randint(1, 5) for _ in range(4)]) for _ in range(2))
         inst = Instance(2, 4, vals)
         for X in [(0b0011, 0b1100), (0b0001, 0b1110)]:
-            assert check_efx(inst, X).holds == check_efx_positive(inst, X).holds
+            positive = check(inst, X, FairnessNotion.EFX_POSITIVE)
+            assert check_efx(inst, X).holds == positive.holds
 
 
 def test_pmms_empty_bundle_fails():
