@@ -59,12 +59,9 @@ class MafRound:
 
 @dataclass(frozen=True)
 class MafTrace:
-    """The decisions of a match-and-freeze run, round by round, and the
-    priorities and last high-value rounds they leave."""
+    """The decisions of a match-and-freeze run, round by round."""
 
     rounds: tuple[MafRound, ...]
-    priorities_w: tuple[int, ...]
-    r_star: tuple[int, ...]  # per agent: last round a high-value item was allocated
 
 
 def _require_class(inst: Instance, cls, name: str) -> None:
@@ -104,7 +101,6 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
     pool = full_mask(m)
     bundles = [0] * n
     w = [0] * n
-    r_star = [0] * n
     frozen_until = [0] * n  # the last round each agent sits out
     rounds: list[MafRound] = []
     r = 0
@@ -112,10 +108,9 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
         r += 1
         if r > m + 1:
             raise RuntimeError("match-and-freeze failed to allocate an item per round")
-        start_pool = pool
         active = [i for i in range(n) if frozen_until[i] < r]
         adj = {i: mask for i in active if (mask := pool & high[i])}
-        graph = RoundGraph(tuple(active), pool, adj, weight)
+        graph = RoundGraph(tuple(active), adj, weight)
         matching = max_cardinality_max_weight_matching(graph)
         unmatched = set(active) - {a for a, _ in matching}
         for a, g in matching:
@@ -147,14 +142,9 @@ def match_and_freeze(inst: Instance) -> tuple[tuple[int, ...], MafTrace]:
             pool &= ~(1 << g)
             leftovers.append((i, g))
 
-        allocated = start_pool & ~pool
-        for i in range(n):
-            if allocated & high[i]:
-                r_star[i] = r
         rounds.append(MafRound(r, matching, tuple(frozen_now), tuple(leftovers)))
 
-    trace = MafTrace(tuple(rounds), tuple(w), tuple(r_star))
-    return tuple(bundles), trace
+    return tuple(bundles), MafTrace(tuple(rounds))
 
 
 def maf_trace_lines(trace: MafTrace) -> list[str]:

@@ -182,7 +182,7 @@ def _triangle_free(inst: Instance) -> dict:
     graph = oracles.pair_compatibility_graph(inst)
     triangle = graph.has_triangle()
     return {
-        "nodes": len(graph.nodes) - len(graph.isolated_nodes()),
+        "nodes": len(graph.nodes),
         "edges": len(graph.edges),
         "triangle": triangle,
         "holds": not triangle,
@@ -214,7 +214,6 @@ def cmd_verify(args) -> int:
 
 def _compat_dot(inst: Instance) -> str:
     graph = oracles.pair_compatibility_graph(inst)
-    isolated = set(graph.isolated_nodes())
 
     def node_id(node):
         agent, mask = node
@@ -223,8 +222,6 @@ def _compat_dot(inst: Instance) -> str:
 
     lines = ["graph compat {"]
     for node in graph.nodes:
-        if node in isolated:
-            continue
         agent, mask = node
         label = "{" + ",".join(
             inst.labels[g] if inst.labels else str(g) for g in items_of(mask)

@@ -121,8 +121,8 @@ def _scaled(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
 class Valuation:
     """Base class. Subclasses answer ``value(bundle)`` for bitmask bundles.
 
-    Every subclass calls ``_set_kernel`` from ``__post_init__`` and
-    implements ``_value(mask)``, which returns v(S) * ``scale`` as an int;
+    Every subclass sets ``scale`` in ``__post_init__`` and implements
+    ``_value(mask)``, which returns v(S) * ``scale`` as an int;
     both table classes inherit it from ``_Table``, one 2^m sequence.
     Comparisons within one valuation can use ``_value`` directly, because
     scaling by a positive constant preserves order and equality.
@@ -148,9 +148,6 @@ class Valuation:
     _drop1 = None
     _item_classes = None
     _monotone = False
-
-    def _set_kernel(self, scale: int) -> None:
-        object.__setattr__(self, "scale", scale)
 
     @property
     def num_items(self) -> int:
@@ -186,7 +183,7 @@ class _ItemValues(Valuation):
         if min(ints, default=0) < 0:  # the sign survives the positive scale
             raise ValueError("item values must be non-negative")
         object.__setattr__(self, "_ints", ints)
-        self._set_kernel(scale)
+        object.__setattr__(self, "scale", scale)
 
     @classmethod
     def of(cls, values: Sequence[RationalLike]):
@@ -251,7 +248,7 @@ class PersonalizedBivalued(Valuation):
             raise InvalidBundleError("high_items addresses items outside 0..m-1")
         object.__setattr__(self, "_a", a)  # a * scale
         object.__setattr__(self, "_b", b)  # b * scale
-        self._set_kernel(scale)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def num_items(self) -> int:
@@ -263,7 +260,7 @@ class PersonalizedBivalued(Valuation):
 
     def is_factored(self) -> bool:
         """True iff b = 0 or a is an integer multiple of b."""
-        return self.b == 0 or (self.a / self.b).denominator == 1
+        return self._b == 0 or self._a % self._b == 0
 
     def _value(self, mask: int) -> int:
         high = (mask & self.high_items).bit_count()
@@ -325,10 +322,6 @@ class _Table(Valuation):
     """A set function stored as one scaled value per bundle mask:
     ``_cells[S]`` is v(S) * ``scale``, a tuple of ints for ``ExplicitTable``
     and 2^m bytes for ``BinaryTable``, each built from its public fields."""
-
-    def _set_cells(self, scale: int, cells) -> None:
-        object.__setattr__(self, "_cells", cells)
-        self._set_kernel(scale)
 
     @property
     def num_items(self) -> int:
@@ -422,7 +415,9 @@ class ExplicitTable(_Table):
         if size == 0 or size & (size - 1):
             raise ValueError("table length must be a power of two")
         require_table_items(size.bit_length() - 1, "explicit")
-        self._set_cells(*_scaled(self.table))
+        scale, cells = _scaled(self.table)
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "scale", scale)
 
     @classmethod
     def of(cls, table: Sequence[RationalLike]) -> "ExplicitTable":
@@ -446,7 +441,8 @@ class BinaryTable(_Table):
         cells = bytearray(1 << self.m)
         for mask in self.ones:
             cells[mask] = 1
-        self._set_cells(1, bytes(cells))
+        object.__setattr__(self, "_cells", bytes(cells))
+        object.__setattr__(self, "scale", 1)
 
 
 def is_monotone(v: Valuation) -> bool:
@@ -521,10 +517,3 @@ def validate_allocation(inst: Instance, bundles: Sequence[int]) -> Optional[Allo
     if seen != inst.all_items:
         return AllocationViolation("uncovered", next(items_of(inst.all_items & ~seen)))
     return None
-
-
-def require_valid_allocation(inst: Instance, bundles: Sequence[int]) -> tuple[int, ...]:
-    violation = validate_allocation(inst, bundles)
-    if violation is not None:
-        raise ValueError(f"invalid allocation: {violation}")
-    return tuple(bundles)

@@ -71,14 +71,13 @@ from .core import items_of
 
 class RoundGraph(NamedTuple):
     """Bipartite graph between active agents and unallocated items, as
-    masks, taken as given: ``pool`` is the mask of its items, ``adj[a]``
-    the nonempty submask of ``pool`` joined to agent ``a`` (agents with no
-    edges are left out), and ``weight[a]`` the one weight of all of ``a``'s
-    edges, which makes the greedy exact. ``weight`` is a mapping or a
-    sequence indexed by agent."""
+    masks, taken as given: ``adj[a]`` is the nonempty mask of the items
+    joined to agent ``a`` (agents with no edges are left out), and
+    ``weight[a]`` the one weight of all of ``a``'s edges, which makes the
+    greedy exact. ``weight`` is a mapping or a sequence indexed by agent.
+    An item with no edge is not represented."""
 
     agents: tuple[int, ...]
-    pool: int
     adj: dict[int, int]
     weight: Sequence | Mapping
 

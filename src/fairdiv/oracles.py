@@ -36,7 +36,7 @@ from .core import (
     Valuation,
     _Table,
     items_of,
-    require_valid_allocation,
+    validate_allocation,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -334,7 +334,9 @@ def check(inst: Instance, bundles, notion: FairnessNotion) -> FairnessReport:
     rejects a non-additive instance before that."""
     if notion is FairnessNotion.EFX_POSITIVE:
         _require_additive(inst)
-    require_valid_allocation(inst, bundles)
+    violation = validate_allocation(inst, bundles)
+    if violation is not None:
+        raise ValueError(f"invalid allocation: {violation}")
     test = _TESTS[notion](inst)
     found = tuple(FairnessViolation(i, j, test.witness(*args))
                   for i, j, args in _failures(inst, bundles, test))
@@ -584,14 +586,11 @@ def _two_valued_feasible(in_h: bytes, m: int) -> bool:
 @dataclass(frozen=True)
 class CompatGraph:
     """Nodes are (agent, 2-item bundle mask); an edge joins two nodes whose
-    owners would not PMMS-envy each other under those bundles."""
+    owners would not PMMS-envy each other under those bundles. ``nodes``
+    holds the nodes with an edge, by agent and then by bundle."""
 
     nodes: tuple[tuple[int, int], ...]
     edges: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-    def isolated_nodes(self) -> tuple[tuple[int, int], ...]:
-        touched = {u for e in self.edges for u in e}
-        return tuple(node for node in self.nodes if node not in touched)
 
     def has_triangle(self) -> bool:
         """Triangle over three distinct agents, i.e. a PMMS-compatible
@@ -605,8 +604,9 @@ class CompatGraph:
 
 
 def pair_compatibility_graph(inst: Instance) -> CompatGraph:
-    """The graph over every agent's 2-item bundles; the budget is charged
-    the number of node pairs tested, C(n * C(m, 2), 2), before any is built."""
+    """The graph over every agent's 2-item bundles, less those with no
+    edge; the budget is charged the number of node pairs tested,
+    C(n * C(m, 2), 2), before any is built."""
     _check_budget(math.comb(inst.n * math.comb(inst.m, 2), 2))
     pairs = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(inst.m), 2)]
     nodes = tuple((i, S) for i in range(inst.n) for S in pairs)
@@ -617,4 +617,5 @@ def pair_compatibility_graph(inst: Instance) -> CompatGraph:
             continue
         if not envies(i, S, T) and not envies(j, T, S):
             edges.append(((i, S), (j, T)))
-    return CompatGraph(nodes, tuple(edges))
+    touched = {node for edge in edges for node in edge}
+    return CompatGraph(tuple(node for node in nodes if node in touched), tuple(edges))

@@ -57,18 +57,15 @@ def round_graph(agents, items, edges) -> RoundGraph:
     """The round graph on ``agents`` and ``items`` with these
     (agent, item, weight) edges, asserting that every edge joins one of
     ``agents`` to one of ``items`` and that each agent's edges share one
-    weight."""
-    pool = 0
-    for g in items:
-        pool |= 1 << g
+    weight. The graph keeps no item set: an item with no edge drops out."""
+    items = set(items)
     adj: dict[int, int] = {}
     weight: dict[int, Fraction] = {}
     for a, g, w in edges:
-        assert a in agents and g >= 0 and pool >> g & 1, (
-            f"edge ({a}, {g}) references an unknown node")
+        assert a in agents and g in items, f"edge ({a}, {g}) references an unknown node"
         assert weight.setdefault(a, w) == w, f"agent {a} has edges with differing weights"
         adj[a] = adj.get(a, 0) | 1 << g
-    return RoundGraph(tuple(agents), pool, adj, weight)
+    return RoundGraph(tuple(agents), adj, weight)
 
 
 def match_and_freeze_with_graphs(inst: Instance):
@@ -103,7 +100,7 @@ def maf_round_graphs(inst: Instance, trace: MafTrace) -> list[RoundGraph]:
     for rnd in trace.rounds:
         agents = tuple(i for i in range(inst.n) if rnd.round not in frozen[i])
         adj = {i: mask for i in agents if (mask := pool & inst.valuations[i].high_items)}
-        graphs.append(RoundGraph(agents, pool, adj, {i: ratios[i] for i in adj}))
+        graphs.append(RoundGraph(agents, adj, {i: ratios[i] for i in adj}))
         for _, g in rnd.matching + rnd.leftovers:
             pool &= ~(1 << g)
     return graphs
@@ -186,7 +183,7 @@ def reference_r_star(inst: Instance, trace: MafTrace) -> tuple[int, ...]:
 
 
 def check_maf_trace_invariants(inst: Instance, trace: MafTrace, graphs) -> None:
-    """Five per-run facts about freeze structure:
+    """Four per-run facts about freeze structure:
 
     1. every item an agent receives strictly before its last high-value
        round is itself high-value for that agent;
@@ -195,14 +192,13 @@ def check_maf_trace_invariants(inst: Instance, trace: MafTrace, graphs) -> None:
     3. if two agents are matched in the same round to items that the first
        agent values high, the first freezes for no longer than the second
        (every alternating path threatening the first extends to the second);
-    4. the recorded r* agrees with the post-pass reference;
-    5. each round's graph, of ``graphs``, leaves out exactly the agents
+    4. each round's graph, of ``graphs``, leaves out exactly the agents
        frozen in that round.
     """
     ratios = agent_ratios(inst)
     n = inst.n
+    r_star = reference_r_star(inst, trace)
 
-    assert trace.r_star == reference_r_star(inst, trace)
     frozen_in = [inactive_rounds(trace, i) for i in range(n)]
     for rnd, graph in zip(trace.rounds, graphs, strict=True):
         frozen = {i for i in range(n) if rnd.round in frozen_in[i]}
@@ -212,7 +208,7 @@ def check_maf_trace_invariants(inst: Instance, trace: MafTrace, graphs) -> None:
 
     for i in range(n):
         vi = inst.valuations[i]
-        r_i = trace.r_star[i]
+        r_i = r_star[i]
         for rnd in trace.rounds:
             if rnd.round >= r_i:
                 break
@@ -500,9 +496,10 @@ def _max_gain_assignment(gain: list[list[int]]) -> list[int]:
     return assigned
 
 
-def connected_components(graph: RoundGraph) -> list[dict]:
-    """Partition of graph nodes into connected components, each reported as
-    {"agents": [...], "items": [...]}; isolated nodes form singletons."""
+def connected_components(graph: RoundGraph, items) -> list[dict]:
+    """Partition of the graph's agents and ``items`` into connected
+    components, each reported as {"agents": [...], "items": [...]};
+    isolated nodes form singletons."""
     parent: dict = {}
 
     def find(x):
@@ -518,7 +515,7 @@ def connected_components(graph: RoundGraph) -> list[dict]:
 
     for a in graph.agents:
         parent[("a", a)] = ("a", a)
-    for g in items_of(graph.pool):
+    for g in items:
         parent[("g", g)] = ("g", g)
     for a, g, _ in graph.edges:
         union(("a", a), ("g", g))

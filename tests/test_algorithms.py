@@ -61,7 +61,7 @@ def test_maf_table1_round1_matching_and_components():
     _, trace, graphs = match_and_freeze_with_graphs(inst)
     first = trace.rounds[0]
     assert first.matching == ((1, 0), (3, 1))  # agents 2 and 4 win x and y
-    comps = [c for c in connected_components(graphs[0]) if c["agents"]]
+    comps = [c for c in connected_components(graphs[0], range(inst.m)) if c["agents"]]
     assert {"agents": [0, 1], "items": [0]} in comps
     assert {"agents": [2, 3], "items": [1]} in comps
 

@@ -2,8 +2,8 @@
 function the benchmark's tracer (``perfbench/tracer.py``) wraps by name or
 calls, so a refactor that renames or removes one, or changes how it is
 called, fails here rather than in a traced run. And its converse: every
-module-level function and class in the package is read by the package
-itself, unless ``KEPT`` says why not."""
+module-level function and class in the package, and every member of its
+classes, is read by the package itself, unless ``KEPT`` says why not."""
 
 import ast
 import glob
@@ -21,14 +21,17 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 PACKAGE = os.path.dirname(fairdiv.__file__)
 
-# The package's definitions that nothing in the package reads, each with
-# the reason it stays.
+# The package's definitions, and class members as ``Class.member``, that
+# nothing in the package reads, each with the reason it stays.
 KEPT = {
     "check_efx": "perfbench/tracer.py spans it; perfbench/workloads.py calls it",
     "check_pmms": "perfbench/tracer.py spans it",
     "check_mms": "perfbench/tracer.py spans it; perfbench/workloads.py calls it",
     "allocation_satisfies": "perfbench/tracer.py spans it",
     "clear_caches": "perfbench/workloads.py calls it before every task",
+    "PersonalizedBivalued.is_factored": "states the hypothesis of the paper's PMMS theorem",
+    "MaximinResult.mu": "the value mu(v, S, k) itself, what mu is for; the package compares "
+                        "its scaled twin",
 }
 
 PUBLIC = [
@@ -95,17 +98,28 @@ def test_version_matches_pyproject():
     assert fairdiv.__version__ == version
 
 
-def test_every_definition_is_read_in_the_package():
-    """Each module-level def and class of a package module other than
-    ``__init__`` is loaded by name, as an attribute or as an import in some
-    such module, or is in ``KEPT``; and each name in ``KEPT`` is defined
-    and unread, so the table cannot go stale."""
-    defined, read = set(), set()
+def _package_trees():
+    """The parsed source of each package module other than ``__init__``,
+    which only re-exports."""
     for path in glob.glob(os.path.join(PACKAGE, "*.py")):
-        if os.path.basename(path) == "__init__.py":
-            continue
-        with open(path) as f:
-            tree = ast.parse(f.read(), path)
+        if os.path.basename(path) != "__init__.py":
+            with open(path) as f:
+                yield ast.parse(f.read(), path)
+
+
+def _check_kept(defined, read, kept) -> None:
+    """Nothing in ``defined`` goes unread unless ``kept`` names it, and each
+    name in ``kept`` is defined and unread, so the table cannot go stale."""
+    unread = sorted(defined - read - kept)
+    stale = sorted(kept - (defined - read))  # read, or no longer defined
+    assert (unread, stale) == ([], [])
+
+
+def test_every_definition_is_read_in_the_package():
+    """Each module-level def and class is loaded by name, as an attribute or
+    as an import in some package module, or is in ``KEPT``."""
+    defined, read = set(), set()
+    for tree in _package_trees():
         defined |= {node.name for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         for node in ast.walk(tree):
@@ -115,6 +129,41 @@ def test_every_definition_is_read_in_the_package():
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name)
-    unread = sorted(defined - read - KEPT.keys())
-    stale = sorted(KEPT.keys() - (defined - read))  # read, or no longer defined
-    assert (unread, stale) == ([], [])
+    _check_kept(defined, read, {name for name in KEPT if "." not in name})
+
+
+def _members(cls: ast.ClassDef):
+    """The names a class body defines, but dunders: annotated fields, class
+    attributes and methods."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        else:
+            names = []
+        yield from (name for name in names if not (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_class_member_is_read_in_the_package():
+    """Each member of a module-level class is read somewhere in the package
+    as an attribute load, a keyword argument's name or a string constant
+    (``serialize`` reads fields through their names), or is in ``KEPT`` as
+    ``Class.member``. A member read under another class's name counts."""
+    members: dict[str, str] = {}  # "Class.member" -> member
+    read = set()
+    for tree in _package_trees():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                members.update((f"{cls.name}.{name}", name) for name in _members(cls))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                read.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    read_members = {qualified for qualified, name in members.items() if name in read}
+    _check_kept(set(members), read_members, {name for name in KEPT if "." in name})

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -661,6 +662,21 @@ def test_export_compat_dot_triangle_free(tmp_path, capsys):
     for u, w in edges:
         for x in adj[u] & adj[w]:
             assert len({agent(u), agent(w), agent(x)}) < 3, "triangle found"
+
+
+def test_separation3_compat_graph_is_pinned(tmp_path, capsys):
+    # 9 of the 45 (agent, pair) nodes have no edge and are left out of both
+    inst_path = str(tmp_path / "sep.json")
+    main(["gen", "--kind", "separation3", "--out", inst_path])
+    code, out, _ = run(capsys, "verify", "--claim", "triangle-free", "--in", inst_path)
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["nodes"], doc["edges"], doc["triangle"], doc["holds"]) == (36, 93, False, True)
+    code, out, _ = run(capsys, "export-graph", "--in", inst_path, "--kind", "compat")
+    assert code == 0
+    assert sum("[label=" in line for line in out.splitlines()) == 36
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2e47a0cf1d57d32a554ab5f4aa7f16c8c0d1256656a235093e20fe4f7b5f91f3")
 
 
 def test_export_compat_escapes_labels(tmp_path, capsys):

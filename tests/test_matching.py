@@ -71,7 +71,7 @@ def test_validating_constructor_refuses_an_edge_off_the_graph(edges):
 
 
 def test_edges_read_off_by_agent_in_agents_order_then_by_item():
-    g = RoundGraph((2, 0, 1), 0b11010, {2: 0b10010, 0: 0b01000}, {2: 5, 0: 7})
+    g = RoundGraph((2, 0, 1), {2: 0b10010, 0: 0b01000}, {2: 5, 0: 7})
     assert g.edges == ((2, 1, 5), (2, 4, 5), (0, 3, 7))
     assert round_graph(g.agents, (4, 3, 1), ((0, 3, 7), (2, 4, 5), (2, 1, 5))) == g
 
@@ -100,7 +100,7 @@ def test_every_maf_round_graph_equals_its_rebuild_from_the_trace():
     for inst in _maf_round_graph_cases():
         _, trace, recorded = match_and_freeze_with_graphs(inst)
         for rnd, g, h in zip(trace.rounds, recorded, maf_round_graphs(inst, trace), strict=True):
-            assert (g.agents, g.pool, g.adj) == (h.agents, h.pool, h.adj), f"round {rnd.round}"
+            assert (g.agents, g.adj) == (h.agents, h.adj), f"round {rnd.round}"
             # the int weights are the Fraction ratios times one scale
             assert len({g.weight[a] / h.weight[a] for a in g.adj}) <= 1, f"round {rnd.round}"
             graphs += 1
@@ -111,16 +111,16 @@ def test_every_maf_round_graph_equals_its_rebuild_from_the_trace():
 
 def test_connected_components():
     g = round_graph((1, 2, 3), (5, 6), ((1, 5, Fraction(1)), (2, 5, Fraction(1))))
-    comps = connected_components(g)
+    comps = connected_components(g, (5, 6))
     assert {"agents": [1, 2], "items": [5]} in comps
     assert {"agents": [3], "items": []} in comps
     assert {"agents": [], "items": [6]} in comps
 
     empty = round_graph((1, 2), (3,), ())
-    assert len(connected_components(empty)) == 3
+    assert len(connected_components(empty, (3,))) == 3
 
     path = round_graph((1, 2), (9,), ((1, 9, Fraction(1)), (2, 9, Fraction(1))))
-    assert len(connected_components(path)) == 1
+    assert len(connected_components(path, (9,))) == 1
 
 
 def _random_graph(rng: random.Random) -> RoundGraph:

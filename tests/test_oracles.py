@@ -19,6 +19,7 @@ from fairdiv.core import (
     PersonalizedBivalued,
     UnsupportedValuationError,
     full_mask,
+    items_of,
 )
 from fairdiv.instances import (
     gen_mnw_counterexample,
@@ -486,6 +487,11 @@ def test_compat_graph_separation_triangle_free():
     graph = pair_compatibility_graph(gen_separation3())
     assert len(graph.edges) > 0
     assert not graph.has_triangle()
+    # the nodes are those with an edge, 36 of the 45, by agent and then by pair
+    assert set(graph.nodes) == {node for edge in graph.edges for node in edge}
+    assert len(graph.nodes) == 36
+    order = sorted(graph.nodes, key=lambda node: (node[0], tuple(items_of(node[1]))))
+    assert list(graph.nodes) == order
 
 
 @pytest.mark.parametrize("values, edges, triangle", [
