@@ -426,8 +426,11 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
     class, and the search visits only such allocations: each X_k takes
     the lowest items of each class still in the rest. The children of a
     node keep their order; the counter jumps past the ones that break a
-    class. The charge, n^m, is taken before the classes are found."""
+    class. The charge, n^m, is taken before the classes are found, and
+    after EFX+ rejects a non-additive instance."""
     n, m = inst.n, inst.m
+    if notion is FairnessNotion.EFX_POSITIVE:
+        _require_additive(inst)
     _check_budget(n, m)
     pairwise, fails, _ = _TESTS[notion](inst)
     classes = _interchangeable(inst) if n > 1 else []  # one agent has one allocation

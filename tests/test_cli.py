@@ -4,8 +4,10 @@ import json
 import os
 import re
 import resource
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -504,6 +506,11 @@ MALFORMED_TEXTS = {
     pytest.param(["gen", "--kind", "separation3", "--out", "{unwritable}"], id="gen-out-dir"),
     pytest.param(["export-graph", "--in", "{inst}", "--kind", "compat", "--dot",
                   "{unwritable}"], id="export-dot-dir"),
+    pytest.param(["gen", "--kind", "separation3", "--out", "{dir}"], id="gen-out-is-a-dir"),
+    # an empty path names no file; stdout is for an absent flag only
+    pytest.param(["gen", "--kind", "separation3", "--out", ""], id="gen-out-empty"),
+    pytest.param(["export-graph", "--in", "{inst}", "--kind", "compat", "--dot", ""],
+                 id="export-dot-empty"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     paths = {}
@@ -521,10 +528,77 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         "overlap": write_allocation(tmp_path, (0b011, 0b110), "overlap.json"),
         "alloc": write_allocation(tmp_path, (0b001, 0b110)),
         "unwritable": str(tmp_path / "absent-dir" / "out.txt"),
+        "dir": str(tmp_path),
     }
-    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
-    assert code == 2
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+# Every command that writes a file, with its output flag last.
+WRITERS = {
+    "gen": ["gen", "--kind", "random-pair-demand", "--n", "2", "--m", "4", "--seed", "3",
+            "--out"],
+    "solve": ["solve", "--algo", "rrr", "--in", "{inst}", "--out"],
+    "check": ["check", "--notion", "pmms", "--in", "{inst}", "--alloc", "{alloc}", "--out"],
+    "verify": ["verify", "--claim", "efx-exists", "--in", "{inst}", "--out"],
+    "export-graph": ["export-graph", "--in", "{inst}", "--kind", "compat", "--dot"],
+}
+
+
+def _timing_zeroed(data: bytes) -> bytes:
+    """verify's "seconds" is the one field that differs from run to run."""
+    return re.sub(rb'"seconds": [0-9.e-]+', b'"seconds": 0', data)
+
+
+# An output path that holds a file is rewritten in place and cut to the
+# new length, so what is left is exactly what a write into an empty
+# directory gives, whatever the old file's length.
+@pytest.mark.parametrize("old_size", ["longer", "same", "shorter"])
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_rewritten_output_equals_a_fresh_write(tmp_path, command, old_size):
+    inputs = {"inst": write_instance(tmp_path, PAIR_DEMAND),
+              "alloc": write_allocation(tmp_path, (0b011, 0b100))}
+    argv = [arg.format(**inputs) for arg in WRITERS[command]]
+    fresh = tmp_path / "empty" / "out"
+    fresh.parent.mkdir()
+    code = main([*argv, str(fresh)])
+    expected = fresh.read_bytes()
+    target = tmp_path / "out"
+    size = {"longer": 1 << 16, "same": len(expected), "shorter": len(expected) // 2}[old_size]
+    target.write_bytes(b"x" * size)
+    assert main([*argv, str(target)]) == code
+    assert _timing_zeroed(target.read_bytes()) == _timing_zeroed(expected)
+
+
+def test_out_dev_null_exits_0(capsys):
+    assert run(capsys, "gen", "--kind", "mnw", "--out", os.devnull) == (0, "", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_out_fifo_receives_the_whole_document(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code = main(["gen", "--kind", "mnw", "--out", str(fifo)])
+    reader.join(timeout=30)
+    fresh = tmp_path / "fresh.json"
+    main(["gen", "--kind", "mnw", "--out", str(fresh)])
+    assert code == 0 and received == [fresh.read_bytes()]
+
+
+def test_new_output_has_the_mode_open_gives(tmp_path):
+    previous = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert main(["gen", "--kind", "mnw", "--out", str(tmp_path / "made.json")]) == 0
+    finally:
+        os.umask(previous)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("plain", "made.json")}
+    assert modes == {0o666 & ~0o027}
 
 
 def _limit_address_space():

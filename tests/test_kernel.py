@@ -50,6 +50,7 @@ from fairdiv.oracles import (
     check_mms,
     check_mms_feasible,
     check_pmms,
+    exists_fair_allocation,
     mu,
     nash_welfare_maximizers,
 )
@@ -532,6 +533,24 @@ def test_efx_positive_rejects_non_additive_before_validation():
         allocation_satisfies(inst, overlapping, FairnessNotion.EFX_POSITIVE)
     with pytest.raises(ValueError, match="invalid allocation"):
         check(inst, overlapping, FairnessNotion.EFX)
+
+
+def test_efx_positive_rejects_non_additive_before_the_budget():
+    """Under a cap of 4, below the 2^3 allocations of the search, every
+    EFX+ entry point refuses a pair-demand instance as non-additive."""
+    inst = Instance(2, 3, (PairDemand.of([1, 1, 1]),) * 2)
+    token = BUDGET.set(4)
+    try:
+        with pytest.raises(UnsupportedValuationError):
+            exists_fair_allocation(inst, FairnessNotion.EFX_POSITIVE)
+        with pytest.raises(UnsupportedValuationError):
+            check(inst, (0b011, 0b100), FairnessNotion.EFX_POSITIVE)
+        with pytest.raises(UnsupportedValuationError):
+            allocation_satisfies(inst, (0b011, 0b100), FairnessNotion.EFX_POSITIVE)
+        with pytest.raises(BudgetExceededError):
+            exists_fair_allocation(inst, FairnessNotion.EFX)
+    finally:
+        BUDGET.reset(token)
 
 
 @KERNEL
