@@ -39,7 +39,7 @@ from .algorithms import (
     reversed_round_robin,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "Additive",

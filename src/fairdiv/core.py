@@ -375,9 +375,8 @@ def _bit_planes(cells) -> tuple[int, int]:
     """(P, w): a table's 2^m values as w bit planes stacked in one int.
     Plane b, the bits from b * 2^m, is the bitset (bit S for mask S) of
     the masks whose value's rank among the distinct values has bit b set;
-    a binary table's values are their own one plane. Each plane is read
-    like ``_two_valued_feasible``'s H: one ASCII digit per mask, reversed
-    and read as a base-2 int."""
+    a binary table's values are their own one plane. Each plane is built
+    as one ASCII digit per mask, reversed and read as a base-2 int."""
     if isinstance(cells, bytes):  # a BinaryTable: 0 or 1 at every mask
         return int(cells.translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2), 1
     levels = sorted(set(cells))

@@ -59,14 +59,9 @@ def gen_nonexistence_stars(n: int) -> Instance:
     commons = list(range(num_stars, m))
     commons_mask = full_mask(m) & ~stars_mask
 
-    c1 = commons[0]
-    a_masks = []
-    for rest in itertools.combinations(commons[1:], k - 1):
-        a_masks.append((1 << c1) | mask_of(rest))
-        if len(a_masks) == n:
-            break
-    if len(a_masks) < n:
-        raise ValueError("not enough distinct balanced bipartitions")
+    # C(2k - 1, k - 1) = C(2k, k) / 2 >= n such subsets hold the first common
+    rests = itertools.islice(itertools.combinations(commons[1:], k - 1), n)
+    a_masks = [1 << commons[0] | mask_of(rest) for rest in rests]
 
     valuations = []
     for i in range(n):

@@ -34,6 +34,7 @@ from .core import (
     Instance,
     UnsupportedValuationError,
     Valuation,
+    _bit_planes,
     _Table,
     items_of,
     validate_allocation,
@@ -570,7 +571,7 @@ def _two_valued_feasible(in_h: bytes, m: int) -> bool:
     for b in range(lo, m):
         high += [x | x << (1 << b) for x in high]
     low_bits = (1 << lo) - 1
-    H = int(in_h.translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
+    H = _bit_planes(in_h)[0]
     members = (((1 << (1 << m)) - 1) ^ H, H)  # L, H: indexed by in_h
     unions = [0, 0]
     for A, bit in enumerate(in_h):

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 import fairdiv
 from fairdiv import instances, oracles, serialize
 from fairdiv.algorithms import CcgIteration, cut_and_choose_graph_procedure
-from fairdiv.cli import main
+from fairdiv.cli import CLAIMS, SOLVERS, main
 from fairdiv.core import (
     MAX_ITEMS,
     MAX_TABLE_ENTRIES,
@@ -30,7 +31,12 @@ from fairdiv.core import (
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one command; argparse's usage
+    errors exit through SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -244,11 +250,27 @@ def test_gen_binary_flags(capsys):
     assert any(v.value(0) == 1 for v in drawn[("--non-normalized",)])
 
 
-def test_check_feasible_additive(tmp_path, capsys):
+def test_verify_mms_feasible(tmp_path, capsys):
     inst = Instance(2, 3, (Additive.of([1, 2, 3]), Additive.of([3, 2, 1])))
-    path = write_instance(tmp_path, inst)
-    code, out, _ = run(capsys, "check", "--notion", "feasible", "--in", path)
-    assert code == 0 and json.loads(out)["holds"] is True
+    code, out, _ = run(capsys, "verify", "--claim", "mms-feasible",
+                       "--in", write_instance(tmp_path, inst))
+    assert code == 0
+    assert json.loads(out) == {"claim": "mms-feasible", "holds": True, "per_agent": [True, True]}
+    # v(S) = 1 iff S holds {0, 1} or {2, 3}: {0, 1, 2, 3} splits into two
+    # bundles worth 1 and also into two worth 0
+    ones = frozenset(S for S in range(1 << 4) if S & 0b0011 == 0b0011 or S & 0b1100 == 0b1100)
+    inst = Instance(2, 4, (Additive.of([1] * 4), BinaryTable(4, ones)))
+    code, out, _ = run(capsys, "verify", "--claim", "mms-feasible",
+                       "--in", write_instance(tmp_path, inst))
+    assert code == 1
+    assert json.loads(out) == {"claim": "mms-feasible", "holds": False,
+                               "per_agent": [True, False]}
+
+
+def test_check_feasible_is_not_a_notion(tmp_path, capsys):
+    path = write_instance(tmp_path, Instance(1, 1, (Additive.of([1]),)))
+    code, out, err = run(capsys, "check", "--notion", "feasible", "--in", path)
+    assert code == 2 and out == "" and "invalid choice" in err and "feasible" in err
 
 
 def test_check_requires_alloc(tmp_path, capsys):
@@ -264,7 +286,7 @@ def test_verify_no_pmms_separation(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--claim", "no-pmms", "--in", inst_path)
     assert code == 0
     doc = json.loads(out)
-    assert doc["scanned"] == 729 and doc["found"] is None and doc["holds"]
+    assert doc == {"claim": "no-pmms", "found": None, "holds": True}
 
 
 def test_verify_efx_exists_separation(tmp_path, capsys):
@@ -274,7 +296,7 @@ def test_verify_efx_exists_separation(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--claim", "efx-exists", "--in", inst_path)
     assert code == 0
     doc = json.loads(out)
-    assert doc["scanned"] == 729 and doc["found"] == [[0, 1], [2, 3], [4, 5]] and doc["holds"]
+    assert doc == {"claim": "efx-exists", "found": [[0, 1], [2, 3], [4, 5]], "holds": True}
 
 
 def test_verify_mnw(tmp_path, capsys):
@@ -456,31 +478,34 @@ MALFORMED_TEXTS = {
 
 
 @pytest.mark.parametrize("argv", [
-    pytest.param(["check", "--notion", "feasible", "--in", "{absent}"], id="check-no-file"),
-    pytest.param(["check", "--notion", "feasible", "--in", "{deep-nesting}"],
+    pytest.param(["check", "--notion", "efx", "--in", "{absent}", "--alloc", "{alloc}"],
+                 id="check-no-file"),
+    pytest.param(["verify", "--claim", "mms-feasible", "--in", "{deep-nesting}"],
                  id="deep-nesting"),
     pytest.param(["solve", "--algo", "rrr", "--in", "{absent}"], id="solve-no-file"),
     pytest.param(["verify", "--claim", "no-pmms", "--in", "{absent}"], id="verify-no-file"),
-    pytest.param(["check", "--notion", "feasible", "--in", "{partial}"], id="missing-key"),
-    pytest.param(["check", "--notion", "feasible", "--in", "{zero-denominator}"],
+    pytest.param(["verify", "--claim", "mms-feasible", "--in", "{partial}"], id="missing-key"),
+    pytest.param(["verify", "--claim", "mms-feasible", "--in", "{zero-denominator}"],
                  id="zero-denominator"),
-    pytest.param(["check", "--notion", "feasible", "--in", "{list-doc}"], id="list-document"),
-    pytest.param(["check", "--notion", "feasible", "--in", "{list-flags}"], id="list-flags"),
-    pytest.param(["check", "--notion", "feasible", "--in", "{float-n}"], id="float-n-check"),
+    pytest.param(["verify", "--claim", "mms-feasible", "--in", "{list-doc}"], id="list-document"),
+    pytest.param(["verify", "--claim", "mms-feasible", "--in", "{list-flags}"], id="list-flags"),
+    pytest.param(["check", "--notion", "efx", "--in", "{float-n}", "--alloc", "{alloc}"],
+                 id="float-n-check"),
     pytest.param(["solve", "--algo", "rrr", "--in", "{float-n}"], id="float-n-solve"),
     pytest.param(["verify", "--claim", "no-pmms", "--in", "{float-n}"], id="float-n-verify"),
     pytest.param(["export-graph", "--in", "{float-m}", "--kind", "compat"], id="float-m-export"),
-    pytest.param(["check", "--notion", "feasible", "--in", "{float-m}"], id="float-m-check"),
-    pytest.param(["check", "--notion", "feasible", "--in", "{bool-n}"], id="bool-n"),
-    pytest.param(["check", "--notion", "feasible", "--in", "{bool-mask}"], id="bool-mask"),
-    pytest.param(["check", "--notion", "feasible", "--in", "{string-labels}"],
+    pytest.param(["check", "--notion", "efx", "--in", "{float-m}", "--alloc", "{alloc}"],
+                 id="float-m-check"),
+    pytest.param(["verify", "--claim", "mms-feasible", "--in", "{bool-n}"], id="bool-n"),
+    pytest.param(["verify", "--claim", "mms-feasible", "--in", "{bool-mask}"], id="bool-mask"),
+    pytest.param(["verify", "--claim", "mms-feasible", "--in", "{string-labels}"],
                  id="string-labels"),
-    pytest.param(["check", "--notion", "feasible", "--in", "{string-flag}"], id="string-flag"),
-    pytest.param(["check", "--notion", "feasible", "--in", "{string-values}"],
+    pytest.param(["verify", "--claim", "mms-feasible", "--in", "{string-flag}"], id="string-flag"),
+    pytest.param(["verify", "--claim", "mms-feasible", "--in", "{string-values}"],
                  id="string-values"),
-    pytest.param(["check", "--notion", "feasible", "--in", "{string-table}"],
+    pytest.param(["verify", "--claim", "mms-feasible", "--in", "{string-table}"],
                  id="string-table"),
-    pytest.param(["check", "--notion", "feasible", "--in", "{object-values}"],
+    pytest.param(["verify", "--claim", "mms-feasible", "--in", "{object-values}"],
                  id="object-values"),
     pytest.param(["verify", "--claim", "mnw-not-efx", "--in", "{huge-values}"],
                  id="huge-values"),
@@ -546,11 +571,6 @@ WRITERS = {
 }
 
 
-def _timing_zeroed(data: bytes) -> bytes:
-    """verify's "seconds" is the one field that differs from run to run."""
-    return re.sub(rb'"seconds": [0-9.e-]+', b'"seconds": 0', data)
-
-
 # An output path that holds a file is rewritten in place and cut to the
 # new length, so what is left is exactly what a write into an empty
 # directory gives, whatever the old file's length.
@@ -568,7 +588,51 @@ def test_rewritten_output_equals_a_fresh_write(tmp_path, command, old_size):
     size = {"longer": 1 << 16, "same": len(expected), "shorter": len(expected) // 2}[old_size]
     target.write_bytes(b"x" * size)
     assert main([*argv, str(target)]) == code
-    assert _timing_zeroed(target.read_bytes()) == _timing_zeroed(expected)
+    assert target.read_bytes() == expected
+
+
+# Every mode of every command, with its output flag last: each gen kind,
+# solve algorithm, check notion and verify claim, and both export-graph kinds.
+SOLVE_INPUTS = {"maf": "{bivalued}", "ccg": "{binary}", "rrr": "{pair_demand}"}
+MODES = {
+    **{f"gen-{kind}": ["gen", "--kind", kind, "--n", "2", "--m", "4", "--seed", "3", "--out"]
+       for kind in instances.GENERATORS},
+    **{f"solve-{algo}": ["solve", "--algo", algo, "--in", SOLVE_INPUTS[algo], "--out"]
+       for algo in SOLVERS},
+    **{f"check-{notion.value}": ["check", "--notion", notion.value, "--in", "{additive}",
+                                 "--alloc", "{additive_alloc}", "--out"]
+       for notion in FairnessNotion},
+    **{f"verify-{claim}": ["verify", "--claim", claim, "--in", "{separation3}", "--out"]
+       for claim in CLAIMS},
+    "export-graph-compat": ["export-graph", "--in", "{separation3}", "--kind", "compat", "--dot"],
+    "export-graph-ccg": ["export-graph", "--in", "{binary}", "--kind", "ccg",
+                         "--alloc", "{binary_alloc}", "--agent", "0", "--dot"],
+}
+
+
+# A document depends on the command's inputs alone: two writes give the
+# same bytes even under a clock that moves on by a different amount at
+# every reading.
+@pytest.mark.parametrize("mode", list(MODES))
+def test_every_document_is_a_function_of_its_inputs(tmp_path, monkeypatch, mode):
+    binary = write_ccg_inputs(tmp_path)
+    additive = Instance(2, 3, (Additive.of([0, 0, 2]),) * 2)
+    inputs = {
+        "bivalued": write_instance(tmp_path, instances.random_bivalued(3, 6, 1), "bivalued.json"),
+        "binary": binary["inst"],
+        "binary_alloc": binary["alloc"],
+        "pair_demand": write_instance(tmp_path, PAIR_DEMAND, "pair-demand.json"),
+        "additive": write_instance(tmp_path, additive, "additive.json"),
+        "additive_alloc": write_allocation(tmp_path, (0b001, 0b110), "additive-alloc.json"),
+        "separation3": write_instance(tmp_path, instances.gen_separation3(), "sep.json"),
+    }
+    readings = itertools.accumulate(itertools.count(1))
+    for name in ("monotonic", "perf_counter", "time"):
+        monkeypatch.setattr(time, name, lambda: next(readings))
+    argv = [arg.format(**inputs) for arg in MODES[mode]]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*argv, str(first)]) == main([*argv, str(second)])
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_out_dev_null_exits_0(capsys):
@@ -621,7 +685,7 @@ def test_huge_item_index_exits_2(tmp_path, where):
         inst_path = tmp_path / "inst.json"
         inst_path.write_text(json.dumps({"n": 1, "m": 3, "valuations": [
             {"type": "personalized_bivalued", "a": 2, "b": 1, "high_items": [huge], "m": 3}]}))
-        argv = ["check", "--notion", "feasible", "--in", str(inst_path)]
+        argv = ["verify", "--claim", "mms-feasible", "--in", str(inst_path)]
     done = run_module(*argv, preexec_fn=_limit_address_space)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
@@ -642,10 +706,10 @@ def _bivalued_doc(n, m, high_items=(0,)):
 @pytest.mark.parametrize("argv,doc", [
     (["check", "--notion", "efx", "--alloc", "{alloc}"], _bivalued_doc(2, 10**12)),
     (["solve", "--algo", "maf"], _bivalued_doc(2, 10**12)),
-    (["check", "--notion", "feasible"], _bivalued_doc(1, 10**12, [10**11])),
+    (["verify", "--claim", "mms-feasible"], _bivalued_doc(1, 10**12, [10**11])),
     (["export-graph", "--kind", "compat"], _bivalued_doc(2, int("9" * 4000))),
     (["gen", "--kind", "random-bivalued", "--n", "1", "--m", str(10**12)], None),
-], ids=["check-efx", "solve-maf", "check-feasible", "export-compat", "gen"])
+], ids=["check-efx", "solve-maf", "verify-mms-feasible", "export-compat", "gen"])
 def test_huge_item_count_exits_2(tmp_path, argv, doc):
     alloc_path = write_allocation(tmp_path, (0b01, 0b10))
     argv = [arg.format(alloc=alloc_path) for arg in argv]
@@ -689,7 +753,7 @@ def test_gen_value_count_over_cap_exits_2(kind, n, m):
 # compatibility graph of 2 agents over 200 items has C(2 * C(200, 2), 2)
 # node pairs.
 @pytest.mark.parametrize("n,m,argv,size", [
-    (1, 10_000, ["check", "--notion", "feasible"], "3^10000"),
+    (1, 10_000, ["verify", "--claim", "mms-feasible"], "3^10000"),
     (2, 15_000, ["verify", "--claim", "no-pmms"], "2^15000"),
     (2, 200, ["export-graph", "--kind", "compat"], "792000100"),
 ], ids=["feasible", "no-pmms", "compat"])

@@ -51,6 +51,22 @@ def test_stars_distinct_partitions():
     assert not specials[0] & specials[1]
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_stars_privileged_sets_are_distinct(n):
+    # A_i is the set of k commons, the first among them, that agent i
+    # values at k + 1; C(2k - 1, k - 1) >= n such sets exist, so every
+    # agent gets one of its own
+    inst = gen_nonexistence_stars(n)
+    k = stars_partition_size(n)
+    first = 1 << n - 2
+    commons = (1 << inst.m) - first
+    held = [[A for A in range(1 << inst.m) if A & commons == A and A & first
+             and A.bit_count() == k and v.value(A) == k + 1]
+            for v in inst.valuations]
+    assert all(len(sets) == 1 for sets in held)
+    assert len({sets[0] for sets in held}) == n
+
+
 def test_stars_monotone():
     for n in (2, 3):
         for v in gen_nonexistence_stars(n).valuations:

@@ -120,10 +120,9 @@ SEEDS = [
 FUZZ_COMMANDS = [
     *(["check", "--notion", notion, "--alloc", "{alloc}"]
       for notion in ("efx", "efx+", "pmms", "mms")),
-    ["check", "--notion", "feasible"],
     *(["solve", "--algo", algo] for algo in ("maf", "ccg", "rrr")),
-    *(["verify", "--claim", claim]
-      for claim in ("no-pmms", "mms-exists", "efx-exists", "mnw-not-efx", "triangle-free")),
+    *(["verify", "--claim", claim] for claim in ("no-pmms", "mms-exists", "efx-exists",
+                                                 "mnw-not-efx", "triangle-free", "mms-feasible")),
     ["export-graph", "--kind", "compat"],
     ["export-graph", "--kind", "ccg", "--alloc", "{alloc}", "--agent", "0"],
 ]
