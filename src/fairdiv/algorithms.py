@@ -181,18 +181,20 @@ class CcgTrace:
     iterations: tuple[CcgIteration, ...]
 
 
-def _first_envied(envies, bundles, i: int, held: int) -> Optional[int]:
+def _first_envied(inst: Instance, envies, bundles, i: int, held: int) -> Optional[int]:
     """The lowest-index j != held whose bundle agent i, holding X_held,
     PMMS-envies by the bound test ``envies``; None when there is none."""
+    mine = bundles[held]
+    own = inst.valuations[i]._value(mine)
     # j == held is skipped: comparing X_held against itself decides nothing,
     # and for non-normalized values a bundle can lose to its own best split.
     return next((j for j in range(len(bundles))
-                 if j != held and envies(i, bundles[held], bundles[j])), None)
+                 if j != held and envies(i, own, mine, bundles[j])), None)
 
 
-def _cut_graph(envies, bundles, s: int) -> tuple[int, ...]:
+def _cut_graph(inst: Instance, envies, bundles, s: int) -> tuple[int, ...]:
     """pi relative to agent s under the bound PMMS test ``envies``."""
-    return tuple(s if (j := _first_envied(envies, bundles, i, s)) is None else j
+    return tuple(s if (j := _first_envied(inst, envies, bundles, i, s)) is None else j
                  for i in range(len(bundles)))
 
 
@@ -200,13 +202,13 @@ def build_cut_and_choose_graph(inst: Instance, bundles, s: int) -> tuple[int, ..
     """The functional digraph pi relative to agent s: pi(i) = s when agent i
     accepts X_s against every bundle, otherwise the lowest-index j whose
     bundle makes X_s unacceptable."""
-    return _cut_graph(_pmms_test(inst).fails, bundles, s)
+    return _cut_graph(inst, _pmms_test(inst).fails, bundles, s)
 
 
 def _pmms_state(inst: Instance, envies, bundles) -> tuple[int, int, Optional[int]]:
     """(W, E, s) where s is the lowest-index PMMS-violating agent or None."""
     W = sum(v._value(b) for v, b in zip(inst.valuations, bundles))  # binary: scale 1
-    envious = [i for i in range(inst.n) if _first_envied(envies, bundles, i, i) is not None]
+    envious = [i for i in range(inst.n) if _first_envied(inst, envies, bundles, i, i) is not None]
     return W, inst.n - len(envious), envious[0] if envious else None
 
 
@@ -223,7 +225,7 @@ def _ccg_step(
 
     Returns (new bundles, pi, walk, case, swap); swap says the chooser took B.
     """
-    pi = _cut_graph(envies, bundles, s)
+    pi = _cut_graph(inst, envies, bundles, s)
     walk = [s]
     while pi[walk[-1]] not in walk:
         walk.append(pi[walk[-1]])

@@ -274,15 +274,26 @@ class PersonalizedBivalued(Valuation):
         return self._value(S) - (self._b if S & ~self.high_items else self._a)
 
     def _share2(self, S: int) -> int:
-        # x high and y low items on one side. For each x the best y is the
-        # floor of the balance point (a(h - 2x) + b l) / 2b, clipped to 0..l;
-        # its ceiling is the floor for h - x with the sides swapped.
+        # x high and y low items on one side
         a, b = self._a, self._b
         h = (S & self.high_items).bit_count()
         l = S.bit_count() - h
+        if not b:
+            return a * (h // 2)
+        if not a % b:
+            # factored: in units of b a side is worth c x + y, and the best
+            # side at most half the total takes as many high items as fit,
+            # then low items up to half
+            c = a // b
+            half = (c * h + l) // 2
+            x = min(h, half // c)
+            return b * (c * x + min(l, half - c * x))
+        # For each x the best y is the floor of the balance point
+        # (a(h - 2x) + b l) / 2b, clipped to 0..l; its ceiling is the floor
+        # for h - x with the sides swapped.
         best = 0
         for x in range(h + 1):
-            y = min(max((a * (h - 2 * x) + b * l) // (2 * b), 0), l) if b else 0
+            y = min(max((a * (h - 2 * x) + b * l) // (2 * b), 0), l)
             best = max(best, min(a * x + b * y, a * (h - x) + b * (l - y)))
         return best
 

@@ -11,9 +11,11 @@ is asked of one bound test (``_pmms_test``), whose share
 one pass over the bipartitions, memoized for that test's life alone.
 MMS-feasibility (``check_mms_feasible``) is charged its 3^m splits before
 anything is built; a table of at most two values is then decided by
-disjoint-union bitsets, at most 2 * 2^m big-int steps in about 2^(3m/2)
-bits of memory, and any other by the bipartition pass of every subset.
-Exceeding the enumeration budget is a hard error, never an approximation.
+disjoint-union bitsets, at most 2^(m-1) big-int steps (one per mask
+without item m - 1: of two disjoint masks, at most one holds it) in about
+2^(3m/2) bits of memory, and any other by the bipartition pass of every
+subset. Exceeding the enumeration budget is a hard error, never an
+approximation.
 
 Every comparison is between two values of one agent's valuation, so it is
 made on that valuation's scaled integers (``Valuation._value``); a
@@ -219,10 +221,13 @@ def clear_caches() -> None:
 # fairness checks: one test per notion, one dispatch table
 #
 # ``_TESTS[notion](inst)`` binds the notion's test to an instance. EFX, EFX+
-# and PMMS are pairwise: fails(i, X_i, X_j) is whether i, holding X_i,
-# envies X_j. MMS is per agent: fails(i, X_i) is whether X_i is worth less
-# to i than its maximin share. No test searches for a witness; ``check``
-# asks ``witness``, with the same arguments, for the failures only.
+# and PMMS are pairwise: fails(i, own, X_i, X_j) is whether i, holding X_i,
+# envies X_j. MMS is per agent: fails(i, own, X_i) is whether X_i is worth
+# less to i than its maximin share. ``own`` is v_i._value(X_i), which the
+# caller computes once per bundle and hands to every test of that bundle,
+# so a test never values the envier's own bundle. No test searches for a
+# witness; ``check`` asks ``witness``, with the same arguments, for the
+# failures only.
 
 
 class _Test(NamedTuple):
@@ -245,11 +250,10 @@ def _efx_test(inst: Instance, positive_only: bool = False) -> _Test:
     values = [v._value for v in inst.valuations]
     drop1 = [v._drop1 for v in inst.valuations]
 
-    def envied_item(i, mine, theirs):
+    def envied_item(i, own, mine, theirs):
         """The first item of X_j (for EFX+, one i values above zero) whose
         removal leaves X_j worth more to i than X_i; None if there is none."""
         value = values[i]
-        own = value(mine)
         for g in items_of(theirs):
             if positive_only and value(1 << g) <= 0:
                 continue
@@ -260,8 +264,8 @@ def _efx_test(inst: Instance, positive_only: bool = False) -> _Test:
     if positive_only or any(d is None for d in drop1):
         return _Test(True, lambda *pair: envied_item(*pair) is not None, envied_item)
     # an empty X_j has no item to remove, so it is never envied
-    return _Test(True, lambda i, mine, theirs: theirs != 0
-                 and values[i](mine) < drop1[i](theirs), envied_item)
+    return _Test(True, lambda i, own, mine, theirs: theirs != 0
+                 and own < drop1[i](theirs), envied_item)
 
 
 def _efx_positive_test(inst: Instance) -> _Test:
@@ -285,26 +289,24 @@ def _pmms_test(inst: Instance) -> _Test:
     cut-and-choose run) and charged on a miss only: the cap cannot change
     within it, so a hit would pass the same charge again."""
     vals = inst.valuations
-    values = [v._value for v in vals]
     shares = [{} for _ in vals]  # agent -> {S: _pmms_share(v_i, S)}
 
-    def envies(i, mine, theirs):
+    def envies(i, own, mine, theirs):
         S = mine | theirs
         share = shares[i].get(S)
         if share is None:
             share = shares[i][S] = _pmms_share(vals[i], S)
-        return values[i](mine) < share
+        return own < share
 
     return _Test(True, envies,
-                 lambda i, mine, theirs: mu(vals[i], mine | theirs, 2).witness)
+                 lambda i, own, mine, theirs: mu(vals[i], mine | theirs, 2).witness)
 
 
 def _mms_test(inst: Instance) -> _Test:
-    values = [v._value for v in inst.valuations]
     shares = [mu(v, inst.all_items, inst.n) for v in inst.valuations]
     return _Test(False,
-                 lambda i, mine: values[i](mine) < shares[i].scaled,
-                 lambda i, mine: shares[i].witness)
+                 lambda i, own, mine: own < shares[i].scaled,
+                 lambda i, own, mine: shares[i].witness)
 
 
 _TESTS = {
@@ -317,15 +319,18 @@ _TESTS = {
 
 def _failures(inst: Instance, bundles, test: _Test):
     """(envier, envied, test arguments) of every failure, envier by envier
-    and then envied by envied; envied is None for a per-agent test."""
+    and then envied by envied; envied is None for a per-agent test. Each
+    envier's own bundle is valued once."""
     for i in range(inst.n):
+        mine = bundles[i]
+        own = inst.valuations[i]._value(mine)
         if not test.pairwise:
-            if test.fails(i, bundles[i]):
-                yield i, None, (i, bundles[i])
+            if test.fails(i, own, mine):
+                yield i, None, (i, own, mine)
             continue
         for j in range(inst.n):
-            if i != j and test.fails(i, bundles[i], bundles[j]):
-                yield i, j, (i, bundles[i], bundles[j])
+            if i != j and test.fails(i, own, mine, bundles[j]):
+                yield i, j, (i, own, mine, bundles[j])
 
 
 def check(inst: Instance, bundles, notion: FairnessNotion) -> FairnessReport:
@@ -436,15 +441,18 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
     pairwise, fails, _ = _TESTS[notion](inst)
     classes = _interchangeable(inst) if n > 1 else []  # one agent has one allocation
     weight = [n ** (m - 1 - g) for g in range(m)]  # item g's owner digit
+    values = [v._value for v in inst.valuations]
     bundles = [0] * n
+    owns = [0] * n  # owns[i]: v_i._value(X_i), set when X_i is placed
     best, found = n ** m, None  # above every owner vector until one is found
 
     def clashes(k: int) -> bool:
         mine = bundles[k]
+        own = owns[k] = values[k](mine)
         if not pairwise:
-            return fails(k, mine)
+            return fails(k, own, mine)
         for i in range(k):
-            if fails(i, bundles[i], mine) or fails(k, mine, bundles[i]):
+            if fails(i, owns[i], bundles[i], mine) or fails(k, own, mine, bundles[i]):
                 return True
         return False
 
@@ -520,10 +528,11 @@ def check_mms_feasible(v: Valuation, budget: Optional[int] = None) -> bool:
     first; ``budget``, when given, caps this call in place of ``BUDGET``.
 
     A table with at most two distinct values is decided by
-    ``_two_valued_feasible``: one step per mask, a submask product and a
-    masked shift, so at most 2 * 2^m big-int steps. Any other table is
-    decided by one pass over the bipartitions of each subset,
-    (3^m + 1) / 2 splits, which stops at the first subset that fails."""
+    ``_two_valued_feasible``: one step per mask without item m - 1, a
+    submask product and a masked shift, so at most 2^(m-1) big-int steps.
+    Any other table is decided by one pass over the bipartitions of each
+    subset, (3^m + 1) / 2 splits, which stops at the first subset that
+    fails."""
     # The one budget parameter left: perfbench/tracer.py wraps this function
     # as check_mms_feasible(v, budget), two positional arguments.
     m = v.num_items
@@ -533,7 +542,9 @@ def check_mms_feasible(v: Valuation, budget: Optional[int] = None) -> bool:
     if len(levels) == 1:
         return True
     if len(levels) == 2:
-        return _two_valued_feasible(bytes(map(max(levels).__eq__, table)), m)
+        # a BinaryTable's bytes are already 1 at the higher value's masks
+        in_h = table if isinstance(table, bytes) else bytes(map(max(levels).__eq__, table))
+        return _two_valued_feasible(in_h, m)
     value = table.__getitem__
     for S in range(1 << m):
         maxmin, minmax = _split_bounds(value, S)
@@ -559,9 +570,12 @@ def _two_valued_feasible(in_h: bytes, m: int) -> bool:
     so the product has no carries. The tables take about 2^(3m/2) bits,
     2 MB at m = 16.
 
-    Every union collected is a real one, so a union of H's that is also
-    one of L's fails at once. Once every mask has taken its step, both
-    union sets are whole, and none in common means feasible."""
+    Only the masks A without item m - 1 take a step. Of two disjoint
+    masks at most one holds item m - 1, and the other one's step collects
+    their union, so once every such A has stepped both union sets are
+    whole, and none in common means feasible. Every union collected is a
+    real one, so a union of H's that is also one of L's fails as soon as
+    the later of its two contributions lands."""
     full = (1 << m) - 1
     lo = m - m // 2
     low = [1]  # low[c]: the bitset of the submasks of c < 2^lo
@@ -574,7 +588,8 @@ def _two_valued_feasible(in_h: bytes, m: int) -> bool:
     H = _bit_planes(in_h)[0]
     members = (((1 << (1 << m)) - 1) ^ H, H)  # L, H: indexed by in_h
     unions = [0, 0]
-    for A, bit in enumerate(in_h):
+    for A in range(1 << m >> 1):
+        bit = in_h[A]
         C = full ^ A
         step = (members[bit] & low[C & low_bits] * high[C >> lo]) << A
         if step & unions[not bit]:
@@ -614,12 +629,13 @@ def pair_compatibility_graph(inst: Instance) -> CompatGraph:
     _check_budget(math.comb(inst.n * math.comb(inst.m, 2), 2))
     pairs = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(inst.m), 2)]
     nodes = tuple((i, S) for i in range(inst.n) for S in pairs)
+    owns = [inst.valuations[i]._value(S) for i, S in nodes]  # each node's own value
     envies = _pmms_test(inst).fails
     edges = []
-    for (i, S), (j, T) in itertools.combinations(nodes, 2):
+    for ((i, S), x), ((j, T), y) in itertools.combinations(zip(nodes, owns), 2):
         if i == j or S & T:
             continue
-        if not envies(i, S, T) and not envies(j, T, S):
+        if not envies(i, x, S, T) and not envies(j, y, T, S):
             edges.append(((i, S), (j, T)))
     touched = {node for edge in edges for node in edge}
     return CompatGraph(tuple(node for node in nodes if node in touched), tuple(edges))

@@ -8,6 +8,7 @@ matching oracles the polynomial matcher is checked against; the table
 materializer every representation is checked against; and the Fraction
 brute-force references the integer kernel, the interchangeable-item
 classes, the existence search and the bivalued sampler are checked
+against; and the per-count loop the closed-form bivalued share is checked
 against."""
 
 import functools
@@ -557,6 +558,18 @@ def pair_demand_mu_closed_form(v: PairDemand) -> Fraction:
     if closed != brute:
         raise AssertionError(f"closed form {closed} != brute force {brute}")
     return closed
+
+
+def loop_share2(a: int, b: int, h: int, l: int) -> int:
+    """The scaled 2-part fair share of h items worth a and l worth b, a > b
+    >= 0, by one step per count x of high items on a side: the best count
+    of low items beside them is the floor or ceiling of the balance point,
+    and the ceiling is the floor for h - x with the sides swapped."""
+    best = 0
+    for x in range(h + 1):
+        y = min(max((a * (h - 2 * x) + b * l) // (2 * b), 0), l) if b else 0
+        best = max(best, min(a * x + b * y, a * (h - x) + b * (l - y)))
+    return best
 
 
 # ---------------------------------------------------------------------------

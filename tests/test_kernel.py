@@ -10,6 +10,7 @@ import importlib
 import pkgutil
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -57,6 +58,7 @@ from fairdiv.oracles import (
 
 from helpers import (
     loop_efx_report,
+    loop_share2,
     reference_efx_violations,
     reference_interchangeable,
     reference_mms_feasible,
@@ -362,7 +364,7 @@ def pmms_test_envies(v, mine, theirs):
     that a non-monotone or non-normalized table is allowed."""
     inst = Instance(2, v.num_items, (v, v), monotone_required=False,
                     normalized_required=False)
-    return _pmms_test(inst).fails(0, mine, theirs)
+    return _pmms_test(inst).fails(0, v._value(mine), mine, theirs)
 
 
 @KERNEL
@@ -383,6 +385,21 @@ def test_pmms_envies_matches_reference(case):
     if envy:  # the witness the PMMS check reports
         result = mu(v, mine | theirs, 2)
         assert (result.mu, result.witness) == (share, witness)
+
+
+# The closed-form factored share against the per-count loop, on every count
+# of up to 80 high and 80 low items; the last two run with a scale above 1.
+@pytest.mark.parametrize("a,b", [
+    (1, 0), (5, 0), (2, 1), (3, 1), (12, 4), (Fraction(9, 2), Fraction(3, 2)),
+    (Fraction(5, 3), Fraction(1, 3)),
+])
+def test_factored_share_matches_loop(a, b):
+    v = PersonalizedBivalued(a, b, (1 << 81) - 1, 162)
+    assert v.is_factored()
+    for h in range(81):
+        for l in range(81):
+            S = (1 << h) - 1 | ((1 << l) - 1) << 81
+            assert v._share2(S) == loop_share2(v._a, v._b, h, l), (h, l)
 
 
 class PlainAdditive(Additive):
@@ -519,7 +536,7 @@ def test_an_empty_bundle_is_never_efx_envied(v):
     inst = Instance(2, 2, (v, v), monotone_required=False, normalized_required=False)
     for positive_only in (False, True) if v.is_additive() else (False,):
         fails = _efx_test(inst, positive_only).fails
-        assert not any(fails(0, mine, 0) for mine in range(4))
+        assert not any(fails(0, v._value(mine), mine, 0) for mine in range(4))
     assert check(inst, (0b11, 0), FairnessNotion.EFX).holds is (
         v._value(0) >= max(v._value(0b01), v._value(0b10)))
 
@@ -588,6 +605,22 @@ def test_two_valued_mms_feasible_matches_reference(v):
     verdict = check_mms_feasible(v)
     event(f"feasible: {verdict}")
     assert verdict == reference_mms_feasible(v)
+
+
+# Every 0/1 table on at most three items, 2 + 4 + 16 + 256 of them, as a
+# BinaryTable and as a table of two rationals, the lower one negative.
+def test_two_valued_mms_feasible_matches_reference_on_every_small_table():
+    verdicts = Counter()
+    for m in range(4):
+        for ones in range(1 << (1 << m)):
+            binary = BinaryTable(m, frozenset(S for S in range(1 << m) if ones >> S & 1))
+            rational = ExplicitTable(tuple(Fraction(5, 2) if ones >> S & 1 else Fraction(-1, 3)
+                                           for S in range(1 << m)))
+            for v in (binary, rational):
+                verdict = check_mms_feasible(v)
+                assert verdict == reference_mms_feasible(v), (m, ones, type(v).__name__)
+                verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 @KERNEL

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv import oracles
+from fairdiv import algorithms, oracles
 from fairdiv.algorithms import cut_and_choose_graph_procedure
 from fairdiv.core import (
     Additive,
@@ -28,6 +28,8 @@ from fairdiv.instances import (
     gen_separation3,
     random_binary_additive,
     random_binary_mms_feasible,
+    random_bivalued,
+    random_pair_demand,
 )
 from fairdiv.oracles import (
     BUDGET,
@@ -407,6 +409,76 @@ def test_each_share_is_computed_once_per_call(monkeypatch, run, shares):
     monkeypatch.setattr(oracles, "_pmms_share", counting_share)
     run()
     assert len(calls) == shares and max(calls.values()) == 1
+
+
+class CountingPairDemand(PairDemand):
+    """Counts its ``_value`` calls; its closed-form share makes none."""
+
+    calls = 0
+
+    def _value(self, mask: int) -> int:
+        CountingPairDemand.calls += 1
+        return super()._value(mask)
+
+
+# A PMMS check values each agent's own bundle once, not once per pair, and
+# a PMMS allocation asks for no witness, which would value bundles.
+def test_check_values_each_own_bundle_once():
+    v = CountingPairDemand.of([1] * 8)
+    inst = Instance(4, 8, (v,) * 4)
+    CountingPairDemand.calls = 0
+    assert check(inst, (0b11, 0b1100, 0b110000, 0b11000000), FairnessNotion.PMMS).holds
+    assert CountingPairDemand.calls == 4
+
+
+# Every test of every notion is handed v_i._value(X_i) as the envier's own
+# value, by the search, the checks, the compatibility graph and
+# cut-and-choose runs, in its verdict and in its witness.
+def test_every_test_is_handed_the_envier_own_value(monkeypatch):
+    calls = collections.Counter()
+    path = ""
+
+    def own_checked(bind):
+        def bound(inst):
+            test = bind(inst)
+
+            def checked(ask):
+                def call(i, own, mine, *theirs):
+                    assert own == inst.valuations[i]._value(mine)
+                    calls[path] += 1
+                    return ask(i, own, mine, *theirs)
+                return call
+
+            return test._replace(fails=checked(test.fails), witness=checked(test.witness))
+        return bound
+
+    for notion, bind in list(oracles._TESTS.items()):
+        monkeypatch.setitem(oracles._TESTS, notion, own_checked(bind))
+    pmms = own_checked(oracles._pmms_test)
+    monkeypatch.setattr(oracles, "_pmms_test", pmms)
+    monkeypatch.setattr(algorithms, "_pmms_test", pmms)
+    rng = random.Random(30)
+    for seed in range(4):
+        for inst in (random_pair_demand(3, 5, seed), random_bivalued(3, 5, seed),
+                     random_binary_additive(3, 5, seed), random_binary_mms_feasible(3, 5, seed)):
+            notions = [notion for notion in FairnessNotion if notion is not
+                       FairnessNotion.EFX_POSITIVE or inst.valuations[0].is_additive()]
+            for notion in notions:
+                path = "search"
+                exists_fair_allocation(inst, notion)
+                path = "check"
+                for _ in range(3):
+                    bundles = [0] * 3
+                    for g in range(5):
+                        bundles[rng.randrange(3)] |= 1 << g
+                    check(inst, bundles, notion)
+            path = "graph"
+            pair_compatibility_graph(inst)
+    path = "ccg"
+    for seed in (0, 4, 12):  # runs that take one, one and two steps
+        _, trace = cut_and_choose_graph_procedure(random_binary_mms_feasible(5, 7, seed))
+        assert trace.iterations
+    assert min(calls[p] for p in ("search", "check", "graph", "ccg")) > 0, calls
 
 
 # The memo dies with its call, so a check or a cut-and-choose run under a
