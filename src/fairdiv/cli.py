@@ -156,7 +156,7 @@ def cmd_check(args) -> int:
 def _witness_doc(witness):
     if isinstance(witness, int):
         return witness
-    return [sorted(items_of(mask)) for mask in witness]
+    return [list(items_of(mask)) for mask in witness]
 
 
 def _scan(notion: FairnessNotion, holds_if_found: bool, inst: Instance) -> dict:

@@ -417,29 +417,34 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
 
     An exact branch-and-bound search, agent by agent: X_0 from all items,
     then X_1 from the rest, and so on; the last agent takes what is left.
-    Each test runs as soon as its bundles are fixed, and a failing branch
-    is pruned. At a node, every completion's owner vector is at least the
-    bound vector, i on X_i and k on the items not yet placed. The subsets
-    X_k are tried members first, the lowest item most significant, so the
-    bound rises from child to child and a node stops at the first child
-    whose bound reaches the best allocation found. Owner vectors are
-    compared as base-n numbers.
+    Each step settles the lowest undecided item of the rest: X_k keeps it
+    first (a recursive call), then leaves it to a later agent (the same
+    call goes on). Once no item is undecided X_k is whole, its tests run,
+    and agent k + 1 goes on in the same call, so the recursion is at most
+    m + 1 deep whatever n is. Each test runs as soon as its bundles are
+    fixed, and a failing branch is pruned. Every completion's owner
+    vector is at least the bound vector, i on X_i, k + 1 on the items
+    left and k on the rest; the bound only rises along the search, which
+    stops a branch once it reaches the best allocation found. Owner
+    vectors are compared as base-n numbers.
 
     Swapping two interchangeable items (``_interchangeable``) maps a fair
     allocation to a fair one under every notion, and where the higher
     item had the smaller owner it moves that owner onto the lower item.
     So the first fair allocation has owners non-decreasing along each
-    class, and the search visits only such allocations: each X_k takes
-    the lowest items of each class still in the rest. The children of a
-    node keep their order; the counter jumps past the ones that break a
-    class. The charge, n^m, is taken before the classes are found, and
-    after EFX+ rejects a non-additive instance."""
+    class, and the search visits only such allocations: once X_k leaves
+    an item of a class, the class is shut and X_k keeps none of its
+    higher items. The charge, n^m, is taken before the classes are
+    found, and after EFX+ rejects a non-additive instance."""
     n, m = inst.n, inst.m
     if notion is FairnessNotion.EFX_POSITIVE:
         _require_additive(inst)
     _check_budget(n, m)
     pairwise, fails, _ = _TESTS[notion](inst)
-    classes = _interchangeable(inst) if n > 1 else []  # one agent has one allocation
+    tie = [0] * m  # tie[g]: g's class as a mask, 0 when g has none
+    for c in _interchangeable(inst) if n > 1 else []:  # one agent has one allocation
+        for g in items_of(c):
+            tie[g] = c
     weight = [n ** (m - 1 - g) for g in range(m)]  # item g's owner digit
     values = [v._value for v in inst.valuations]
     bundles = [0] * n
@@ -456,43 +461,29 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
                 return True
         return False
 
-    def place(k: int, rest: int, bound: int) -> None:
+    def place(k: int, rest: int, todo: int, mine: int, bound: int, shut: int) -> None:
         nonlocal best, found
-        if k == n - 1:  # the last agent takes what is left
-            bundles[k] = rest
-            if bound < best and not clashes(k):
-                best, found = bound, tuple(bundles)
-            return
-        above, total = {}, 0  # item g of rest -> the weight of rest's items above g
-        for g in reversed([*items_of(rest)]):
-            above[g] = total
-            total += weight[g]
-        # the classes within rest; with no classes at all, no list is built
-        tied = classes and [t for c in classes if (t := c & rest) & (t - 1)]
-        out = out_weight = 0  # the items of rest left to later agents, their weight
-        while bound + out_weight < best:
-            bundles[k] = rest ^ out
-            if not clashes(k):
-                place(k + 1, out, bound + out_weight)
-            free = rest & ~out
-            if not free:
+        while bound < best:  # every completion's owner vector is >= bound
+            if k == n - 1:  # the last agent takes what is left
+                bundles[k] = rest
+                if not clashes(k):
+                    best, found = bound, tuple(bundles)
                 return
-            # the next subset, as a binary counter steps: the highest free
-            # item leaves X_k, and the items above it, all of rest's, come back
-            top = free.bit_length() - 1
-            out_weight += weight[top] - above[top]
-            out ^= (out >> top << top) | 1 << top
-            if tied:
-                # out holds no item above top now; a class with an item out
-                # of X_k leaves X_k from that item up, so its items above top
-                # leave too: the next subset in counter order that breaks no class
-                for c in tied:
-                    if c & out:
-                        for g in items_of(c >> top + 1 << top + 1):
-                            out |= 1 << g
-                            out_weight += weight[g]
+            if todo:  # the lowest undecided item of rest
+                low = todo & -todo
+                todo ^= low
+                if not shut & low:  # keeping it recurses (members first)
+                    place(k, rest, todo, mine | low, bound, shut)
+                g = low.bit_length() - 1  # leaving it continues here
+                bound, shut = bound + weight[g], shut | tie[g]
+                continue
+            bundles[k] = mine  # X_k is whole
+            if clashes(k):
+                return
+            k, rest = k + 1, rest ^ mine  # agent k + 1 continues here too
+            todo, mine, shut = rest, 0, 0
 
-    place(0, inst.all_items, 0)
+    place(0, inst.all_items, inst.all_items, 0, 0, 0)
     del place  # it refers to itself: break the cycle, free the search on return
     return found
 

@@ -159,7 +159,7 @@ def instance_from_doc(doc: dict) -> Instance:
 
 
 def allocation_to_doc(bundles: Sequence[int]) -> dict:
-    return {"bundles": [sorted(items_of(mask)) for mask in bundles]}
+    return {"bundles": [list(items_of(mask)) for mask in bundles]}
 
 
 def allocation_from_doc(doc: dict, m: int) -> tuple[int, ...]:

@@ -299,6 +299,17 @@ def test_verify_efx_exists_separation(tmp_path, capsys):
     assert doc == {"claim": "efx-exists", "found": [[0, 1], [2, 3], [4, 5]], "holds": True}
 
 
+def test_verify_efx_exists_with_many_agents(tmp_path, capsys):
+    # the search's recursion is at most m + 1 deep, whatever the number of agents
+    inst_path = str(tmp_path / "many.json")
+    main(["gen", "--kind", "random-bivalued", "--n", "1000", "--m", "2", "--seed", "1",
+          "--out", inst_path])
+    code, out, err = run(capsys, "verify", "--claim", "efx-exists", "--in", inst_path)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["holds"] and doc["found"] is not None and len(doc["found"]) == 1000
+
+
 def test_verify_mnw(tmp_path, capsys):
     inst_path = str(tmp_path / "mnw.json")
     main(["gen", "--kind", "mnw", "--out", inst_path])

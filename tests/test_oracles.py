@@ -3,6 +3,7 @@ import gc
 import itertools
 import random
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from fairdiv.core import (
     PairDemand,
     PersonalizedBivalued,
     UnsupportedValuationError,
+    Valuation,
     full_mask,
     items_of,
 )
@@ -49,7 +51,7 @@ from fairdiv.oracles import (
     pair_compatibility_graph,
 )
 
-from helpers import reference_first_fair
+from helpers import reference_first_fair, to_explicit_table
 
 
 def test_mu_additive_bipartition():
@@ -355,12 +357,59 @@ def test_search_with_interchangeable_items_matches_reference_scan():
     assert with_classes >= 60 and cases == 330
 
 
-# The stars n = 4 search visits one allocation per orbit of the two stars
-# (and of the two commons every agent's special split keeps together). The
-# search over every allocation made 70,794 envy tests.
-def test_stars_4_pmms_search_makes_at_most_30000_envy_tests(monkeypatch):
+# A valuation with no table and no item labels: every item is alike to it,
+# but it knows no classes, so no instance with it has any.
+@dataclass(frozen=True)
+class AtMostTwo(Valuation):
+    """v(S) = min(|S|, 2)."""
+
+    m: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scale", 1)
+
+    @property
+    def num_items(self) -> int:
+        return self.m
+
+    def _value(self, mask: int) -> int:
+        return min(mask.bit_count(), 2)
+
+
+def test_a_valuation_with_no_item_labels_leaves_no_classes():
+    tables = tuple(to_explicit_table(Additive.of(values))
+                   for values in ([1, 1, 2, 2, 1], [2, 2, 1, 1, 2]))
+    assert _interchangeable(Instance(2, 5, tables)) == [0b10011, 0b01100]
+    inst = Instance(3, 5, (*tables, AtMostTwo(5)))
+    assert _interchangeable(inst) == []
+    as_tables = Instance(3, 5, (*tables, to_explicit_table(AtMostTwo(5))))  # for the reference
+    for notion in (FairnessNotion.PMMS, FairnessNotion.EFX, FairnessNotion.MMS):
+        assert exists_fair_allocation(inst, notion) == reference_first_fair(as_tables, notion)
+
+
+# Each bound is the number of envy tests (pair tests, or MMS agent tests) the
+# search makes as written: a pruning rule may lower it, nothing may raise it.
+# The stars searches visit one allocation per orbit of the stars (and, at
+# n = 4, of the two commons every agent's special split keeps together);
+# over every allocation the stars-4 PMMS search made 70,794.
+@pytest.mark.parametrize("make,notion,tests", [
+    (lambda: gen_nonexistence_stars(3), FairnessNotion.PMMS, 546),
+    (lambda: gen_nonexistence_stars(3), FairnessNotion.EFX, 171),
+    (lambda: gen_nonexistence_stars(3), FairnessNotion.MMS, 111),
+    (lambda: gen_nonexistence_stars(4), FairnessNotion.PMMS, 27_083),
+    (lambda: gen_nonexistence_stars(4), FairnessNotion.EFX, 9_445),
+    (lambda: gen_nonexistence_stars(4), FairnessNotion.MMS, 5_813),
+    (lambda: gen_nonexistence_stars(5), FairnessNotion.PMMS, 247_486),
+    (lambda: gen_nonexistence_stars(5), FairnessNotion.EFX, 85_093),
+    (lambda: gen_nonexistence_stars(5), FairnessNotion.MMS, 53_482),
+    (gen_separation3, FairnessNotion.PMMS, 1_557),
+    (gen_separation3, FairnessNotion.EFX, 169),
+    (gen_separation3, FairnessNotion.MMS, 105),
+], ids=[f"{name}-{notion}" for name in ("stars-3", "stars-4", "stars-5", "separation3")
+        for notion in ("pmms", "efx", "mms")])
+def test_search_makes_at_most_its_envy_tests(monkeypatch, make, notion, tests):
     calls = 0
-    bind = oracles._TESTS[FairnessNotion.PMMS]
+    bind = oracles._TESTS[notion]
 
     def counting(inst):
         test = bind(inst)
@@ -372,9 +421,25 @@ def test_stars_4_pmms_search_makes_at_most_30000_envy_tests(monkeypatch):
 
         return test._replace(fails=fails)
 
-    monkeypatch.setitem(oracles._TESTS, FairnessNotion.PMMS, counting)
-    assert exists_fair_allocation(gen_nonexistence_stars(4), FairnessNotion.PMMS) is None
-    assert 0 < calls <= 30_000
+    monkeypatch.setitem(oracles._TESTS, notion, counting)
+    found = exists_fair_allocation(make(), notion)
+    assert (found is None) == (notion is FairnessNotion.PMMS)
+    assert 0 < calls <= tests
+
+
+# The search recurses only to keep an item in the bundle being built, so its
+# depth is at most m + 1 however many agents there are. With two items each
+# worth 1 to everyone, the first EFX allocation gives one item to each of
+# agents 0 and 1; the MMS share of every agent is 0, so the first MMS
+# allocation gives both to agent 0.
+@pytest.mark.parametrize("notion,first", [
+    (FairnessNotion.EFX, (0b01, 0b10)),
+    (FairnessNotion.MMS, (0b11, 0)),
+], ids=["efx", "mms"])
+def test_many_agents_need_no_recursion(notion, first):
+    n = 5000
+    v = Additive.of([1, 1])
+    assert exists_fair_allocation(Instance(n, 2, (v,) * n), notion) == first + (0,) * (n - 2)
 
 
 def test_pmms_scan_builds_no_witness(monkeypatch):
