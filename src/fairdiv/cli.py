@@ -268,10 +268,13 @@ def cmd_export_graph(args) -> int:
 
 # Built once per process: a build takes about as long as a small command's
 # own work, and each parser is a reference cycle left to the collector.
+# ``commands`` maps each command name to its own parser, the one the
+# top-level parser hands the rest of the argv to; ``_parse`` calls it first.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fairdiv")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("gen", help="generate an instance document")
     p.add_argument("--kind", required=True, choices=tuple(instances.GENERATORS))
@@ -340,8 +343,24 @@ def _run(args) -> int:
     return args.func(args)
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one parse: an argv that starts
+    with a command is read by that command's parser alone, which the
+    top-level parser would hand the same arguments after classifying each
+    itself. Any other argv, or one the command leaves arguments over from,
+    goes to the top-level parser for its help, usage or error."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         # In a copy of the context, so the cap is the caller's again on return.
         return contextvars.copy_context().run(_run, args)

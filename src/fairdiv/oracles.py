@@ -422,11 +422,13 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
     call goes on). Once no item is undecided X_k is whole, its tests run,
     and agent k + 1 goes on in the same call, so the recursion is at most
     m + 1 deep whatever n is. Each test runs as soon as its bundles are
-    fixed, and a failing branch is pruned. Every completion's owner
-    vector is at least the bound vector, i on X_i, k + 1 on the items
-    left and k on the rest; the bound only rises along the search, which
-    stops a branch once it reaches the best allocation found. Owner
-    vectors are compared as base-n numbers.
+    fixed, and a failing branch is pruned. An empty bundle is tested only
+    against the placed bundles that hold an item: two empty bundles pass
+    every pair test. Every completion's owner vector is at least the
+    bound vector, i on X_i, k + 1 on the items left and k on the rest; the
+    bound only rises along the search, which stops a branch once it
+    reaches the best allocation found. Owner vectors are compared as
+    base-n numbers.
 
     Swapping two interchangeable items (``_interchangeable``) maps a fair
     allocation to a fair one under every notion, and where the higher
@@ -451,39 +453,43 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
     owns = [0] * n  # owns[i]: v_i._value(X_i), set when X_i is placed
     best, found = n ** m, None  # above every owner vector until one is found
 
-    def clashes(k: int) -> bool:
+    def clashes(k: int, held: tuple) -> bool:
         mine = bundles[k]
         own = owns[k] = values[k](mine)
         if not pairwise:
             return fails(k, own, mine)
-        for i in range(k):
+        for i in range(k) if mine else held:  # two empty bundles never clash
             if fails(i, owns[i], bundles[i], mine) or fails(k, own, mine, bundles[i]):
                 return True
         return False
 
-    def place(k: int, rest: int, todo: int, mine: int, bound: int, shut: int) -> None:
+    # held: the placed agents whose bundles hold an item
+    def place(k: int, rest: int, todo: int, mine: int, bound: int, shut: int,
+              held: tuple) -> None:
         nonlocal best, found
         while bound < best:  # every completion's owner vector is >= bound
             if k == n - 1:  # the last agent takes what is left
                 bundles[k] = rest
-                if not clashes(k):
+                if not clashes(k, held):
                     best, found = bound, tuple(bundles)
                 return
             if todo:  # the lowest undecided item of rest
                 low = todo & -todo
                 todo ^= low
                 if not shut & low:  # keeping it recurses (members first)
-                    place(k, rest, todo, mine | low, bound, shut)
+                    place(k, rest, todo, mine | low, bound, shut, held)
                 g = low.bit_length() - 1  # leaving it continues here
                 bound, shut = bound + weight[g], shut | tie[g]
                 continue
             bundles[k] = mine  # X_k is whole
-            if clashes(k):
+            if clashes(k, held):
                 return
+            if mine:
+                held += (k,)
             k, rest = k + 1, rest ^ mine  # agent k + 1 continues here too
             todo, mine, shut = rest, 0, 0
 
-    place(0, inst.all_items, inst.all_items, 0, 0, 0)
+    place(0, inst.all_items, inst.all_items, 0, 0, 0, ())
     del place  # it refers to itself: break the cycle, free the search on return
     return found
 

@@ -64,6 +64,8 @@ def _mask(items, m: int, what: str) -> int:
 
 
 def rational_from_json(x) -> Fraction:
+    if type(x) is int:  # most values; a bool's type is bool
+        return Fraction(x)
     if isinstance(x, bool) or isinstance(x, float):
         raise TypeError(f"expected int or 'p/q' string, got {x!r}")
     return as_fraction(x)

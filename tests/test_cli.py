@@ -16,7 +16,7 @@ import pytest
 import fairdiv
 from fairdiv import instances, oracles, serialize
 from fairdiv.algorithms import CcgIteration, cut_and_choose_graph_procedure
-from fairdiv.cli import CLAIMS, SOLVERS, main
+from fairdiv.cli import CLAIMS, SOLVERS, _parse, build_parser, main
 from fairdiv.core import (
     MAX_ITEMS,
     MAX_TABLE_ENTRIES,
@@ -126,6 +126,58 @@ def test_gen_unknown_kind_exits_2(capsys):
 def test_gen_missing_param_exits_2(capsys):
     code, _, err = run(capsys, "gen", "--kind", "stars")
     assert code == 2 and "requires parameter" in err
+
+
+def parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr, namespace) of one parse; the exit code is
+    None when the parse returns."""
+    try:
+        code, args = None, vars(parse(list(argv)))
+    except SystemExit as exc:
+        code, args = exc.code, None
+    out = capsys.readouterr()
+    return code, out.out, out.err, args
+
+
+# Each argv parsed by its command's own parser gives what the top-level
+# parser gives: the same namespace, or the same help or error and exit code.
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "separation3"],
+    ["gen", "--kind", "random-bivalued", "--n", "3", "--m", "6", "--seed", "7", "--out", "i.json"],
+    ["gen", "--kind=stars", "--n=4"],
+    ["gen", "--ki", "stars", "--mono", "--non"],
+    ["gen", "--kind", "stars", "--n", "3", "--n", "4"],
+    ["gen", "--kind", "stars", "--n", "-3"],
+    ["solve", "--algo", "maf", "--in", "i.json", "--trace", "--out", "a.json"],
+    ["solve", "--algo", "rrr", "--in", "i.json", "--left", "1"],
+    ["check", "--notion", "efx+", "--in", "i.json", "--alloc", "a.json"],
+    ["verify", "--claim", "no-pmms", "--in", "i.json", "--in", "j.json"],
+    ["export-graph", "--in", "i.json", "--kind", "ccg", "--alloc", "a.json", "--agent", "0",
+     "--dot", "g.dot"],
+    ["gen"],
+    ["solve", "--algo", "maf"],
+    ["gen", "--kind", "nope"],
+    ["gen", "--kind", "stars", "--n", "three"],
+    ["gen", "--kind", "stars", "extra"],
+    ["gen", "--kind", "stars", "--bogus"],
+    ["gen", "--kind", "stars", "-n", "3"],
+    ["gen", "--kind", "stars", "--", "extra"],
+    ["gen", "--", "--kind", "stars"],
+    ["check", "--notion", "pmms", "--in", "i.json", "--alloc", "a.json", "--out"],
+    ["export-graph", "--in", "i.json", "--kind", "ccg", "--a", "0"],
+    ["-h"],
+    ["--help"],
+    ["gen", "-h"],
+    ["solve", "--kind", "x", "--help"],
+    [],
+    ["nope"],
+    ["ge", "--kind", "stars"],
+    ["--", "gen", "--kind", "stars"],
+    ["--kind", "stars", "gen"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_a_command_parses_as_the_top_level_parser_parses_it(capsys, argv):
+    assert (parse_outcome(capsys, _parse, argv)
+            == parse_outcome(capsys, build_parser().parse_args, argv))
 
 
 def test_solve_maf_trace_golden(tmp_path, capsys):

@@ -387,59 +387,80 @@ def test_a_valuation_with_no_item_labels_leaves_no_classes():
         assert exists_fair_allocation(inst, notion) == reference_first_fair(as_tables, notion)
 
 
-# Each bound is the number of envy tests (pair tests, or MMS agent tests) the
-# search makes as written: a pruning rule may lower it, nothing may raise it.
-# The stars searches visit one allocation per orbit of the stars (and, at
-# n = 4, of the two commons every agent's special split keeps together);
-# over every allocation the stars-4 PMMS search made 70,794.
-@pytest.mark.parametrize("make,notion,tests", [
-    (lambda: gen_nonexistence_stars(3), FairnessNotion.PMMS, 546),
-    (lambda: gen_nonexistence_stars(3), FairnessNotion.EFX, 171),
-    (lambda: gen_nonexistence_stars(3), FairnessNotion.MMS, 111),
-    (lambda: gen_nonexistence_stars(4), FairnessNotion.PMMS, 27_083),
-    (lambda: gen_nonexistence_stars(4), FairnessNotion.EFX, 9_445),
-    (lambda: gen_nonexistence_stars(4), FairnessNotion.MMS, 5_813),
-    (lambda: gen_nonexistence_stars(5), FairnessNotion.PMMS, 247_486),
-    (lambda: gen_nonexistence_stars(5), FairnessNotion.EFX, 85_093),
-    (lambda: gen_nonexistence_stars(5), FairnessNotion.MMS, 53_482),
-    (gen_separation3, FairnessNotion.PMMS, 1_557),
-    (gen_separation3, FairnessNotion.EFX, 169),
-    (gen_separation3, FairnessNotion.MMS, 105),
-], ids=[f"{name}-{notion}" for name in ("stars-3", "stars-4", "stars-5", "separation3")
-        for notion in ("pmms", "efx", "mms")])
-def test_search_makes_at_most_its_envy_tests(monkeypatch, make, notion, tests):
-    calls = 0
+def count_envy_tests(monkeypatch, notion) -> list:
+    """A one-element list that counts the envy tests the notion's test
+    makes from now on."""
+    calls = [0]
     bind = oracles._TESTS[notion]
 
     def counting(inst):
         test = bind(inst)
 
         def fails(*args):
-            nonlocal calls
-            calls += 1
+            calls[0] += 1
             return test.fails(*args)
 
         return test._replace(fails=fails)
 
     monkeypatch.setitem(oracles._TESTS, notion, counting)
+    return calls
+
+
+# Each bound is the number of envy tests (pair tests, or MMS agent tests) the
+# search makes as written: a pruning rule may lower it, nothing may raise it.
+# The stars searches visit one allocation per orbit of the stars (and, at
+# n = 4, of the two commons every agent's special split keeps together);
+# over every allocation the stars-4 PMMS search made 70,794.
+@pytest.mark.parametrize("make,notion,tests", [
+    (lambda: gen_nonexistence_stars(3), FairnessNotion.PMMS, 544),
+    (lambda: gen_nonexistence_stars(3), FairnessNotion.EFX, 171),
+    (lambda: gen_nonexistence_stars(3), FairnessNotion.MMS, 111),
+    (lambda: gen_nonexistence_stars(4), FairnessNotion.PMMS, 27_053),
+    (lambda: gen_nonexistence_stars(4), FairnessNotion.EFX, 9_445),
+    (lambda: gen_nonexistence_stars(4), FairnessNotion.MMS, 5_813),
+    (lambda: gen_nonexistence_stars(5), FairnessNotion.PMMS, 247_104),
+    (lambda: gen_nonexistence_stars(5), FairnessNotion.EFX, 85_093),
+    (lambda: gen_nonexistence_stars(5), FairnessNotion.MMS, 53_482),
+    (gen_separation3, FairnessNotion.PMMS, 1_555),
+    (gen_separation3, FairnessNotion.EFX, 169),
+    (gen_separation3, FairnessNotion.MMS, 105),
+], ids=[f"{name}-{notion}" for name in ("stars-3", "stars-4", "stars-5", "separation3")
+        for notion in ("pmms", "efx", "mms")])
+def test_search_makes_at_most_its_envy_tests(monkeypatch, make, notion, tests):
+    calls = count_envy_tests(monkeypatch, notion)
     found = exists_fair_allocation(make(), notion)
     assert (found is None) == (notion is FairnessNotion.PMMS)
-    assert 0 < calls <= tests
+    assert 0 < calls[0] <= tests
 
 
 # The search recurses only to keep an item in the bundle being built, so its
 # depth is at most m + 1 however many agents there are. With two items each
 # worth 1 to everyone, the first EFX allocation gives one item to each of
-# agents 0 and 1; the MMS share of every agent is 0, so the first MMS
+# agents 0 and 1, and so does the first PMMS allocation (agent 1's share of
+# both items is 1); the MMS share of every agent is 0, so the first MMS
 # allocation gives both to agent 0.
 @pytest.mark.parametrize("notion,first", [
     (FairnessNotion.EFX, (0b01, 0b10)),
+    (FairnessNotion.PMMS, (0b01, 0b10)),
     (FairnessNotion.MMS, (0b11, 0)),
-], ids=["efx", "mms"])
+], ids=["efx", "pmms", "mms"])
 def test_many_agents_need_no_recursion(notion, first):
     n = 5000
     v = Additive.of([1, 1])
     assert exists_fair_allocation(Instance(n, 2, (v,) * n), notion) == first + (0,) * (n - 2)
+
+
+# Two empty bundles are never tested against each other, so the n = 5,000
+# searches above test each of the n - 2 empty bundles against the two that
+# hold an item, 19,996 tests in all; testing every pair took 24,995,002.
+@pytest.mark.parametrize("notion", [FairnessNotion.EFX, FairnessNotion.PMMS],
+                         ids=["efx", "pmms"])
+def test_many_empty_bundles_are_not_tested_in_pairs(monkeypatch, notion):
+    n = 5000
+    v = Additive.of([1, 1])
+    calls = count_envy_tests(monkeypatch, notion)
+    assert exists_fair_allocation(Instance(n, 2, (v,) * n), notion) is not None
+    assert calls[0] <= 40_000
 
 
 def test_pmms_scan_builds_no_witness(monkeypatch):
@@ -455,11 +476,11 @@ def test_pmms_scan_builds_no_witness(monkeypatch):
 
 # Each search, check, graph or cut-and-choose run keeps its own share memo:
 # a share is computed, and its splits charged, once per (agent, S). The
-# stars-4 search looks a share up 27,083 times, over 826 distinct
+# stars-4 search looks a share up 27,053 times, over 823 distinct
 # (agent, S); the ccg run takes two cycle steps, and each step re-asks
 # pairs the step before it asked.
 @pytest.mark.parametrize("run,shares", [
-    (lambda: exists_fair_allocation(gen_nonexistence_stars(4), FairnessNotion.PMMS), 826),
+    (lambda: exists_fair_allocation(gen_nonexistence_stars(4), FairnessNotion.PMMS), 823),
     (lambda: pair_compatibility_graph(gen_separation3()), 45),
     (lambda: cut_and_choose_graph_procedure(random_binary_mms_feasible(5, 7, 12)), 39),
 ], ids=["stars-4-search", "separation3-graph", "ccg-run"])

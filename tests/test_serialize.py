@@ -36,6 +36,32 @@ def test_rational_round_trip():
         serialize.rational_from_json("1/0")
 
 
+# An int is read as a Fraction before any other test; a bool or a float is
+# still refused, by name, and every value read is a Fraction.
+@pytest.mark.parametrize("x,result", [
+    (0, Fraction(0)),
+    (7, Fraction(7)),
+    (-3, Fraction(-3)),
+    (10 ** 999, Fraction(10 ** 999)),
+    ("5/2", Fraction(5, 2)),
+    ("-4/6", Fraction(-2, 3)),
+    ("9", Fraction(9)),
+    (True, TypeError("expected int or 'p/q' string, got True")),
+    (False, TypeError("expected int or 'p/q' string, got False")),
+    (2.0, TypeError("expected int or 'p/q' string, got 2.0")),
+    (2.5, TypeError("expected int or 'p/q' string, got 2.5")),
+    ("1/0", ValueError("zero denominator in '1/0'")),
+], ids=lambda x: str(x)[:12])
+def test_rational_from_json_reads_ints_first(x, result):
+    if isinstance(result, Exception):
+        with pytest.raises(type(result)) as exc:
+            serialize.rational_from_json(x)
+        assert str(exc.value) == str(result)
+    else:
+        got = serialize.rational_from_json(x)
+        assert type(got) is Fraction and got == result
+
+
 def test_instance_round_trip_all_classes():
     insts = [
         gen_table1_example(),       # personalized bivalued, with labels
