@@ -10,6 +10,16 @@ count, and every item count against ``MAX_ITEMS``, before any bit is
 set. A valuation's ``type`` names its class, and each of its fields is
 read and written by the ``FIELDS`` row of the same name as the class's
 init field.
+
+``dumps`` writes a document's canonical text, the bytes of
+``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, by one recursive
+function of its own: on Python 3.10-3.12, ``json`` encodes with an indent
+in pure Python, through closures that leave a reference cycle per call,
+at about twice the time. A document holds only dicts with str keys,
+lists, tuples, strs, ints, bools and None, each of exactly that type;
+anything else, a float included, is refused with ``TypeError``, and an
+int too long to print with ``ValueError``. Strings are ASCII-escaped, so
+the text is pure ASCII.
 """
 
 from __future__ import annotations
@@ -170,9 +180,47 @@ def allocation_from_doc(doc: dict, m: int) -> tuple[int, ...]:
     return tuple(_mask(items, m, "bundle") for items in bundles)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _text(x, newline: str) -> str:
+    """x's canonical text, for x on a line that starts with ``newline``, a
+    newline and that line's indent. At module level, not a closure, so a
+    call leaves no reference cycle."""
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)  # ValueError past sys.get_int_max_str_digits()
+    if t is dict:
+        if not x:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner
+                + ("," + inner).join([_quote(k) + ": " + _text(x[k], inner) for k in sorted(x)])
+                + newline + "}")  # _quote refuses a non-str key
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = newline + "  "
+        for e in x:
+            if type(e) is not int:  # a bool is not printed as an int
+                return ("[" + inner + ("," + inner).join([_text(e, inner) for e in x])
+                        + newline + "]")
+        return "[" + inner + ("," + inner).join(map(int.__repr__, x)) + newline + "]"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    raise TypeError(f"a document cannot hold values of type {t.__name__}")
+
+
 def dumps(doc: dict) -> str:
-    """Canonical serialization: sorted keys, stable spacing, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, ASCII,
+    trailing newline (see the module docstring)."""
+    return _text(doc, "\n") + "\n"
 
 
 def loads(text: str) -> dict:

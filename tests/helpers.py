@@ -8,11 +8,13 @@ matching oracles the polynomial matcher is checked against; the table
 materializer every representation is checked against; and the Fraction
 brute-force references the integer kernel, the interchangeable-item
 classes, the existence search and the bivalued sampler are checked
-against; and the per-count loop the closed-form bivalued share is checked
-against."""
+against; the per-count loop the closed-form bivalued share is checked
+against; and the standard library's encoding the canonical JSON text is
+checked against."""
 
 import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -752,3 +754,8 @@ def reference_random_bivalued(n: int, m: int, seed: int, factored: bool = False)
         high = rng.getrandbits(m)
         valuations.append(PersonalizedBivalued(a, b, high, m))
     return Instance(n, m, tuple(valuations))
+
+
+def reference_dumps(doc) -> str:
+    """The canonical text of a document, by the standard library."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -99,13 +99,15 @@ def test_gen_kind_prints_direct_call(capsys, kind):
     assert out == serialize.dumps(serialize.instance_to_doc(DIRECT_CALLS[kind]()))
 
 
-def run_module(*argv, **kwargs):
+def run_module(*argv, python_flags=(), env=None, **kwargs):
     """Run ``python -m fairdiv`` in a child process, importing the same
-    package as this test run; ``kwargs`` go to ``subprocess.run``."""
-    env = dict(os.environ)
+    package as this test run, with ``python_flags`` for the interpreter
+    and ``env`` over this process's environment; ``kwargs`` go to
+    ``subprocess.run``."""
+    env = {**os.environ, **(env or {})}
     root = os.path.dirname(os.path.dirname(fairdiv.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "fairdiv", *argv], env=env,
+    return subprocess.run([sys.executable, *python_flags, "-m", "fairdiv", *argv], env=env,
                           capture_output=True, text=True, timeout=60, **kwargs)
 
 
@@ -892,6 +894,33 @@ def test_export_compat_escapes_labels(tmp_path, capsys):
     for line in nodes:
         assert re.fullmatch(rf"  a\d+_\d+ \[label={quoted}, color=\w+\];", line), line
     assert '[label="0:{a\\"b,c\\\\}", color=red];' in out
+
+
+# The C locale with neither locale coercion nor UTF-8 mode: the standard
+# streams and the locale's default file encoding are ASCII.
+ASCII_LOCALE = {"python_flags": ("-X", "utf8=0"),
+                "env": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": ""}}
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path, capsys):
+    inst = Instance(2, 4, (Additive.of([1] * 4),) * 2, labels=("é", "b", "ç", "d"))
+    inst_path = write_instance(tmp_path, inst)
+    argv = ("export-graph", "--in", inst_path, "--kind", "compat")
+    code, dot, _ = run(capsys, *argv)
+    assert code == 0 and "é" in dot
+    # a file gets the text as UTF-8, whatever the locale
+    done = run_module(*argv, "--dot", str(tmp_path / "compat.dot"), **ASCII_LOCALE)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert (tmp_path / "compat.dot").read_bytes() == dot.encode("utf-8")
+    # a stream that cannot take the text refuses all of it, with one line
+    done = run_module(*argv, **ASCII_LOCALE)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+    # an instance document is ASCII, so the stream takes it byte for byte
+    done = run_module("gen", "--kind", "separation3", **ASCII_LOCALE)
+    code, doc, _ = run(capsys, "gen", "--kind", "separation3")
+    assert done.returncode == code == 0 and done.stdout == doc and doc.isascii()
+    assert serialize.dumps(serialize.instance_to_doc(inst)).isascii()
 
 
 def test_export_compat_empty_body(tmp_path, capsys):

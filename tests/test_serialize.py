@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -7,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairdiv import serialize
@@ -23,6 +24,7 @@ from fairdiv.instances import (
     random_bivalued,
     random_pair_demand,
 )
+from helpers import reference_dumps
 
 
 def test_rational_round_trip():
@@ -83,6 +85,54 @@ def test_no_floats_in_output():
     text = serialize.dumps(serialize.instance_to_doc(gen_table1_example()))
     assert "2.5" not in text
     assert '"5/2"' in text
+
+
+# Strings and keys with quotes, backslashes, control and non-ASCII
+# characters, which the canonical text escapes.
+_texts = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7fa é€\U0001f600\ud800') | st.characters(),
+                 max_size=6)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200) | _texts,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_json_values)
+@example([True, 1])
+@example({"a": [[], {}, ()], "b": {"c": {}}})
+@example(10 ** 4300 - 1)
+def test_dumps_writes_the_standard_library_text(doc):
+    assert serialize.dumps(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize("doc,error", [
+    (2.5, TypeError),
+    ({"values": [1, 0.5]}, TypeError),
+    ({1: "a"}, TypeError),
+    ({"a": 1, 2: "b"}, TypeError),
+    ([10 ** 4300], ValueError),  # 4,301 digits, past the printable limit
+], ids=["float", "nested-float", "int-key", "mixed-keys", "4301-digits"])
+def test_dumps_refuses_what_a_document_cannot_hold(doc, error):
+    with pytest.raises(error):
+        serialize.dumps(doc)
+
+
+# json.dumps with an indent left a cycle per call through its pure-Python
+# encoder's closures (33 objects each on Python 3.11).
+def test_dumps_leaves_no_reference_cycle():
+    doc = serialize.instance_to_doc(gen_table1_example())
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            serialize.dumps(doc)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_allocation_round_trip():
