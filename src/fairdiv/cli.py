@@ -54,10 +54,28 @@ def _write(text: str, out: Optional[str]) -> None:
     else:
         try:
             sys.stdout.write(text)  # encodes the whole text before writing any of it
+            sys.stdout.flush()  # so a buffered failure surfaces here, not at exit
         except UnicodeEncodeError as exc:
             bad = exc.object[exc.start:exc.end]
             raise UsageError(f"standard output's encoding, {exc.encoding}, cannot write "
                              f"{bad!r}; write to a file instead") from None
+        except OSError as exc:  # a full disk, a closed pipe
+            _drop_stdout()
+            raise UsageError(f"cannot write standard output: {exc.strerror}") from None
+
+
+def _drop_stdout() -> None:
+    """Point standard output's descriptor at os.devnull, as the notes on
+    SIGPIPE in the signal module's documentation advise: what a failed
+    write left in its buffer would fail again when the interpreter flushes
+    it at exit, and print a second report."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # not a file; nothing is flushed at exit
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _load(path: str, from_doc, what: str):
@@ -137,8 +155,7 @@ def cmd_solve(args) -> int:
     run, render = SOLVERS[args.algo]
     bundles, trace = run(inst, args)
     if args.trace:
-        for line in render(trace):
-            print(line)
+        _write("".join(line + "\n" for line in render(trace)), None)
     _write(serialize.dumps(serialize.allocation_to_doc(bundles)), args.out)
     return EXIT_OK
 
@@ -272,56 +289,128 @@ def cmd_export_graph(args) -> int:
 # parser
 
 
-# Built once per process: a build takes about as long as a small command's
-# own work, and each parser is a reference cycle left to the collector.
-# ``commands`` maps each command name to its own parser, the one the
-# top-level parser hands the rest of the argv to; ``_parse`` calls it first.
+class _Plain:
+    """The plain argvs of one command, read without argparse: the command's
+    name, then only its exact option strings, each store option followed by
+    one ``str`` value that does not start with ``-`` and that its ``type``
+    and ``choices`` accept, each flag alone, and every required option
+    present. ``read`` gives the namespace ``build_parser().parse_args``
+    gives such an argv, and None for any other argv.
+
+    Built from the Action objects the command's ``add_argument`` calls
+    return, read through their public attributes only, and from the
+    command's ``set_defaults``, so no option, type, choice or default is
+    written twice. Each action is a plain store (``nargs`` None) or a flag
+    that stores its ``const`` (``nargs`` 0), and none has a ``str`` default
+    with a ``type``; ``tests/test_cli.py`` checks both."""
+
+    def __init__(self, name: str, actions: list, defaults: dict):
+        self.options = {option: a for a in actions for option in a.option_strings}
+        self.required = {a for a in actions if a.required}
+        # argparse's order: each action's default unless SUPPRESS, then
+        # set_defaults, each under a dest not yet set; the top-level parser
+        # sets ``command`` before it copies the command's namespace over
+        namespace = {}
+        for a in actions:
+            if a.default is not argparse.SUPPRESS:
+                namespace.setdefault(a.dest, a.default)
+        for dest, value in defaults.items():
+            namespace.setdefault(dest, value)
+        self.namespace = {"command": name, **namespace}
+
+    def read(self, argv: list) -> Optional[argparse.Namespace]:
+        values, seen = dict(self.namespace), set()
+        i, end = 1, len(argv)
+        while i < end:
+            token = argv[i]
+            action = self.options.get(token) if type(token) is str else None
+            if action is None:
+                return None
+            seen.add(action)
+            if action.nargs == 0:  # a flag
+                values[action.dest] = action.const
+                i += 1
+                continue
+            value = argv[i + 1] if i + 1 < end else None
+            if type(value) is not str or value.startswith("-"):
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value  # the last value wins, as in argparse
+            i += 2
+        if not self.required <= seen:
+            return None
+        return argparse.Namespace(**values)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser that defines the CLI's grammar, help and errors, with
+    ``table``, which maps each command name to the ``_Plain`` reader of its
+    plain argvs, built from the Action objects of the same add_argument
+    calls and the command's set_defaults; ``_parse`` tries it first.
+
+    Built once per process: a build takes about as long as a small
+    command's own work, and each parser is a reference cycle left to the
+    collector."""
     parser = argparse.ArgumentParser(prog="fairdiv")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
+    parser.table = {}
+
+    def command(name: str, p: argparse.ArgumentParser, actions: list, **defaults) -> None:
+        p.set_defaults(**defaults)
+        parser.table[name] = _Plain(name, actions, defaults)
 
     p = sub.add_parser("gen", help="generate an instance document")
-    p.add_argument("--kind", required=True, choices=tuple(instances.GENERATORS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--monotone", action="store_true",
-                   help="restrict binary sampling to monotone tables")
-    p.add_argument("--non-normalized", action="store_true",
-                   help="allow v(empty) = 1 in binary sampling")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_gen)
+    command("gen", p, [
+        p.add_argument("--kind", required=True, choices=tuple(instances.GENERATORS)),
+        p.add_argument("--n", type=int),
+        p.add_argument("--m", type=int),
+        p.add_argument("--seed", type=int, default=0),
+        p.add_argument("--monotone", action="store_true",
+                       help="restrict binary sampling to monotone tables"),
+        p.add_argument("--non-normalized", action="store_true",
+                       help="allow v(empty) = 1 in binary sampling"),
+        p.add_argument("--out"),
+    ], func=cmd_gen)
 
     p = sub.add_parser("solve", help="run an allocation algorithm")
-    p.add_argument("--algo", required=True, choices=tuple(SOLVERS))
-    p.add_argument("--in", required=True)
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--leftover-agent", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_solve)
+    command("solve", p, [
+        p.add_argument("--algo", required=True, choices=tuple(SOLVERS)),
+        p.add_argument("--in", required=True),
+        p.add_argument("--trace", action="store_true"),
+        p.add_argument("--leftover-agent", type=int, default=0),
+        p.add_argument("--out"),
+    ], func=cmd_solve)
 
     p = sub.add_parser("check", help="check a fairness notion on an allocation")
-    p.add_argument("--notion", required=True, choices=tuple(n.value for n in FairnessNotion))
-    p.add_argument("--in", required=True)
-    p.add_argument("--alloc", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_check)
+    command("check", p, [
+        p.add_argument("--notion", required=True, choices=tuple(n.value for n in FairnessNotion)),
+        p.add_argument("--in", required=True),
+        p.add_argument("--alloc", required=True),
+        p.add_argument("--out"),
+    ], func=cmd_check)
 
     p = sub.add_parser("verify", help="run an exhaustive verification claim")
-    p.add_argument("--claim", required=True, choices=tuple(CLAIMS))
-    p.add_argument("--in", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
+    command("verify", p, [
+        p.add_argument("--claim", required=True, choices=tuple(CLAIMS)),
+        p.add_argument("--in", required=True),
+        p.add_argument("--out"),
+    ], func=cmd_verify)
 
     p = sub.add_parser("export-graph", help="export a graph in DOT format")
-    p.add_argument("--in", required=True)
-    p.add_argument("--kind", required=True, choices=("compat", "ccg"))
-    p.add_argument("--alloc")
-    p.add_argument("--agent", type=int)
-    p.add_argument("--dot")
-    p.set_defaults(func=cmd_export_graph)
+    command("export-graph", p, [
+        p.add_argument("--in", required=True),
+        p.add_argument("--kind", required=True, choices=("compat", "ccg")),
+        p.add_argument("--alloc"),
+        p.add_argument("--agent", type=int),
+        p.add_argument("--dot"),
+    ], func=cmd_export_graph)
 
     return parser
 
@@ -350,19 +439,17 @@ def _run(args) -> int:
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` in one parse: an argv that starts
-    with a command is read by that command's parser alone, which the
-    top-level parser would hand the same arguments after classifying each
-    itself. Any other argv, or one the command leaves arguments over from,
-    goes to the top-level parser for its help, usage or error."""
+    """``build_parser().parse_args(argv)``, by one of two paths. A plain argv
+    of a command (see ``_Plain``) is read from the command's table, a few
+    dict lookups. Every other argv goes to the parser that defines the
+    grammar: ``-h``/``--help``, ``--opt=value``, abbreviations, ``--``,
+    positionals, values that start with ``-``, non-``str`` tokens, missing
+    values or options, and an unknown or absent command. So help, usage,
+    errors and exit codes are argparse's own."""
     parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extra = command.parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    plain = parser.table.get(argv[0]) if argv and type(argv[0]) is str else None
+    args = None if plain is None else plain.read(argv)
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -12,6 +15,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairdiv
 from fairdiv import instances, oracles, serialize
@@ -107,8 +112,9 @@ def run_module(*argv, python_flags=(), env=None, **kwargs):
     env = {**os.environ, **(env or {})}
     root = os.path.dirname(os.path.dirname(fairdiv.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
     return subprocess.run([sys.executable, *python_flags, "-m", "fairdiv", *argv], env=env,
-                          capture_output=True, text=True, timeout=60, **kwargs)
+                          text=True, timeout=60, **kwargs)
 
 
 def test_module_entry_point(tmp_path):
@@ -117,6 +123,43 @@ def test_module_entry_point(tmp_path):
     done = run_module("solve", "--algo", "maf", "--in", str(tmp_path / "missing.json"))
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+
+
+@contextlib.contextmanager
+def standard_output(target):
+    """A descriptor for a child's standard output that refuses every write:
+    /dev/full (ENOSPC), or a pipe whose reading end is closed (EPIPE)."""
+    if target == "full":
+        with open("/dev/full", "w") as full:
+            yield full
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            yield write
+        finally:
+            os.close(write)
+
+
+# A failed write to standard output is one "error:" line and exit 2, as a
+# failed --out is, whether stdout is buffered (the failure surfaces when the
+# command flushes it) or not (when it writes); trace lines take the same write.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("target", ["full", "closed-pipe"])
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["gen", "solve-trace"])
+def test_a_failed_write_to_standard_output_exits_2(tmp_path, target, unbuffered, command):
+    argv = ["gen", "--kind", "separation3"]
+    if command == "solve-trace":
+        inst = str(tmp_path / "t1.json")
+        assert main(["gen", "--kind", "table1", "--out", inst]) == 0
+        argv = ["solve", "--algo", "maf", "--trace", "--in", inst,
+                "--out", str(tmp_path / "alloc.json")]
+    with standard_output(target) as out:
+        done = run_module(*argv, env={"PYTHONUNBUFFERED": unbuffered}, stdout=out)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: cannot write standard output: ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_gen_unknown_kind_exits_2(capsys):
@@ -180,6 +223,115 @@ def parse_outcome(capsys, parse, argv):
 def test_a_command_parses_as_the_top_level_parser_parses_it(capsys, argv):
     assert (parse_outcome(capsys, _parse, argv)
             == parse_outcome(capsys, build_parser().parse_args, argv))
+
+
+PLAIN = build_parser().table
+
+
+def actions_of(plain):
+    """The actions of one command's table, each once, in declaration order."""
+    return list(dict.fromkeys(plain.options.values()))
+
+
+# Each action a command declares is one the table reads right: a plain store
+# (nargs None) that sets its dest to the value, or a flag (nargs 0) that sets
+# it to its const; and no str default has a type, which argparse would
+# convert when the option is absent. An append, a count or a string default
+# with a type fails here rather than being misread.
+def test_each_command_action_is_a_plain_store_or_a_flag():
+    parser = build_parser()
+    for plain in PLAIN.values():
+        for action in actions_of(plain):
+            option = action.option_strings[0]
+            namespace = argparse.Namespace()
+            if action.nargs is None:
+                action(parser, namespace, "v", option)
+                assert vars(namespace) == {action.dest: "v"}, option
+            else:
+                assert action.nargs == 0, option
+                action(parser, namespace, [], option)
+                assert vars(namespace) == {action.dest: action.const}, option
+            assert not (isinstance(action.default, str) and action.type is not None), option
+
+
+def parse_result(parse, argv):
+    """``parse_outcome`` without a fixture, for hypothesis, and with any
+    other exception (argparse's on a non-str token) as its type and text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, args = None, vars(parse(list(argv)))
+        except SystemExit as exc:
+            code, args = exc.code, None
+        except Exception as exc:
+            code, args = None, (type(exc), str(exc))
+    return code, out.getvalue(), err.getvalue(), args
+
+
+# Values argparse reads in its own way, or refuses, for some option.
+ODD_VALUES = ("-1", "-x", "-", "--", "--out", "-h", "nope", "three", "", " 7", "0x1", "1_0", 3, None)
+# Tokens no plain argv holds anywhere.
+STRAY = ("extra", "--", "-h", "--help", "-n", "--bogus", "--kind=stars", 3, None)
+
+
+def option_values(action, odd):
+    """Values a store option accepts and, if ``odd``, ones it may not."""
+    if action.choices is not None:
+        good = st.sampled_from(action.choices)
+    elif action.type is int:
+        good = st.integers(0, 12).map(str)
+    else:
+        good = st.text("ab. =-", max_size=4).filter(lambda text: not text.startswith("-"))
+    return st.one_of(good, good, st.sampled_from(ODD_VALUES)) if odd else good
+
+
+@st.composite
+def option_tokens(draw, action, mode):
+    """One option of a command as argv tokens: in its plain form, or, in
+    the mixed mode, perhaps in a form the table leaves to argparse."""
+    option = action.option_strings[0]
+    form = "plain"
+    if mode == "mixed":
+        form = draw(st.sampled_from(("plain", "=", "abbreviated", "bare")))
+    if form == "abbreviated" and len(option) > 3:
+        option = option[:draw(st.integers(3, len(option) - 1))]
+    if action.nargs == 0:
+        if form == "=":
+            return [option + "=x"]
+        return [option, "x"] if form == "bare" else [option]
+    if form == "bare":  # a missing value
+        return [option]
+    value = draw(option_values(action, odd=mode != "clean"))
+    return [f"{option}={value}"] if form == "=" else [option, value]
+
+
+@st.composite
+def argvs(draw):
+    """A command, mostly, and some of its options, each required one mostly
+    present, in one of three modes: clean (plain forms, accepted values),
+    plain (plain forms, any value) or mixed (any form or value, perhaps a
+    stray token)."""
+    name = draw(st.sampled_from(sorted(PLAIN) * 4 + ["ge", "nope", "--", "-h", 3]))
+    actions = actions_of(PLAIN.get(name, PLAIN["gen"]))
+    picked = [a for a in actions if a.required and draw(st.integers(0, 5))]
+    picked += draw(st.lists(st.sampled_from(actions), max_size=3))
+    mode = draw(st.sampled_from(("clean", "plain", "mixed")))
+    argv = [name]
+    for action in draw(st.permutations(picked)):
+        argv += draw(option_tokens(action, mode))
+    if mode == "mixed" and draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAY)))
+    return argv
+
+
+# What the table reads, argparse reads the same: for argvs drawn from each
+# command's option strings, with values each option accepts or refuses and
+# every form the table leaves to argparse, both give the same exit code,
+# output, error and namespace.
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(argvs())
+def test_the_table_parses_as_argparse_parses(argv):
+    assert parse_result(_parse, argv) == parse_result(build_parser().parse_args, argv)
 
 
 def test_solve_maf_trace_golden(tmp_path, capsys):
