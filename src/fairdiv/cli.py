@@ -8,8 +8,10 @@ Exit codes: 0 success / property holds, 1 fairness property fails,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import contextvars
 import functools
+import io
 import os
 import stat
 import sys
@@ -445,16 +447,27 @@ def _parse(argv: list) -> argparse.Namespace:
     grammar: ``-h``/``--help``, ``--opt=value``, abbreviations, ``--``,
     positionals, values that start with ``-``, non-``str`` tokens, missing
     values or options, and an unknown or absent command. So help, usage,
-    errors and exit codes are argparse's own."""
+    errors and exit codes are argparse's own. What argparse prints to
+    standard output, help, is written by ``_write`` before it exits, so a
+    failed write is one error line and exit 2 like any other."""
     parser = build_parser()
     plain = parser.table.get(argv[0]) if argv and type(argv[0]) is str else None
     args = None if plain is None else plain.read(argv)
-    return parser.parse_args(argv) if args is None else args
+    if args is not None:
+        return args
+    shown = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(shown):
+            return parser.parse_args(argv)
+    except SystemExit:
+        if shown.getvalue():
+            _write(shown.getvalue(), None)
+        raise
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         # In a copy of the context, so the cap is the caller's again on return.
         return contextvars.copy_context().run(_run, args)
     except tuple(ERROR_EXITS) as exc:

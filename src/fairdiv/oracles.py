@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -62,6 +63,16 @@ def _check_budget(base: int, exp: int = 1, budget: Optional[int] = None) -> None
         raise BudgetExceededError(f"enumeration of size {size} exceeds budget {cap}")
 
 
+def _check_depth(depth: int) -> None:
+    """Refuse a recursion ``depth`` calls deep past half the interpreter's
+    recursion limit, the rest left to its callers: a cap that admits it
+    would otherwise end the search in a ``RecursionError``."""
+    limit = sys.getrecursionlimit() // 2
+    if depth > limit:
+        raise BudgetExceededError(f"search depth {depth} exceeds {limit}, "
+                                  "half the interpreter's recursion limit")
+
+
 @dataclass(frozen=True)
 class MaximinResult:
     mu: Fraction
@@ -86,69 +97,55 @@ class FairnessReport:
 def _mu_search(v: Valuation, S: int, k: int) -> MaximinResult:
     """The best labeled k-part partition of S by one depth-first walk over
     the restricted growth strings: label vectors in which each item's label
-    is at most one more than the largest label before it. Items are placed
-    in increasing order, labels ascending, so the walk meets the vectors in
-    lexicographic order (the lowest item most significant), and only strict
-    improvements replace the best: the first optimum found has the smallest
-    optimal vector. Relabeling any vector's parts in order of first
-    appearance gives such a string, with the same part values and no larger,
-    so that smallest vector, the witness, is one of them.
+    is at most one more than the largest label before it. ``walk(d, used)``
+    gives item d each label below k and at most ``used``, the number of
+    labels before it, in ascending order, and under each scores the leaf or
+    walks item d + 1. So the walk meets the vectors in lexicographic order
+    (the lowest item most significant), and only strict improvements
+    replace the best: the first optimum found has the smallest optimal
+    vector. Relabeling any vector's parts in order of first appearance
+    gives such a string, with the same part values and no larger, so that
+    smallest vector, the witness, is one of them.
 
     Where v is known to be monotone, a node is cut when no part, given every
     unplaced item, is worth more than the best so far: each completion's
     parts lie within those, so none improves strictly, and the witness is
     unchanged. Otherwise the walk visits every leaf. The best starts at the
-    first leaf, everything in part 0, since values may be negative. Labels
-    past |S| - 1 are never used, so one empty part stands for the k - |S|
-    of them until the witness is returned."""
+    first leaf, everything in part 0, since values may be negative; for
+    k = 1 or |S| <= 1 that is the only one, and no walk runs. Item 0 is
+    always in part 0, so the walk starts at item 1, |S| - 1 calls deep at
+    most. Labels past |S| - 1 are never used, so one empty part stands for
+    the k - |S| of them until the witness is returned."""
     value = v._value
     items = list(items_of(S))  # indices: the masks 2^g of m items hold m^2/16 bytes
     parts = [S] + [0] * (min(k, len(items) + 1) - 1)
-    best = min(map(value, parts))
-    best_parts = tuple(parts)
+    best, best_parts = min(map(value, parts)), tuple(parts)
     last = len(items) - 1
-    if last > 0:
-        prune = v._monotone
-        parts[0] = 1 << items[0]  # item 0's label is always 0; the rest are unplaced
-        labels = [0] + [-1] * (last - 1)  # each inner item's label, -1 while unplaced
-        used = [1] * last  # used[d]: 1 + the largest label of items 0..d
-        final = 1 << items[last]
-        d = 1
-        while d:
-            if d == last:  # the leaves: the last item in each label it may take
-                for label in range(min(used[d - 1] + 1, k)):
-                    parts[label] |= final
-                    worst = min(map(value, parts))
-                    if worst > best:
-                        best, best_parts = worst, tuple(parts)
-                    parts[label] ^= final
-                d -= 1
-                continue
-            label, bit = labels[d], 1 << items[d]
-            if label >= 0:
-                parts[label] ^= bit
-            if label == used[d - 1] or label == k - 1:  # every label tried: back up
-                labels[d] = -1
-                d -= 1
-                continue
-            label += 1
-            labels[d] = label
+
+    def walk(d: int, used: int) -> None:
+        nonlocal best, best_parts
+        bit = 1 << items[d]
+        rest = S & -(bit << 1)  # the unplaced items, those after d
+        for label in range(min(used + 1, k)):
             parts[label] |= bit
-            used[d] = max(used[d - 1], label + 1)
-            if prune:
-                # the best any part can reach: its value given every unplaced
-                # item, the items after d; while a part is empty, its value
-                # given them is the least, v being monotone
-                rest = S & -(bit << 1)
-                if used[d] < k:
-                    bound = value(rest)
-                else:
-                    bound = min(map(value, map(rest.__or__, parts)))
-                if bound <= best:
-                    continue
-            d += 1
-    best_parts += (0,) * (k - len(parts))
-    return MaximinResult(Fraction(best, v.scale), best_parts, best)
+            if d == last:
+                worst = min(map(value, parts))
+                if worst > best:
+                    best, best_parts = worst, tuple(parts)
+            # the best any part can reach is its value given every unplaced
+            # item; while a part is empty, that is the least, v being monotone
+            elif not prune or (value(rest) if max(used, label + 1) < k else
+                               min(map(value, map(rest.__or__, parts)))) > best:
+                walk(d + 1, max(used, label + 1))
+            parts[label] ^= bit
+
+    if last > 0 and k > 1:
+        _check_depth(last)
+        prune = v._monotone  # read for a walk only: a table scans itself on first use
+        parts[0] = 1 << items[0]
+        walk(1, 1)
+    del walk  # it refers to itself: break the cycle
+    return MaximinResult(Fraction(best, v.scale), best_parts + (0,) * (k - len(parts)), best)
 
 
 def _split_bounds(value, S: int) -> tuple[int, int]:
@@ -442,6 +439,8 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
     if notion is FairnessNotion.EFX_POSITIVE:
         _require_additive(inst)
     _check_budget(n, m)
+    if n > 1:  # one agent takes every item without a recursion
+        _check_depth(m + 1)
     pairwise, fails, _ = _TESTS[notion](inst)
     tie = [0] * m  # tie[g]: g's class as a mask, 0 when g has none
     for c in _interchangeable(inst) if n > 1 else []:  # one agent has one allocation

@@ -7,9 +7,10 @@ count, item index or binary-table mask, not truncated or read as 0/1, and
 a string or object as a list, so no value is split into characters or
 taken from an object's keys. An item index is checked against the item
 count, and every item count against ``MAX_ITEMS``, before any bit is
-set. A valuation's ``type`` names its class, and each of its fields is
-read and written by the ``FIELDS`` row of the same name as the class's
-init field.
+set, and an instance's n tables against the generators' entry cap
+before any is built. A valuation's ``type`` names its class, and each of
+its fields is read and written by the ``FIELDS`` row of the same name as
+the class's init field.
 
 ``dumps`` writes a document's canonical text, the bytes of
 ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, by one recursive
@@ -40,6 +41,7 @@ from .core import (
     as_fraction,
     items_of,
     require_count,
+    require_table_items,
 )
 
 JsonRational = Union[int, str]
@@ -130,11 +132,19 @@ def valuation_to_doc(v: Valuation) -> dict:
             **{name: FIELDS[name][1](getattr(v, name)) for name in _FIELD_NAMES[cls]}}
 
 
-def valuation_from_doc(doc: dict) -> Valuation:
+def valuation_from_doc(doc: dict, n: int = 0) -> Valuation:
+    """The valuation of a document. A table is refused before it is built
+    when n tables like it, an instance's, would pass the entry cap
+    (``require_table_items``), as the generators refuse them."""
     kind = _json(_json(doc, dict, "valuation")["type"], str, "valuation type")
     if kind not in TYPES:
         raise ValueError(f"unknown valuation type: {kind}")
     cls = TYPES[kind]
+    if cls is BinaryTable:
+        require_table_items(_item_count(doc["m"]), "binary", n)
+    elif cls is ExplicitTable:  # log2 of the table's length, when that is a power of 2
+        require_table_items((len(_json(doc["table"], list, "table")) >> 1).bit_length(),
+                            "explicit", n)
     loaded = {}
     for name in _FIELD_NAMES[cls]:
         loaded[name] = FIELDS[name][0](doc[name], name, loaded)
@@ -161,10 +171,12 @@ def instance_from_doc(doc: dict) -> Instance:
     labels = doc.get("labels")
     if labels is not None:
         labels = tuple(_json(x, str, "label") for x in _json(labels, list, "labels"))
+    n = _json(doc["n"], int, "n")
     return Instance(
-        n=_json(doc["n"], int, "n"),
+        n=n,
         m=_item_count(doc["m"]),
-        valuations=tuple(map(valuation_from_doc, _json(doc["valuations"], list, "valuations"))),
+        valuations=tuple(valuation_from_doc(v, n)
+                         for v in _json(doc["valuations"], list, "valuations")),
         **{flag: _json(flags.get(flag, True), bool, flag) for flag in _FLAGS},
         labels=labels,
     )

@@ -650,6 +650,19 @@ def reference_mu(v, S: int, k: int) -> tuple[Fraction, tuple[int, ...]]:
     return best_min, best_parts
 
 
+def count_value_reads(v):
+    """Count the calls of v's ``_value`` from now on, through a wrapper set
+    on v itself, its class untouched; returns the count's reader."""
+    inner, count = v._value, [0]
+
+    def value(mask: int) -> int:
+        count[0] += 1
+        return inner(mask)
+
+    object.__setattr__(v, "_value", value)
+    return lambda: count[0]
+
+
 def reference_efx_violations(inst: Instance, bundles, positive_only: bool = False) -> list:
     """EFX violations, one witness item per pair; with ``positive_only``
     (EFX+), only items the envier values above zero may be removed."""

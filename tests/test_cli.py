@@ -162,6 +162,33 @@ def test_a_failed_write_to_standard_output_exits_2(tmp_path, target, unbuffered,
     assert done.stderr.count("\n") == 1
 
 
+# Help takes the same write: to a full standard output it is one "error:"
+# line and exit 2, where argparse's own print lost it (exit 0, or exit 120
+# and an "Exception ignored" report from the flush at exit); to a pipe it is
+# argparse's help, byte for byte.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["-h"], ["gen", "-h"]], ids=["fairdiv", "gen"])
+def test_help_to_a_full_standard_output_exits_2(argv, unbuffered):
+    with standard_output("full") as out:
+        done = run_module(*argv, env={"PYTHONUNBUFFERED": unbuffered}, stdout=out)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: cannot write standard output: ")
+    assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["-h"], ["gen", "-h"]], ids=["fairdiv", "gen"])
+def test_help_to_a_pipe_is_argparses_own(monkeypatch, argv, unbuffered):
+    monkeypatch.setenv("COLUMNS", "100")  # the child's width too
+    expected = io.StringIO()
+    with contextlib.redirect_stdout(expected), pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    done = run_module(*argv, env={"PYTHONUNBUFFERED": unbuffered})
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == expected.getvalue() != ""
+
+
 def test_gen_unknown_kind_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--kind", "nope"])
@@ -938,6 +965,37 @@ def test_huge_item_count_exits_2(tmp_path, argv, doc):
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.count("\n") == 1
     assert done.stderr.startswith("error: ") and f"m must be in 0..{MAX_ITEMS}" in done.stderr
+
+
+# A document's tables are capped as gen caps them, before any is built:
+# 64 binary tables over 24 items (16 MB each) from a 3 KB document died in
+# a MemoryError traceback and exit 1 under the child's 1 GB address space,
+# and 16 of them, from 855 bytes, ran past 120 s without an answer.
+@pytest.mark.parametrize("n", [64, 16])
+def test_document_tables_over_the_entry_cap_exit_2(tmp_path, n):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({"n": n, "m": 24, "valuations": [
+        {"type": "binary_table", "m": 24, "ones": []}] * n}))
+    done = run_module("verify", "--claim", "mms-feasible", "--in", str(inst_path),
+                      preexec_fn=_limit_address_space)
+    gen = run_module("gen", "--kind", "random-binary-mms-feasible", "--n", str(n), "--m", "24")
+    cap = f"{n} binary tables over 24 items exceed the cap of {MAX_TABLE_ENTRIES} entries"
+    assert gen.returncode == 2 and gen.stderr == f"error: {cap}\n"
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: invalid instance document {str(inst_path)!r}: {cap}\n"
+
+
+# A cap that admits the EFX search of 2 agents over 1,200 items (2^1200
+# allocations) would let it recurse 1,201 calls deep: it is refused with
+# exit 3 and one line, where a RecursionError traceback exited 1.
+def test_a_search_too_deep_for_the_stack_exits_3(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(_bivalued_doc(2, 1200)))
+    done = run_module("verify", "--claim", "efx-exists", "--in", str(inst_path),
+                      env={"FAIRDIV_BUDGET": str(10**400)})
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith("error: search depth 1201 exceeds ")
+    assert done.stderr.count("\n") == 1
 
 
 # A generator's n is bounded like its m, before anything is drawn: at

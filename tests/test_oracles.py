@@ -2,6 +2,7 @@ import collections
 import gc
 import itertools
 import random
+import sys
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +52,7 @@ from fairdiv.oracles import (
     pair_compatibility_graph,
 )
 
-from helpers import reference_first_fair, to_explicit_table
+from helpers import count_value_reads, reference_first_fair, to_explicit_table
 
 
 def test_mu_additive_bipartition():
@@ -172,7 +173,7 @@ def test_mu_refuses_a_huge_walk_at_once():
         assert str(err.value) == f"enumeration of {size} exceeds budget {DEFAULT_BUDGET}"
 
 
-# One part has one leaf, whatever S: charged 1. The walk is iterative and
+# One part has one leaf, whatever S: charged 1, and no walk runs. The walk
 # holds item indices, not the 65,536 item masks (268 MB).
 def test_mu_one_part_of_65536_items():
     v = PersonalizedBivalued(2, 1, 0b1011, 65_536)
@@ -187,6 +188,41 @@ def test_mu_one_part_of_65536_items():
         BUDGET.reset(token)
     assert (result.mu, result.witness) == (v.value(S), (S,))
     assert peak < 16 << 20, f"peak {peak >> 20} MB"
+
+
+# The walk's work on the stars shares, the _value reads of mu(v_i, M, n)
+# summed over the agents. Upper bounds: a tighter cut may lower them.
+@pytest.mark.parametrize("n, reads", [(3, 258), (4, 8_508), (5, 41_080), (6, 166_512)])
+def test_mu_reads_on_stars_shares(n, reads):
+    inst = gen_nonexistence_stars(n)
+    total = 0
+    for v in inst.valuations:
+        counted = count_value_reads(v)
+        mu(v, inst.all_items, n)
+        total += counted()
+    assert total <= reads
+
+
+# Both recursions, the search's (m + 1 calls deep) and the walk's (|S| - 1),
+# are refused after their charge when a cap admits them past half the
+# recursion limit, not ended by a RecursionError; one agent takes every
+# item without recursing, so its search is not refused.
+def test_a_search_too_deep_for_the_stack_is_refused():
+    m = 1200
+    v = PersonalizedBivalued(2, 1, 0b1, m)
+    limit = sys.getrecursionlimit() // 2
+    token = BUDGET.set(10**400)
+    try:
+        with pytest.raises(BudgetExceededError) as search:
+            exists_fair_allocation(Instance(2, m, (v, v)), FairnessNotion.EFX)
+        with pytest.raises(BudgetExceededError) as walk:
+            mu(v, full_mask(m), 2)
+        assert exists_fair_allocation(Instance(1, m, (v,)), FairnessNotion.EFX) == (full_mask(m),)
+    finally:
+        BUDGET.reset(token)
+    for err, depth in ((search, m + 1), (walk, m - 1)):
+        assert str(err.value) == (f"search depth {depth} exceeds {limit}, "
+                                  "half the interpreter's recursion limit")
 
 
 def test_efx_example_and_pmms_separation():
@@ -596,7 +632,8 @@ def test_share_memo_does_not_outlive_its_call():
     lambda: check_pmms(gen_separation3(), (0b000011, 0b001100, 0b110000)),
     lambda: cut_and_choose_graph_procedure(random_binary_mms_feasible(5, 7, 12)),
     lambda: pair_compatibility_graph(gen_separation3()),
-], ids=["pmms-search", "mms-search", "check-pmms", "ccg-run", "compat-graph"])
+    lambda: [mu(v, full_mask(8), 4) for v in gen_nonexistence_stars(4).valuations],
+], ids=["pmms-search", "mms-search", "check-pmms", "ccg-run", "compat-graph", "mu-k4-walk"])
 def test_call_leaves_no_reference_cycle(run):
     gc.collect()
     gc.disable()

@@ -176,6 +176,21 @@ def test_non_object_is_named(load, doc, message):
         load(doc)
 
 
+# An instance's tables are capped together, as the generators cap them,
+# before any is built: its n tables over m items hold at most 2^20 entries.
+@pytest.mark.parametrize("vdoc,kind", [
+    ({"type": "binary_table", "m": 15, "ones": []}, "binary"),
+    ({"type": "table", "table": [0] * (1 << 15)}, "explicit"),
+], ids=["binary", "explicit"])
+def test_instance_tables_over_the_entry_cap_are_refused(vdoc, kind):
+    with pytest.raises(ValueError) as err:
+        serialize.instance_from_doc({"n": 33, "m": 15, "valuations": [vdoc] * 33})
+    assert str(err.value) == f"33 {kind} tables over 15 items exceed the cap of 1048576 entries"
+    if kind == "binary":  # 32 of them, 2^20 entries, load (unscanned: a scan takes 0.1 s)
+        doc = {"n": 32, "m": 15, "valuations": [vdoc] * 32, "flags": {"monotone_required": False}}
+        assert serialize.instance_from_doc(doc).n == 32
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the document loaders through the CLI
 
