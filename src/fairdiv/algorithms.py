@@ -15,8 +15,7 @@ and traces are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     BinaryTable,
@@ -45,8 +44,7 @@ class CutAndChooseStuckError(RuntimeError):
 # Match-and-Freeze (personalized bivalued valuations)
 
 
-@dataclass(frozen=True)
-class MafRound:
+class MafRound(NamedTuple):
     """One round's decisions: its matching, the agents it froze and the
     leftover picks. The round's graph is not kept; each round needs it only
     for its matching and reach sets."""
@@ -57,8 +55,7 @@ class MafRound:
     leftovers: tuple[tuple[int, int], ...]  # (agent, item), in pick order
 
 
-@dataclass(frozen=True)
-class MafTrace:
+class MafTrace(NamedTuple):
     """The decisions of a match-and-freeze run, round by round."""
 
     rounds: tuple[MafRound, ...]
@@ -163,8 +160,7 @@ def maf_trace_lines(trace: MafTrace) -> list[str]:
 # Cut-and-Choose-Graph (binary-valued MMS-feasible valuations)
 
 
-@dataclass(frozen=True)
-class CcgIteration:
+class CcgIteration(NamedTuple):
     s: int
     pi: tuple[int, ...]
     walk: tuple[int, ...]
@@ -174,8 +170,7 @@ class CcgIteration:
     E: int  # number of PMMS-satisfied agents after the step
 
 
-@dataclass(frozen=True)
-class CcgTrace:
+class CcgTrace(NamedTuple):
     initial_W: int
     initial_E: int
     iterations: tuple[CcgIteration, ...]

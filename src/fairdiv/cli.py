@@ -197,7 +197,7 @@ def _mnw_not_efx(inst: Instance) -> dict:
     return {
         "max_nash_welfare": serialize.rational_to_json(best),
         "maximizers": [serialize.allocation_to_doc(b)["bundles"] for b in argmax],
-        "holds": all(not oracles.check(inst, b, FairnessNotion.EFX).holds for b in argmax),
+        "holds": not any(oracles.allocation_satisfies(inst, b, FairnessNotion.EFX) for b in argmax),
     }
 
 

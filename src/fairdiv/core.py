@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -240,6 +240,8 @@ class PersonalizedBivalued(Valuation):
         a, b = as_fraction(self.a), as_fraction(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        # inline, not _scaled: on Python 3.11 its two comprehensions add about
+        # 0.6 us a valuation, 3-5% of a maf-scale pass, which builds one per agent
         scale = math.lcm(a.denominator, b.denominator)
         a, b = a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator)
         if not (a > b >= 0):  # on the scaled ints: the scale is positive
@@ -501,8 +503,7 @@ class Instance:
         return full_mask(self.m)
 
 
-@dataclass(frozen=True)
-class AllocationViolation:
+class AllocationViolation(NamedTuple):
     kind: str  # "overlap" | "uncovered" | "out_of_range" | "arity"
     item: Optional[int] = None
 

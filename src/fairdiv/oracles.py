@@ -28,7 +28,6 @@ import contextvars
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -73,22 +72,19 @@ def _check_depth(depth: int) -> None:
                                   "half the interpreter's recursion limit")
 
 
-@dataclass(frozen=True)
-class MaximinResult:
+class MaximinResult(NamedTuple):
     mu: Fraction
     witness: tuple[int, ...]  # k part masks, a labeled partition of S
-    scaled: int = field(repr=False, compare=False)  # mu * v.scale, to compare with v._value
+    scaled: int  # mu * v.scale, to compare with v._value
 
 
-@dataclass(frozen=True)
-class FairnessViolation:
+class FairnessViolation(NamedTuple):
     envier: int
     envied: Optional[int]  # None for MMS (no pairwise counterpart)
     witness: object  # violating item index, or a maximin-partition witness
 
 
-@dataclass(frozen=True)
-class FairnessReport:
+class FairnessReport(NamedTuple):
     notion: FairnessNotion
     holds: bool
     violations: tuple[FairnessViolation, ...]
@@ -346,16 +342,16 @@ def check(inst: Instance, bundles, notion: FairnessNotion) -> FairnessReport:
     return FairnessReport(notion, not found, found)
 
 
-# ``allocation_satisfies`` and the three wrappers after it are read by nothing
-# in the package, which reaches every notion through ``check``: the
-# benchmark's tracer (``perfbench/tracer.py``) spans all four by name, and its
-# workloads call ``check_efx`` and ``check_mms``.
-
-
 def allocation_satisfies(inst: Instance, bundles, notion: FairnessNotion) -> bool:
     """Whether the notion holds, stopping at the first violation; no witness
     is built. The allocation is not validated."""
     return next(_failures(inst, bundles, _TESTS[notion](inst)), None) is None
+
+
+# The three wrappers below are read by nothing in the package, which reaches
+# every notion through ``check``: the benchmark's tracer
+# (``perfbench/tracer.py``) spans them by name, and its workloads call
+# ``check_efx`` and ``check_mms``.
 
 
 def check_efx(inst: Instance, bundles) -> FairnessReport:
@@ -598,8 +594,7 @@ def _two_valued_feasible(in_h: bytes, m: int) -> bool:
 # pairwise compatibility graph (balanced 2-item bundles)
 
 
-@dataclass(frozen=True)
-class CompatGraph:
+class CompatGraph(NamedTuple):
     """Nodes are (agent, 2-item bundle mask); an edge joins two nodes whose
     owners would not PMMS-envy each other under those bundles. ``nodes``
     holds the nodes with an edge, by agent and then by bundle."""

@@ -1,7 +1,8 @@
 """The public surface: the package's ``__all__`` and version, and every
 function the benchmark's tracer (``perfbench/tracer.py``) wraps by name or
 calls, so a refactor that renames or removes one, or changes how it is
-called, fails here rather than in a traced run. And its converse: every
+called, fails here rather than in a traced run; and the records the package
+returns, by their fields. And its converse: every
 module-level function and class in the package, and every member of its
 classes, is read by the package itself, unless ``KEPT`` says why not."""
 
@@ -13,9 +14,27 @@ import inspect
 import os
 import re
 
+import pytest
+
 import fairdiv
-from fairdiv import oracles
-from fairdiv.core import BinaryTable
+from fairdiv import instances, oracles
+from fairdiv.algorithms import (
+    CcgIteration,
+    CcgTrace,
+    MafRound,
+    MafTrace,
+    cut_and_choose_graph_procedure,
+    match_and_freeze,
+)
+from fairdiv.core import (
+    Additive,
+    AllocationViolation,
+    BinaryTable,
+    FairnessNotion,
+    Instance,
+    validate_allocation,
+)
+from fairdiv.oracles import CompatGraph, FairnessReport, FairnessViolation, MaximinResult
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
@@ -27,7 +46,6 @@ KEPT = {
     "check_efx": "perfbench/tracer.py spans it; perfbench/workloads.py calls it",
     "check_pmms": "perfbench/tracer.py spans it",
     "check_mms": "perfbench/tracer.py spans it; perfbench/workloads.py calls it",
-    "allocation_satisfies": "perfbench/tracer.py spans it",
     "clear_caches": "perfbench/workloads.py calls it before every task",
     "PersonalizedBivalued.is_factored": "states the hypothesis of the paper's PMMS theorem",
     "MaximinResult.mu": "the value mu(v, S, k) itself, what mu is for; the package compares "
@@ -167,3 +185,41 @@ def test_every_class_member_is_read_in_the_package():
                 read.add(node.value)
     read_members = {qualified for qualified, name in members.items() if name in read}
     _check_kept(set(members), read_members, {name for name in KEPT if "." in name})
+
+
+def _records() -> dict:
+    """One record of each kind, each from the call that returns it."""
+    inst = Instance(2, 3, (Additive.of([1, 1, 1]),) * 2)
+    _, maf = match_and_freeze(instances.gen_table1_example())
+    _, ccg = cut_and_choose_graph_procedure(instances.random_binary_mms_feasible(5, 7, 12))
+    report = oracles.check(inst, (0b111, 0), FairnessNotion.EFX)
+    return {MafRound: maf.rounds[0], MafTrace: maf, CcgIteration: ccg.iterations[0],
+            CcgTrace: ccg, MaximinResult: oracles.mu(inst.valuations[0], 0b111, 2),
+            FairnessViolation: report.violations[0], FairnessReport: report,
+            CompatGraph: oracles.pair_compatibility_graph(inst),
+            AllocationViolation: validate_allocation(inst, (0b111,))}
+
+
+# Each record's fields in order: a record is a NamedTuple, and the package
+# and the tests build some positionally.
+RECORD_FIELDS = {
+    MafRound: ("round", "matching", "frozen_now", "leftovers"),
+    MafTrace: ("rounds",),
+    CcgIteration: ("s", "pi", "walk", "case", "swap_applied", "W", "E"),
+    CcgTrace: ("initial_W", "initial_E", "iterations"),
+    MaximinResult: ("mu", "witness", "scaled"),
+    FairnessViolation: ("envier", "envied", "witness"),
+    FairnessReport: ("notion", "holds", "violations"),
+    CompatGraph: ("nodes", "edges"),
+    AllocationViolation: ("kind", "item"),
+}
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_records_are_read_only_named_tuples(cls):
+    record = _records()[cls]
+    assert type(record) is cls and cls.__bases__ == (tuple,)
+    assert cls._fields == RECORD_FIELDS[cls]
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))

@@ -553,6 +553,31 @@ def test_verify_mnw(tmp_path, capsys):
     assert len(doc["maximizers"]) == 2
 
 
+def test_verify_mnw_decides_without_building_reports(tmp_path, capsys, monkeypatch):
+    # EFX is decided for each maximizer by allocation_satisfies, which builds
+    # no witness; the documents are pinned, with every maximizer listed
+    def no_report(*args):
+        raise AssertionError("mnw-not-efx built a fairness report")
+
+    monkeypatch.setattr(oracles, "check", no_report)
+    mnw_path = str(tmp_path / "mnw.json")
+    main(["gen", "--kind", "mnw", "--out", mnw_path])
+    code, out, err = run(capsys, "verify", "--claim", "mnw-not-efx", "--in", mnw_path)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"claim": "mnw-not-efx", "holds": True, "max_nash_welfare": 25,
+                               "maximizers": [[[0], [1, 2, 3]], [[1], [0, 2, 3]]]}
+    # one agent values nothing, so all 27 allocations maximize the product 0,
+    # and some of them are EFX
+    zero = Instance(3, 3, (Additive.of([1, 3, 0]), Additive.of([0, 3, 1]), Additive.of([0, 0, 0])))
+    code, out, err = run(capsys, "verify", "--claim", "mnw-not-efx",
+                         "--in", write_instance(tmp_path, zero, "zero.json"))
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert (doc["holds"], doc["max_nash_welfare"], len(doc["maximizers"])) == (False, 0, 27)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8a04e0d2b741fb2de1aa2f3821cdb59db77ab4281fa2ab0c4fca6c3f171e36ff")
+
+
 def test_verify_budget_exceeded_exits_3(tmp_path, capsys, monkeypatch):
     inst_path = str(tmp_path / "sep.json")
     main(["gen", "--kind", "separation3", "--out", inst_path])
