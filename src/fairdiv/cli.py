@@ -38,19 +38,22 @@ class UsageError(Exception):
     """Malformed input outside the argument parser; exits 2 with one line."""
 
 
-def _open_in_place(path: str, flags: int) -> int:
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 # Rewrites in place, then cuts to length: truncating to zero first costs 5-9x as much on ext4.
-# Files are UTF-8 whatever the locale, so their bytes depend on the inputs alone.
+# Files are UTF-8 whatever the locale, so their bytes depend on the inputs alone; they are
+# written as bytes on the descriptor, with no file object around it.
 def _write(text: str, out: Optional[str]) -> None:
     if out is not None:
         try:
-            with open(out, "w", encoding="utf-8", opener=_open_in_place) as fh:
-                fh.write(text)
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/null, a FIFO, a tty
-                    fh.truncate()
+            fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+            try:
+                data = text.encode("utf-8")
+                rest = memoryview(data)
+                while rest:  # a pipe or a signal can cut a write short
+                    rest = rest[os.write(fd, rest):]
+                if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null, a FIFO, a tty
+                    os.ftruncate(fd, len(data))
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise UsageError(f"cannot write {out!r}: {exc.strerror}") from None
     else:
@@ -82,10 +85,16 @@ def _drop_stdout() -> None:
 
 def _load(path: str, from_doc, what: str):
     """Read and parse one JSON document; anything wrong with the file or
-    its contents is a usage error, never a traceback."""
+    its contents is a usage error, never a traceback. The bytes are read
+    and decoded as a text-mode read would: strict UTF-8, a BOM kept (so
+    ``json`` refuses it), and each ``\\r\\n`` or ``\\r`` read as ``\\n``, so
+    an error names the same position."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return from_doc(serialize.loads(fh.read()))
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return from_doc(serialize.loads(text))
     except OSError as exc:
         raise UsageError(f"cannot read {what} file {path!r}: {exc.strerror}") from None
     except KeyError as exc:

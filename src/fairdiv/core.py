@@ -3,14 +3,16 @@
 Bundles are plain ints used as bitmasks over item indices ``0..m-1``.
 All arithmetic is exact; fairness verdicts are equality-sensitive, so
 floats are never used. Each valuation is scaled to integers once, at
-construction: ``_value(mask)`` returns v(S) * ``scale`` as an ``int``, and
-``value(mask)`` is the only place a ``Fraction`` is built from it.
+construction, and keeps only those: ``_value(mask)`` returns v(S) *
+``scale`` as an ``int``. An all-``int`` input is kept as it is, with
+``scale`` 1, and builds no ``Fraction``; a ``Fraction`` is built by
+``value(mask)``, and by the public rational fields (``values``, ``table``,
+``a``, ``b``) on their first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -110,24 +112,58 @@ class FairnessNotion(Enum):
     MMS = "mms"
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+def _scaled(xs: Sequence[RationalLike]) -> tuple[int, tuple[int, ...]]:
     """(scale, ints): the LCM of the values' denominators, and each value
-    times it."""
+    times it. Values that are all exactly ``int`` (a bool is not) are
+    returned as they are, with scale 1 and no ``Fraction`` built."""
+    xs = tuple(xs)
+    if set(map(type, xs)) <= {int}:
+        return 1, xs
+    values = tuple(map(as_fraction, xs))
     scale = math.lcm(*(x.denominator for x in values))
     return scale, tuple(x.numerator * (scale // x.denominator) for x in values)
 
 
-@dataclass(frozen=True)
-class Valuation:
+class _Frozen:
+    """Read-only fields, set once by ``__init__`` through ``__dict__``.
+    ``_FIELDS`` names the constructor's arguments in order, for ``repr``
+    and the documents; equality (same class only) and the hash compare
+    ``_key()``, by default those fields."""
+
+    _FIELDS: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Valuation(_Frozen):
     """Base class. Subclasses answer ``value(bundle)`` for bitmask bundles.
 
-    Every subclass sets ``scale`` in ``__post_init__`` and implements
+    Every subclass sets ``scale`` in ``__init__`` and implements
     ``_value(mask)``, which returns v(S) * ``scale`` as an int;
     both table classes inherit it from ``_Table``, one 2^m sequence.
     Comparisons within one valuation can use ``_value`` directly, because
     scaling by a positive constant preserves order and equality.
-    Equality and the hash are the ones ``@dataclass`` generates from the
-    public fields; ``scale`` and the scaled integers take no part.
+    Equality and the hash compare ``scale`` and the scaled integers, which
+    the values fix, so two spellings of the same values are equal.
     A class whose structure gives the PMMS share in closed form overrides
     ``_share2(S)`` to return mu(v, S, 2) * ``scale``; under the base's
     ``_share2 = None``, S's 2^|S| splits are enumerated and charged.
@@ -143,7 +179,6 @@ class Valuation:
     ``_item_classes = None`` no two items are known to be interchangeable.
     """
 
-    scale: int = field(init=False, repr=False, compare=False)
     _share2 = None
     _drop1 = None
     _item_classes = None
@@ -167,23 +202,29 @@ class Valuation:
         return False
 
 
-@dataclass(frozen=True)
 class _ItemValues(Valuation):
     """A valuation given by one non-negative value per item. Subclasses
-    define only how a bundle combines them; they inherit the dataclass
-    ``__init__``, ``__eq__`` (same class only) and ``repr``."""
+    define only how a bundle combines them; they inherit ``__init__``,
+    ``__eq__`` (same class only) and ``repr``."""
 
-    values: tuple[Fraction, ...]
+    _FIELDS = ("values",)
     _monotone = True  # a bundle's value combines non-negative item values
 
-    def __post_init__(self) -> None:
-        values = tuple(as_fraction(x) for x in self.values)
-        object.__setattr__(self, "values", values)
+    def __init__(self, values: Sequence[RationalLike]) -> None:
         scale, ints = _scaled(values)
         if min(ints, default=0) < 0:  # the sign survives the positive scale
             raise ValueError("item values must be non-negative")
-        object.__setattr__(self, "_ints", ints)
-        object.__setattr__(self, "scale", scale)
+        fields = self.__dict__
+        fields["_ints"] = ints
+        fields["scale"] = scale
+
+    def _key(self) -> tuple:
+        return self.scale, self._ints
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        scale = self.scale
+        return tuple(Fraction(x, scale) for x in self._ints)
 
     @classmethod
     def of(cls, values: Sequence[RationalLike]):
@@ -191,7 +232,7 @@ class _ItemValues(Valuation):
 
     @property
     def num_items(self) -> int:
-        return len(self.values)
+        return len(self._ints)
 
     def _item_classes(self) -> tuple[int, ...]:
         # items of one value are interchangeable, however a bundle combines them
@@ -223,34 +264,44 @@ class Additive(_ItemValues):
         return True
 
 
-@dataclass(frozen=True)
 class PersonalizedBivalued(Valuation):
     """Additive valuation with per-agent values a > b >= 0.
 
     Items in ``high_items`` are worth ``a``, the rest ``b``.
     """
 
-    a: Fraction
-    b: Fraction
-    high_items: int
-    m: int
+    _FIELDS = ("a", "b", "high_items", "m")
     _monotone = True  # a sum of item values a > b >= 0
 
-    def __post_init__(self) -> None:
-        a, b = as_fraction(self.a), as_fraction(self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        # inline, not _scaled: on Python 3.11 its two comprehensions add about
-        # 0.6 us a valuation, 3-5% of a maf-scale pass, which builds one per agent
-        scale = math.lcm(a.denominator, b.denominator)
-        a, b = a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator)
+    def __init__(self, a: RationalLike, b: RationalLike, high_items: int, m: int) -> None:
+        scale = 1
+        if type(a) is not int or type(b) is not int:
+            a, b = as_fraction(a), as_fraction(b)
+            # inline, not _scaled: on Python 3.11 its two comprehensions add about
+            # 0.6 us a valuation, 3-5% of a maf-scale pass, which builds one per agent
+            scale = math.lcm(a.denominator, b.denominator)
+            a, b = a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator)
         if not (a > b >= 0):  # on the scaled ints: the scale is positive
             raise ValueError("personalized bivalued requires a > b >= 0")
-        if self.high_items >> self.m:
+        if high_items >> m:
             raise InvalidBundleError("high_items addresses items outside 0..m-1")
-        object.__setattr__(self, "_a", a)  # a * scale
-        object.__setattr__(self, "_b", b)  # b * scale
-        object.__setattr__(self, "scale", scale)
+        fields = self.__dict__
+        fields["high_items"] = high_items
+        fields["m"] = m
+        fields["_a"] = a  # a * scale
+        fields["_b"] = b  # b * scale
+        fields["scale"] = scale
+
+    def _key(self) -> tuple:
+        return self.scale, self._a, self._b, self.high_items, self.m
+
+    @cached_property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self.scale)
+
+    @cached_property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self.scale)
 
     @property
     def num_items(self) -> int:
@@ -334,7 +385,8 @@ class PairDemand(_ItemValues):
 class _Table(Valuation):
     """A set function stored as one scaled value per bundle mask:
     ``_cells[S]`` is v(S) * ``scale``, a tuple of ints for ``ExplicitTable``
-    and 2^m bytes for ``BinaryTable``, each built from its public fields."""
+    and 2^m bytes for ``BinaryTable``, each built by the class's
+    ``__init__``."""
 
     @property
     def num_items(self) -> int:
@@ -415,46 +467,54 @@ def _masks_without(m: int, copies: int) -> list[int]:
     return without
 
 
-@dataclass(frozen=True)
 class ExplicitTable(_Table):
     """Arbitrary set function stored as a 2^m table indexed by bundle mask."""
 
-    table: tuple[Fraction, ...]
+    _FIELDS = ("table",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "table", tuple(as_fraction(x) for x in self.table))
-        size = len(self.table)
+    def __init__(self, table: Sequence[RationalLike]) -> None:
+        scale, cells = _scaled(table)
+        size = len(cells)
         if size == 0 or size & (size - 1):
             raise ValueError("table length must be a power of two")
         require_table_items(size.bit_length() - 1, "explicit")
-        scale, cells = _scaled(self.table)
-        object.__setattr__(self, "_cells", cells)
-        object.__setattr__(self, "scale", scale)
+        fields = self.__dict__
+        fields["_cells"] = cells
+        fields["scale"] = scale
+
+    def _key(self) -> tuple:
+        return self.scale, self._cells
+
+    @cached_property
+    def table(self) -> tuple[Fraction, ...]:
+        scale = self.scale
+        return tuple(Fraction(x, scale) for x in self._cells)
 
     @classmethod
     def of(cls, table: Sequence[RationalLike]) -> "ExplicitTable":
         return cls(tuple(table))
 
 
-@dataclass(frozen=True)
 class BinaryTable(_Table):
     """Binary-valued set function: v(S) in {0, 1}, not necessarily monotone
     or normalized. ``ones`` is the set of bundle masks with value 1; the
     values are held as 2^m bytes, whatever the density of ``ones``."""
 
-    m: int
-    ones: frozenset[int]
+    _FIELDS = ("m", "ones")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ones", frozenset(self.ones))
-        require_table_items(self.m, "binary")
-        if self.ones and (min(self.ones) < 0 or max(self.ones) >> self.m):
+    def __init__(self, m: int, ones) -> None:
+        ones = frozenset(ones)
+        require_table_items(m, "binary")
+        if ones and (min(ones) < 0 or max(ones) >> m):
             raise InvalidBundleError("ones contains a mask outside the item range")
-        cells = bytearray(1 << self.m)
-        for mask in self.ones:
+        cells = bytearray(1 << m)
+        for mask in ones:
             cells[mask] = 1
-        object.__setattr__(self, "_cells", bytes(cells))
-        object.__setattr__(self, "scale", 1)
+        fields = self.__dict__
+        fields["m"] = m
+        fields["ones"] = ones
+        fields["_cells"] = bytes(cells)
+        fields["scale"] = 1
 
 
 def is_monotone(v: Valuation) -> bool:
@@ -464,36 +524,35 @@ def is_monotone(v: Valuation) -> bool:
     return v._monotone
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Frozen):
     """A fair-division instance: n agents, m items, one valuation per agent."""
 
-    n: int
-    m: int
-    valuations: tuple[Valuation, ...]
-    monotone_required: bool = True
-    normalized_required: bool = True
-    labels: Optional[tuple[str, ...]] = None
+    _FIELDS = ("n", "m", "valuations", "monotone_required", "normalized_required", "labels")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "valuations", tuple(self.valuations))
-        if self.n < 1:
+    def __init__(self, n: int, m: int, valuations: Sequence[Valuation],
+                 monotone_required: bool = True, normalized_required: bool = True,
+                 labels: Optional[Sequence[str]] = None) -> None:
+        valuations = tuple(valuations)
+        fields = self.__dict__
+        fields.update(n=n, m=m, valuations=valuations, monotone_required=monotone_required,
+                      normalized_required=normalized_required, labels=labels)
+        if n < 1:
             raise ValueError("need at least one agent")
-        if len(self.valuations) != self.n:
+        if len(valuations) != n:
             raise ValueError("need exactly one valuation per agent")
-        for v in self.valuations:
-            if v.num_items != self.m:
+        for v in valuations:
+            if v.num_items != m:
                 raise ValueError("all valuations must address exactly m items")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.m:
+        if labels is not None:
+            fields["labels"] = labels = tuple(labels)
+            if len(labels) != m:
                 raise ValueError("need exactly one label per item")
-        if self.normalized_required:
-            for i, v in enumerate(self.valuations):
+        if normalized_required:
+            for i, v in enumerate(valuations):
                 if v._value(0) != 0:
                     raise ValueError(f"valuation of agent {i} is not normalized")
-        if self.monotone_required:
-            for i, v in enumerate(self.valuations):
+        if monotone_required:
+            for i, v in enumerate(valuations):
                 # non-table classes are monotone by construction
                 if isinstance(v, _Table) and not is_monotone(v):
                     raise ValueError(f"valuation of agent {i} is not monotone")

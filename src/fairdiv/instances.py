@@ -70,13 +70,13 @@ def gen_nonexistence_stars(n: int) -> Instance:
         table = []
         for mask in range(1 << m):
             if mask == A or mask == B:
-                table.append(Fraction(k + 1))
+                table.append(k + 1)
             elif mask & stars_mask and mask.bit_count() >= 2:
-                table.append(Fraction(2 * k))
+                table.append(2 * k)
             elif mask & stars_mask:
-                table.append(Fraction(k))  # a single star
+                table.append(k)  # a single star
             else:
-                table.append(Fraction(mask.bit_count()))
+                table.append(mask.bit_count())
         valuations.append(ExplicitTable(tuple(table)))
 
     labels = tuple(f"s{j + 1}" for j in range(num_stars)) + tuple(
@@ -109,14 +109,14 @@ def gen_separation3() -> Instance:
         for mask in range(1 << m):
             size = mask.bit_count()
             if size == 0:
-                table.append(Fraction(0))
+                table.append(0)
             elif size == 1:
-                table.append(Fraction(1))
+                table.append(1)
             elif size == 2:
                 a, b = sorted(g + 1 for g in range(m) if mask & (1 << g))
-                table.append(Fraction(pairs[(a, b)]))
+                table.append(pairs[(a, b)])
             else:
-                table.append(Fraction(7))
+                table.append(7)
         return ExplicitTable(tuple(table))
 
     v3 = Additive.of([100 + j for j in range(1, 7)])
@@ -134,8 +134,8 @@ def gen_mnw_counterexample() -> Instance:
     return Instance(
         2, 4,
         (
-            PersonalizedBivalued(Fraction(5), Fraction(1), high, 4),
-            PersonalizedBivalued(Fraction(3), Fraction(1), high, 4),
+            PersonalizedBivalued(5, 1, high, 4),
+            PersonalizedBivalued(3, 1, high, 4),
         ),
         labels=("g1", "g2", "g3", "g4"),
     )

@@ -10,7 +10,9 @@ count, and every item count against ``MAX_ITEMS``, before any bit is
 set, and an instance's n tables against the generators' entry cap
 before any is built. A valuation's ``type`` names its class, and each of
 its fields is read and written by the ``FIELDS`` row of the same name as
-the class's init field.
+the constructor argument (the class's ``_FIELDS``). A rational field is
+read with its ints kept as ints and written from the valuation's scaled
+integers, so an all-int valuation makes no ``Fraction`` either way.
 
 ``dumps`` writes a document's canonical text, the bytes of
 ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, by one recursive
@@ -25,8 +27,8 @@ the text is pure ASCII.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import math
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -83,30 +85,52 @@ def rational_from_json(x) -> Fraction:
     return as_fraction(x)
 
 
+def _rational(x, name=None, loaded=None):
+    """A document's rational as a valuation takes it: an int as itself,
+    so an all-int valuation builds no Fraction, anything else through
+    ``rational_from_json``."""
+    return x if type(x) is int else rational_from_json(x)
+
+
+def _rationals(x, name: str, loaded=None) -> tuple:
+    return tuple(map(_rational, _json(x, list, name)))
+
+
+def _scaled_to_json(x: int, scale: int) -> JsonRational:
+    """x / scale as ``rational_to_json`` writes it, with no Fraction built."""
+    if scale == 1:
+        return x
+    g = math.gcd(x, scale)
+    return x // g if g == scale else f"{x // g}/{scale // g}"
+
+
+def _all_to_json(xs: Sequence[int], scale: int) -> list:
+    if scale == 1:
+        return list(xs)
+    return [_scaled_to_json(x, scale) for x in xs]
+
+
 def _item_count(x, name: str = "m", loaded=None) -> int:
     """The loader of every m, the instance's and each valuation's."""
     require_count(name, _json(x, int, name))
     return x
 
 
-_RATIONAL = (lambda x, name, loaded: rational_from_json(x), rational_to_json)
-_RATIONALS = (lambda x, name, loaded: tuple(map(rational_from_json, _json(x, list, name))),
-              lambda xs: list(map(rational_to_json, xs)))
-
 # document field → (load(json value, field name, fields loaded so far),
-# dump(attribute)). Fields load in this order, so a valuation's m is known
-# before its high_items.
+# dump(valuation)). Fields load in this order, so a valuation's m is known
+# before its high_items. A rational field is written from the valuation's
+# scaled integers.
 FIELDS = {
-    "m": (_item_count, int),
-    "values": _RATIONALS,
-    "table": _RATIONALS,
-    "a": _RATIONAL,
-    "b": _RATIONAL,
+    "m": (_item_count, lambda v: int(v.m)),
+    "values": (_rationals, lambda v: _all_to_json(v._ints, v.scale)),
+    "table": (_rationals, lambda v: _all_to_json(v._cells, v.scale)),
+    "a": (_rational, lambda v: _scaled_to_json(v._a, v.scale)),
+    "b": (_rational, lambda v: _scaled_to_json(v._b, v.scale)),
     "high_items": (lambda x, name, loaded: _mask(x, loaded["m"], name),
-                   lambda mask: list(items_of(mask))),
+                   lambda v: list(items_of(v.high_items))),
     "ones": (lambda x, name, loaded: frozenset(_json(mask, int, "ones mask")
                                                for mask in _json(x, list, name)),
-             sorted),
+             lambda v: sorted(v.ones)),
 }
 
 # document type → valuation class
@@ -118,9 +142,8 @@ TYPES = {
     "table": ExplicitTable,
 }
 _KINDS = {cls: kind for kind, cls in TYPES.items()}
-# each class's document fields, in FIELDS order
-_FIELD_NAMES = {cls: tuple(name for name in FIELDS
-                           if name in {f.name for f in dataclasses.fields(cls) if f.init})
+# each class's document fields, its constructor's, in FIELDS order
+_FIELD_NAMES = {cls: tuple(name for name in FIELDS if name in cls._FIELDS)
                 for cls in TYPES.values()}
 
 
@@ -128,8 +151,7 @@ def valuation_to_doc(v: Valuation) -> dict:
     cls = type(v)
     if cls not in _KINDS:
         raise TypeError(f"cannot serialize valuation of type {cls.__name__}")
-    return {"type": _KINDS[cls],
-            **{name: FIELDS[name][1](getattr(v, name)) for name in _FIELD_NAMES[cls]}}
+    return {"type": _KINDS[cls], **{name: FIELDS[name][1](v) for name in _FIELD_NAMES[cls]}}
 
 
 def valuation_from_doc(doc: dict, n: int = 0) -> Valuation:

@@ -13,6 +13,8 @@ import importlib.util
 import inspect
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -223,3 +225,18 @@ def test_records_are_read_only_named_tuples(cls):
     for name in cls._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
+
+
+# A CLI command is a process, so what importing the CLI imports is part of
+# every command's cost: the valuations and Instance are plain classes, and
+# dataclasses, with the inspect module it imports, stays out. Run without
+# site (-S), so nothing but the package imports anything.
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    root = os.path.dirname(PACKAGE)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        root, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, fairdiv.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'fairdiv.cli'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "['fairdiv.cli']\n", "")

@@ -934,6 +934,74 @@ def test_new_output_has_the_mode_open_gives(tmp_path):
     assert modes == {0o666 & ~0o027}
 
 
+def open_descriptors() -> list:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+# Files move as bytes on raw descriptors. Each fault below is one error line
+# with the message a text-mode read or write gives, and leaves no
+# descriptor open: a raw descriptor left open raises no ResourceWarning.
+# Lines are read as a text-mode read reads them, so an error names the
+# character it would with \n line ends (char 20 if \r\n were read as is).
+GOOD_TEXT = json.dumps(serialize.instance_to_doc(Instance(1, 1, (Additive.of([1]),))))
+BYTE_FAULTS = {
+    "crlf-syntax-error": (
+        "{inst}", b'{\r\n  "n": 2,\r\n  "m" 2\r\n}\r\n',
+        "invalid instance document {path!r}: Expecting ':' delimiter: line 3 column 7 (char 18)"),
+    "cr-syntax-error": (
+        "{inst}", b'{\r  "n": 2,\r  "m" 2\r}\r',
+        "invalid instance document {path!r}: Expecting ':' delimiter: line 3 column 7 (char 18)"),
+    "utf8-bom": (
+        "{inst}", b"\xef\xbb\xbf" + GOOD_TEXT.encode(),
+        "invalid instance document {path!r}: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)"),
+    "invalid-utf8": (
+        "{inst}", GOOD_TEXT[:5].encode() + b"\xff" + GOOD_TEXT[5:].encode(),
+        "invalid instance document {path!r}: 'utf-8' codec can't decode byte 0xff in "
+        "position 5: invalid start byte"),
+    "truncated-utf8-allocation": (
+        "{alloc}", b'{"bundles": [[0]]}\xe2\x82',
+        "invalid allocation document {path!r}: 'utf-8' codec can't decode bytes in "
+        "position 18-19: unexpected end of data"),
+    "directory-as-out": ("{dir}", None, "cannot write {path!r}: Is a directory"),
+    "dev-full-as-out": ("/dev/full", None, "cannot write {path!r}: No space left on device"),
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd") or not os.path.exists("/dev/full"),
+                    reason="needs /proc/self/fd and /dev/full")
+@pytest.mark.parametrize("fault", list(BYTE_FAULTS))
+def test_a_byte_io_fault_exits_2_with_one_line(tmp_path, capsys, fault):
+    where, data, message = BYTE_FAULTS[fault]
+    good = tmp_path / "good.json"
+    good.write_text(GOOD_TEXT)
+    path = where.format(inst=tmp_path / "inst.json", alloc=tmp_path / "alloc.json", dir=tmp_path)
+    if data is not None:
+        Path(path).write_bytes(data)
+    if where == "{alloc}":
+        argv = ["check", "--notion", "efx", "--in", str(good), "--alloc", path]
+    elif data is not None:
+        argv = ["verify", "--claim", "mms-feasible", "--in", path]
+    else:
+        argv = ["solve", "--algo", "rrr", "--in", write_instance(tmp_path, PAIR_DEMAND),
+                "--out", path]
+    before = open_descriptors()
+    assert run(capsys, *argv) == (2, "", f"error: {message.format(path=path)}\n")
+    assert open_descriptors() == before
+
+
+# A document with \r\n or \r line ends loads as the same document with \n.
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_a_document_loads_whatever_its_line_ends(tmp_path, capsys, newline):
+    text = serialize.dumps(serialize.instance_to_doc(PAIR_DEMAND)).encode()
+    plain, other = tmp_path / "plain.json", tmp_path / "other.json"
+    plain.write_bytes(text)
+    other.write_bytes(text.replace(b"\n", newline))
+    outputs = [run(capsys, "solve", "--algo", "rrr", "--in", str(path), "--trace")
+               for path in (plain, other)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 def _limit_address_space():
     limit = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

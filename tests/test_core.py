@@ -5,7 +5,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fairdiv import serialize
 from fairdiv.core import (
     Additive,
     BinaryTable,
@@ -23,6 +26,7 @@ from fairdiv.core import (
     validate_allocation,
 )
 from helpers import to_explicit_table
+from test_oracles import AtMostTwo
 
 
 def test_mask_helpers():
@@ -213,3 +217,157 @@ def test_validate_allocation():
     assert bad is not None and bad.kind == "out_of_range" and bad.item == 2
     bad = validate_allocation(inst, (-1, 0b11))
     assert bad is not None and bad.kind == "out_of_range" and bad.item is None
+
+
+# --- One valuation, however its values are spelled -------------------------
+#
+# A valuation keeps only its scaled integers: an all-int input as it is,
+# with scale 1, anything else through Fractions. Each class, built from
+# ints (where the values are whole), from Fractions and from "p/q" / "n"
+# strings, unreduced ones included, is one valuation.
+
+_rationals = st.builds(Fraction, st.integers(0, 40), st.sampled_from([1, 1, 1, 2, 3, 6]))
+
+
+def _spellings(values: list) -> list:
+    """The same values as ints where whole (all ints when all are), as
+    Fractions, and as strings, "n" or an unreduced "p/q"."""
+    plain = [int(x) if x.denominator == 1 else x for x in values]
+    strings = [str(x.numerator) if x.denominator == 1 and i % 2
+               else f"{2 * x.numerator}/{2 * x.denominator}" for i, x in enumerate(values)]
+    return [plain, list(values), strings]
+
+
+@st.composite
+def spelled_valuations(draw):
+    """(m, the valuation built from each spelling, its rational fields by
+    name, as Fractions). Half the valuations have whole values only, so
+    one spelling is all ints."""
+    kind = draw(st.sampled_from(["additive", "pair_demand", "personalized_bivalued", "table",
+                                 "binary_table"]))
+    m = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        rationals = _rationals.map(lambda x: Fraction(x.numerator))
+    else:
+        rationals = _rationals
+    if kind == "personalized_bivalued":
+        b = draw(rationals)
+        a = b + draw(rationals.filter(bool))
+        high = draw(st.integers(0, (1 << m) - 1))
+        return m, [PersonalizedBivalued(x, y, high, m) for x, y in _spellings([a, b])], \
+            {"a": a, "b": b}
+    if kind == "binary_table":
+        ones = draw(st.sets(st.integers(0, (1 << m) - 1)))
+        return m, [BinaryTable(m, sorted(ones)), BinaryTable(m, ones),
+                   BinaryTable(m, frozenset(ones))], {}
+    if kind == "table":
+        values = draw(st.lists(rationals, min_size=1 << m, max_size=1 << m))
+        values = [x - values[0] for x in values]  # some negative, v(empty) = 0
+        return m, [ExplicitTable(tuple(s)) for s in _spellings(values)], {"table": tuple(values)}
+    values = draw(st.lists(rationals, min_size=m, max_size=m))
+    cls = serialize.TYPES[kind]
+    return m, [cls.of(s) for s in _spellings(values)], {"values": tuple(values)}
+
+
+def _json_rationals(x):
+    if isinstance(x, tuple):
+        return [serialize.rational_to_json(y) for y in x]
+    return serialize.rational_to_json(x)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(spelled_valuations())
+def test_every_spelling_of_the_same_values_is_one_valuation(case):
+    m, built, rationals = case
+    first = built[0]
+    docs = set()
+    for v in built:
+        assert v == first and hash(v) == hash(first) and repr(v) == repr(first)
+        for name, expected in rationals.items():
+            got = getattr(v, name)
+            assert got == expected
+            assert {type(x) for x in (got if isinstance(got, tuple) else (got,))} <= {Fraction}
+        assert [v._value(mask) for mask in range(1 << m)] == \
+            [first._value(mask) for mask in range(1 << m)]
+        inst = Instance(1, m, (v,), monotone_required=False, normalized_required=False)
+        doc = serialize.instance_to_doc(inst)
+        docs.add(serialize.dumps(doc))
+        # each rational is written as rational_to_json writes its Fraction
+        for name, expected in rationals.items():
+            assert doc["valuations"][0][name] == _json_rationals(expected)
+        assert serialize.instance_from_doc(doc) == inst
+    assert len(docs) == 1
+
+
+# The same values in another class are another valuation.
+def test_the_same_values_in_two_classes_are_unequal():
+    pairs = [
+        (Additive.of([1, 2]), PairDemand.of([1, 2])),
+        (Additive.of([]), PairDemand.of([])),
+        (Additive.of(["1/2", 1]), PairDemand.of([Fraction(1, 2), 1])),
+        (ExplicitTable.of([0, 1, 1, 1]), BinaryTable(2, [1, 2, 3])),
+        (ExplicitTable.of([0, 1, 1, 2]), to_explicit_table(Additive.of([1, 1]))),
+    ]
+    for v, w in pairs[:-1]:
+        assert v != w and w != v
+        assert v != (v._key()) and v._key() != v
+    assert pairs[-1][0] == pairs[-1][1]
+
+
+# Refusals keep their messages, whatever the spelling: floats, negatives,
+# a zero denominator, and a <= b.
+FLOATS = TypeError("floats are not allowed; pass int, Fraction or 'p/q'")
+NEGATIVE = ValueError("item values must be non-negative")
+ZERO_DENOMINATOR = ValueError("zero denominator in '1/0'")
+NOT_A_OVER_B = ValueError("personalized bivalued requires a > b >= 0")
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Additive.of([1, 0.5]), FLOATS),
+    (lambda: PairDemand.of([-1, 2]), NEGATIVE),
+    (lambda: Additive.of([Fraction(-1, 2)]), NEGATIVE),
+    (lambda: Additive.of(["-2/4", 1]), NEGATIVE),
+    (lambda: PairDemand.of(["1/0", -1]), ZERO_DENOMINATOR),
+    (lambda: PersonalizedBivalued(1, 1, 0, 1), NOT_A_OVER_B),
+    (lambda: PersonalizedBivalued("1/2", Fraction(2, 4), 0, 1), NOT_A_OVER_B),
+    (lambda: PersonalizedBivalued(1, 2, 0, 1), NOT_A_OVER_B),
+    (lambda: PersonalizedBivalued(1, -1, 0, 1), NOT_A_OVER_B),
+    (lambda: PersonalizedBivalued(2.5, 1, 0, 1), FLOATS),
+    (lambda: PersonalizedBivalued("1/0", 1, 0, 1), ZERO_DENOMINATOR),
+    (lambda: ExplicitTable.of([0, 1, 1, 2.0]), FLOATS),
+    (lambda: ExplicitTable.of([0, "1/0", 1]), ZERO_DENOMINATOR),
+    (lambda: ExplicitTable.of([0, 1, 1]), ValueError("table length must be a power of two")),
+])
+def test_refusals_keep_their_messages(build, error):
+    with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+        build()
+
+
+# The valuations and Instance are read-only: assigning or deleting any
+# field, public, scaled or a view already read, raises AttributeError, and
+# a frozen dataclass subclass of Valuation still builds.
+READ_ONLY = [
+    (Additive.of([1, "1/2"]), ("values", "scale", "_ints", "num_items")),
+    (PairDemand.of([1, 2]), ("values", "scale", "_ints")),
+    (PersonalizedBivalued(3, 1, 1, 2), ("a", "b", "high_items", "m", "scale", "_a", "_b")),
+    (ExplicitTable.of([0, 1, 1, 2]), ("table", "scale", "_cells", "_monotone")),
+    (BinaryTable(2, [3]), ("m", "ones", "scale", "_cells")),
+    (Instance(1, 1, (Additive.of([1]),)), ("n", "m", "valuations", "monotone_required",
+                                           "normalized_required", "labels", "all_items")),
+    (AtMostTwo(3), ("m", "scale")),
+]
+
+
+@pytest.mark.parametrize("obj, names", [pytest.param(obj, names, id=type(obj).__name__)
+                                        for obj, names in READ_ONLY])
+def test_fields_are_read_only(obj, names):
+    before = repr(obj)
+    for name in names:
+        getattr(obj, name)  # a view is built and kept
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.new_field = 0
+    assert repr(obj) == before
