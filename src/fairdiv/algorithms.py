@@ -176,20 +176,22 @@ class CcgTrace(NamedTuple):
     iterations: tuple[CcgIteration, ...]
 
 
-def _first_envied(inst: Instance, envies, bundles, i: int, held: int) -> Optional[int]:
+def _first_envied(inst: Instance, envies, bundles, full, i: int, held: int) -> Optional[int]:
     """The lowest-index j != held whose bundle agent i, holding X_held,
-    PMMS-envies by the bound test ``envies``; None when there is none."""
+    PMMS-envies by the bound test ``envies``; None when there is none. An
+    empty X_held is tested only against ``full``, those that hold an item."""
     mine = bundles[held]
     own = inst.valuations[i]._value(mine)
     # j == held is skipped: comparing X_held against itself decides nothing,
     # and for non-normalized values a bundle can lose to its own best split.
-    return next((j for j in range(len(bundles))
+    return next((j for j in (range(len(bundles)) if mine else full)
                  if j != held and envies(i, own, mine, bundles[j])), None)
 
 
 def _cut_graph(inst: Instance, envies, bundles, s: int) -> tuple[int, ...]:
     """pi relative to agent s under the bound PMMS test ``envies``."""
-    return tuple(s if (j := _first_envied(inst, envies, bundles, i, s)) is None else j
+    full = [j for j, X in enumerate(bundles) if X]
+    return tuple(s if (j := _first_envied(inst, envies, bundles, full, i, s)) is None else j
                  for i in range(len(bundles)))
 
 
@@ -203,7 +205,9 @@ def build_cut_and_choose_graph(inst: Instance, bundles, s: int) -> tuple[int, ..
 def _pmms_state(inst: Instance, envies, bundles) -> tuple[int, int, Optional[int]]:
     """(W, E, s) where s is the lowest-index PMMS-violating agent or None."""
     W = sum(v._value(b) for v, b in zip(inst.valuations, bundles))  # binary: scale 1
-    envious = [i for i in range(inst.n) if _first_envied(inst, envies, bundles, i, i) is not None]
+    full = [j for j, X in enumerate(bundles) if X]
+    envious = [i for i in range(inst.n)
+               if _first_envied(inst, envies, bundles, full, i, i) is not None]
     return W, inst.n - len(envious), envious[0] if envious else None
 
 

@@ -16,7 +16,8 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from itertools import compress
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -386,7 +387,10 @@ class _Table(Valuation):
     """A set function stored as one scaled value per bundle mask:
     ``_cells[S]`` is v(S) * ``scale``, a tuple of ints for ``ExplicitTable``
     and 2^m bytes for ``BinaryTable``, each built by the class's
-    ``__init__``."""
+    ``__init__``. Equality and the hash compare ``scale`` and ``_cells``."""
+
+    def _key(self) -> tuple:
+        return self.scale, self._cells
 
     @property
     def num_items(self) -> int:
@@ -482,9 +486,6 @@ class ExplicitTable(_Table):
         fields["_cells"] = cells
         fields["scale"] = scale
 
-    def _key(self) -> tuple:
-        return self.scale, self._cells
-
     @cached_property
     def table(self) -> tuple[Fraction, ...]:
         scale = self.scale
@@ -497,24 +498,30 @@ class ExplicitTable(_Table):
 
 class BinaryTable(_Table):
     """Binary-valued set function: v(S) in {0, 1}, not necessarily monotone
-    or normalized. ``ones`` is the set of bundle masks with value 1; the
-    values are held as 2^m bytes, whatever the density of ``ones``."""
+    or normalized, given by ``m`` and ``ones``, the bundle masks with value
+    1. Only the values are kept, as 2^m bytes whatever the density of
+    ``ones``; ``m`` and ``ones`` are read off them."""
 
     _FIELDS = ("m", "ones")
 
-    def __init__(self, m: int, ones) -> None:
-        ones = frozenset(ones)
+    def __init__(self, m: int, ones: Iterable[int]) -> None:
         require_table_items(m, "binary")
-        if ones and (min(ones) < 0 or max(ones) >> m):
-            raise InvalidBundleError("ones contains a mask outside the item range")
         cells = bytearray(1 << m)
         for mask in ones:
+            if not 0 <= mask < len(cells):
+                raise InvalidBundleError("ones contains a mask outside the item range")
             cells[mask] = 1
         fields = self.__dict__
-        fields["m"] = m
-        fields["ones"] = ones
         fields["_cells"] = bytes(cells)
         fields["scale"] = 1
+
+    @property
+    def m(self) -> int:
+        return self.num_items
+
+    @property
+    def ones(self) -> frozenset[int]:
+        return frozenset(compress(range(len(self._cells)), self._cells))
 
 
 def is_monotone(v: Valuation) -> bool:

@@ -225,7 +225,7 @@ def _draw_binary_table(rng: random.Random, m: int, monotone: bool, normalized: b
             ones ^= {rng.getrandbits(m)}
     if normalized:
         ones.discard(0)
-    return BinaryTable(m, frozenset(ones))
+    return BinaryTable(m, ones)
 
 
 def random_binary_mms_feasible(

@@ -220,7 +220,10 @@ def clear_caches() -> None:
 # caller computes once per bundle and hands to every test of that bundle,
 # so a test never values the envier's own bundle. No test searches for a
 # witness; ``check`` asks ``witness``, with the same arguments, for the
-# failures only.
+# failures only. Every loop over pairs (``_failures``, the existence search,
+# ``algorithms._first_envied``) tests an empty bundle only against those
+# that hold an item: two empty bundles pass every pair test, as EFX has no
+# item to drop and PMMS compares v_i(empty) with itself.
 
 
 class _Test(NamedTuple):
@@ -296,10 +299,14 @@ def _pmms_test(inst: Instance) -> _Test:
 
 
 def _mms_test(inst: Instance) -> _Test:
-    shares = [mu(v, inst.all_items, inst.n) for v in inst.valuations]
+    """At most m of the n parts hold an item, and ``mu`` walks one empty part
+    for all the others, so each share asks for min(n, m + 1) parts, at the
+    same value and charge; only a failing agent's witness is padded to n."""
+    k = min(inst.n, inst.m + 1)
+    shares = [mu(v, inst.all_items, k) for v in inst.valuations]
     return _Test(False,
                  lambda i, own, mine: own < shares[i].scaled,
-                 lambda i, own, mine: shares[i].witness)
+                 lambda i, own, mine: shares[i].witness + (0,) * (inst.n - k))
 
 
 _TESTS = {
@@ -314,6 +321,7 @@ def _failures(inst: Instance, bundles, test: _Test):
     """(envier, envied, test arguments) of every failure, envier by envier
     and then envied by envied; envied is None for a per-agent test. Each
     envier's own bundle is valued once."""
+    full = None  # the bundles that hold an item, listed at the first empty one
     for i in range(inst.n):
         mine = bundles[i]
         own = inst.valuations[i]._value(mine)
@@ -321,7 +329,9 @@ def _failures(inst: Instance, bundles, test: _Test):
             if test.fails(i, own, mine):
                 yield i, None, (i, own, mine)
             continue
-        for j in range(inst.n):
+        if not mine and full is None:
+            full = [j for j, theirs in enumerate(bundles) if theirs]
+        for j in range(inst.n) if mine else full:
             if i != j and test.fails(i, own, mine, bundles[j]):
                 yield i, j, (i, own, mine, bundles[j])
 
@@ -416,8 +426,8 @@ def exists_fair_allocation(inst: Instance, notion: FairnessNotion) -> Optional[t
     and agent k + 1 goes on in the same call, so the recursion is at most
     m + 1 deep whatever n is. Each test runs as soon as its bundles are
     fixed, and a failing branch is pruned. An empty bundle is tested only
-    against the placed bundles that hold an item: two empty bundles pass
-    every pair test. Every completion's owner vector is at least the
+    against the placed bundles that hold an item (the pair rule above
+    ``_TESTS``). Every completion's owner vector is at least the
     bound vector, i on X_i, k + 1 on the items left and k on the rest; the
     bound only rises along the search, which stops a branch once it
     reaches the best allocation found. Owner vectors are compared as

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence, Union
 
 from .core import (
@@ -128,9 +129,9 @@ FIELDS = {
     "b": (_rational, lambda v: _scaled_to_json(v._b, v.scale)),
     "high_items": (lambda x, name, loaded: _mask(x, loaded["m"], name),
                    lambda v: list(items_of(v.high_items))),
-    "ones": (lambda x, name, loaded: frozenset(_json(mask, int, "ones mask")
-                                               for mask in _json(x, list, name)),
-             lambda v: sorted(v.ones)),
+    "ones": (lambda x, name, loaded: (_json(mask, int, "ones mask")
+                                      for mask in _json(x, list, name)),
+             lambda v: list(compress(range(len(v._cells)), v._cells))),  # ascending
 }
 
 # document type → valuation class

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,21 @@ def test_binary_table_values():
     assert v.value(0b011) == 1
     assert v.value(0b111) == 0
     assert v.value(0) == 0
+
+
+# A binary table keeps its 2^m bytes alone: m and ones are read off them.
+# With half of the 2^20 masks of a 20-item table also kept as a frozenset
+# of ints, this measure read 34.6 MB.
+def test_binary_table_keeps_only_its_bytes():
+    ones = range(0, 1 << 20, 2)
+    tracemalloc.start()
+    try:
+        v = BinaryTable(20, ones)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1_500_000, f"a 20-item binary table keeps {kept} bytes"
+    assert (v.m, v.ones) == (20, frozenset(ones))
 
 
 def test_floats_are_refused():

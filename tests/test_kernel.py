@@ -220,6 +220,33 @@ def test_mu_matches_reference(case, k):
                                                                 result.scaled)
 
 
+# Of k > |S| + 1 parts, a partition of S leaves at least k - |S| empty, and
+# |S| + 1 parts already leave one: mu(v, S, k) is mu(v, S, |S| + 1) with its
+# witness padded, and both are refused with one message under a cap the
+# walk's leaves exceed. So the MMS test asks for min(n, m + 1) parts.
+@KERNEL
+@given(valuation_and_subset(), st.integers(1, 3), st.integers(0, 60))
+def test_parts_past_one_empty_part_change_nothing(case, extra, cap):
+    v, S = case
+    k = S.bit_count() + 1
+
+    def outcome(k):
+        token = BUDGET.set(cap)
+        try:
+            return mu(v, S, k)
+        except BudgetExceededError as e:
+            return str(e)
+        finally:
+            BUDGET.reset(token)
+
+    base = outcome(k)
+    if isinstance(base, str):
+        assert outcome(k + extra) == base
+    else:
+        assert (base.mu, base.witness) == reference_mu(v, S, k)
+        assert outcome(k + extra) == (base.mu, base.witness + (0,) * extra, base.scaled)
+
+
 @KERNEL
 @given(st.integers(0, 5).flatmap(valuations))
 def test_monotone_scan_matches_reference(v):
@@ -369,7 +396,7 @@ def pmms_test_envies(v, mine, theirs):
 
 @KERNEL
 @given(share_case())
-def test_mu2_matches_reference(case):
+def test_pmms_share_matches_reference(case):
     v, mine, theirs = case
     S = mine | theirs
     assert _pmms_share(v, S) == reference_mu(v, S, 2)[0] * v.scale
@@ -377,7 +404,7 @@ def test_mu2_matches_reference(case):
 
 @KERNEL
 @given(share_case())
-def test_pmms_envies_matches_reference(case):
+def test_pmms_test_matches_reference(case):
     v, mine, theirs = case
     share, witness = reference_mu(v, mine | theirs, 2)
     envy = pmms_test_envies(v, mine, theirs)
@@ -459,6 +486,24 @@ def test_fairness_checks_match_reference(case):
         want = reference(inst, bundles)
         assert [(f.envier, f.envied, f.witness) for f in report.violations] == want
         assert report.holds == (not want) == allocation_satisfies(inst, bundles, notion)
+
+
+# Five agents and three items: every maximin partition leaves at least two
+# parts empty. Agent 0's table is worth 2 on {0, 1} and on {2} and 0 on
+# {0}, agent 1's is worth 1 on each item alone and 0 on {1, 2}, and both
+# value the empty bundle above that: holding {0} and {1, 2}, both fail,
+# each with its witness padded to five parts. Agents 2-4 hold nothing and
+# have share 0.
+def test_mms_check_pads_the_witnesses_of_failing_agents():
+    v0 = ExplicitTable((3, 0, 0, 2, 2, 0, 0, 0))
+    v1 = ExplicitTable((2, 1, 1, 0, 1, 0, 0, 0))
+    inst = Instance(5, 3, (v0, v1) + (Additive.of([1, 1, 1]),) * 3,
+                    monotone_required=False, normalized_required=False)
+    bundles = (0b001, 0b110, 0, 0, 0)
+    report = check(inst, bundles, FairnessNotion.MMS)
+    want = reference_mms_violations(inst, bundles)
+    assert [(f.envier, f.envied, f.witness) for f in report.violations] == want
+    assert want == [(0, None, (0b011, 0b100, 0, 0, 0)), (1, None, (0b001, 0b010, 0b100, 0, 0))]
 
 
 CLASSES = (Additive, PairDemand, PersonalizedBivalued, ExplicitTable, BinaryTable)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from fairdiv import algorithms, oracles
-from fairdiv.algorithms import cut_and_choose_graph_procedure
+from fairdiv.algorithms import build_cut_and_choose_graph, cut_and_choose_graph_procedure
 from fairdiv.core import (
     Additive,
     BinaryTable,
@@ -425,7 +425,7 @@ def test_a_valuation_with_no_item_labels_leaves_no_classes():
 
 def count_envy_tests(monkeypatch, notion) -> list:
     """A one-element list that counts the envy tests the notion's test
-    makes from now on."""
+    makes from now on, cut-and-choose's PMMS tests included."""
     calls = [0]
     bind = oracles._TESTS[notion]
 
@@ -439,6 +439,8 @@ def count_envy_tests(monkeypatch, notion) -> list:
         return test._replace(fails=fails)
 
     monkeypatch.setitem(oracles._TESTS, notion, counting)
+    if notion is FairnessNotion.PMMS:  # cut-and-choose binds it by name
+        monkeypatch.setattr(algorithms, "_pmms_test", counting)
     return calls
 
 
@@ -489,13 +491,34 @@ def test_many_agents_need_no_recursion(notion, first):
 # Two empty bundles are never tested against each other, so the n = 5,000
 # searches above test each of the n - 2 empty bundles against the two that
 # hold an item, 19,996 tests in all; testing every pair took 24,995,002.
-@pytest.mark.parametrize("notion", [FairnessNotion.EFX, FairnessNotion.PMMS],
-                         ids=["efx", "pmms"])
-def test_many_empty_bundles_are_not_tested_in_pairs(monkeypatch, notion):
+# So do check and allocation_satisfies on the allocation found, and
+# cut-and-choose on its round-robin start, the same allocation, and on the
+# cut graph from an empty bundle: 19,994 tests, or 10,000 for the graph. Each
+# item is worth 1 under both valuations.
+PAIR_LOOPS = {
+    "search": lambda inst, notion, X: exists_fair_allocation(inst, notion) == X,
+    "check": lambda inst, notion, X: check(inst, X, notion).holds,
+    "satisfies": lambda inst, notion, X: allocation_satisfies(inst, X, notion),
+    "ccg": lambda inst, notion, X: cut_and_choose_graph_procedure(inst)[0] == X,
+    "cut-graph": lambda inst, notion, X: build_cut_and_choose_graph(inst, X, 2) == (2,) * inst.n,
+}
+
+
+@pytest.mark.parametrize("loop,notion,v", [
+    ("search", FairnessNotion.EFX, Additive.of([1, 1])),
+    ("search", FairnessNotion.PMMS, Additive.of([1, 1])),
+    ("check", FairnessNotion.EFX, Additive.of([1, 1])),
+    ("check", FairnessNotion.PMMS, Additive.of([1, 1])),
+    ("satisfies", FairnessNotion.EFX, Additive.of([1, 1])),
+    ("satisfies", FairnessNotion.PMMS, Additive.of([1, 1])),
+    ("ccg", FairnessNotion.PMMS, BinaryTable(2, (0b01, 0b10, 0b11))),
+    ("cut-graph", FairnessNotion.PMMS, BinaryTable(2, (0b01, 0b10, 0b11))),
+], ids=["efx", "pmms", "check-efx", "check-pmms", "satisfies-efx", "satisfies-pmms", "ccg",
+        "cut-graph"])
+def test_many_empty_bundles_are_not_tested_in_pairs(monkeypatch, loop, notion, v):
     n = 5000
-    v = Additive.of([1, 1])
     calls = count_envy_tests(monkeypatch, notion)
-    assert exists_fair_allocation(Instance(n, 2, (v,) * n), notion) is not None
+    assert PAIR_LOOPS[loop](Instance(n, 2, (v,) * n), notion, (0b01, 0b10) + (0,) * (n - 2))
     assert calls[0] <= 40_000
 
 
