@@ -176,22 +176,34 @@ class CcgTrace(NamedTuple):
     iterations: tuple[CcgIteration, ...]
 
 
-def _first_envied(inst: Instance, envies, bundles, full, i: int, held: int) -> Optional[int]:
+def _tested(bundles) -> tuple[list[int], list[int]]:
+    """(full, tested): the indices of the bundles that hold an item, and
+    those plus the lowest-index empty bundle, in index order. Against X_held
+    every empty bundle gives one verdict (S = X_held), so only the first
+    can be the first envied."""
+    empty = next((j for j, X in enumerate(bundles) if not X), None)
+    return ([j for j, X in enumerate(bundles) if X],
+            [j for j, X in enumerate(bundles) if X or j == empty])
+
+
+def _first_envied(inst: Instance, envies, bundles, tested, i: int, held: int) -> Optional[int]:
     """The lowest-index j != held whose bundle agent i, holding X_held,
-    PMMS-envies by the bound test ``envies``; None when there is none. An
-    empty X_held is tested only against ``full``, those that hold an item."""
+    PMMS-envies by the bound test ``envies``; None when there is none.
+    ``tested`` is ``_tested(bundles)``: an empty X_held is tested only
+    against the bundles that hold an item, any other against those and
+    the first empty one."""
     mine = bundles[held]
     own = inst.valuations[i]._value(mine)
     # j == held is skipped: comparing X_held against itself decides nothing,
     # and for non-normalized values a bundle can lose to its own best split.
-    return next((j for j in (range(len(bundles)) if mine else full)
+    return next((j for j in tested[1 if mine else 0]
                  if j != held and envies(i, own, mine, bundles[j])), None)
 
 
 def _cut_graph(inst: Instance, envies, bundles, s: int) -> tuple[int, ...]:
     """pi relative to agent s under the bound PMMS test ``envies``."""
-    full = [j for j, X in enumerate(bundles) if X]
-    return tuple(s if (j := _first_envied(inst, envies, bundles, full, i, s)) is None else j
+    tested = _tested(bundles)
+    return tuple(s if (j := _first_envied(inst, envies, bundles, tested, i, s)) is None else j
                  for i in range(len(bundles)))
 
 
@@ -205,9 +217,9 @@ def build_cut_and_choose_graph(inst: Instance, bundles, s: int) -> tuple[int, ..
 def _pmms_state(inst: Instance, envies, bundles) -> tuple[int, int, Optional[int]]:
     """(W, E, s) where s is the lowest-index PMMS-violating agent or None."""
     W = sum(v._value(b) for v, b in zip(inst.valuations, bundles))  # binary: scale 1
-    full = [j for j, X in enumerate(bundles) if X]
+    tested = _tested(bundles)
     envious = [i for i in range(inst.n)
-               if _first_envied(inst, envies, bundles, full, i, i) is not None]
+               if _first_envied(inst, envies, bundles, tested, i, i) is not None]
     return W, inst.n - len(envious), envious[0] if envious else None
 
 

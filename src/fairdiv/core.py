@@ -376,10 +376,25 @@ class PairDemand(_ItemValues):
         return max(self._ints[g] for g in items_of(S)) if count == 2 else 0
 
     def _share2(self, S: int) -> int:
-        # Only the four largest items x1 >= x2 >= x3 >= x4 matter: the best
-        # split pairs x1 with x4 against x2 with x3.
+        # Only the four largest items x1 >= x2 >= x3 >= x4 matter (0 for a
+        # missing one): the best split pairs x1 with x4 against x2 with x3.
+        # One pass over S keeps them, as _value keeps the top two.
         ints = self._ints
-        x1, x2, x3, x4 = (sorted((ints[g] for g in items_of(S)), reverse=True) + [0] * 4)[:4]
+        x1 = x2 = x3 = x4 = 0
+        while S:
+            low = S & -S
+            x = ints[low.bit_length() - 1]
+            S ^= low
+            if x > x4:
+                if x > x2:
+                    if x > x1:
+                        x1, x2, x3, x4 = x, x1, x2, x3
+                    else:
+                        x2, x3, x4 = x, x2, x3
+                elif x > x3:
+                    x3, x4 = x, x3
+                else:
+                    x4 = x
         return min(x1 + x4, x2 + x3)
 
 
@@ -440,6 +455,11 @@ class _Table(Valuation):
                        for S in range(len(cells)) if not S >> g & 1)
 
 
+# a BinaryTable's cell bytes to and from ASCII binary digits
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bit_planes(cells) -> tuple[int, int]:
     """(P, w): a table's 2^m values as w bit planes stacked in one int.
     Plane b, the bits from b * 2^m, is the bitset (bit S for mask S) of
@@ -447,7 +467,7 @@ def _bit_planes(cells) -> tuple[int, int]:
     a binary table's values are their own one plane. Each plane is built
     as one ASCII digit per mask, reversed and read as a base-2 int."""
     if isinstance(cells, bytes):  # a BinaryTable: 0 or 1 at every mask
-        return int(cells.translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2), 1
+        return int(cells.translate(_TO_DIGITS)[::-1], 2), 1
     levels = sorted(set(cells))
     count = max(1, (len(levels) - 1).bit_length())
     planes = 0
@@ -514,6 +534,18 @@ class BinaryTable(_Table):
         fields = self.__dict__
         fields["_cells"] = bytes(cells)
         fields["scale"] = 1
+
+    @classmethod
+    def _from_bits(cls, m: int, bits: int) -> "BinaryTable":
+        """The table whose ones are the set bits of ``bits`` (bit S for mask
+        S, so ``bits`` < 2^(2^m)), for a caller that has checked m: the
+        bits are written as 2^m ASCII digits, reversed and translated to
+        the cell bytes, with no loop over the masks."""
+        self = cls.__new__(cls)
+        fields = self.__dict__
+        fields["_cells"] = format(bits, f"0{1 << m}b")[::-1].encode().translate(_FROM_DIGITS)
+        fields["scale"] = 1
+        return self
 
     @property
     def m(self) -> int:

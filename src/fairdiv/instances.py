@@ -200,32 +200,50 @@ def random_additive(n: int, m: int, seed: int) -> Instance:
     return _random_item_values(Additive, n, m, seed, 9)
 
 
+def _submasks(c: int) -> int:
+    """The bitset (bit S for mask S) of the submasks S of c: starting from
+    {0}, each item g of c adds a copy of the set shifted by 2^g."""
+    bits = 1
+    while c:
+        low = c & -c
+        bits |= bits << low
+        c ^= low
+    return bits
+
+
 def _draw_binary_table(rng: random.Random, m: int, monotone: bool, normalized: bool) -> BinaryTable:
     """One proposal table. Several proposal shapes are mixed so that accepted
     tables include non-trivial ones (with achievable fair share 1), but every
-    draw still goes through the MMS-feasibility rejection check."""
-    size = 1 << m
+    draw still goes through the MMS-feasibility rejection check.
+
+    The ones are drawn as one 2^m-bit int, bit S for mask S: the supersets
+    of s are the submasks of M \\ s shifted by s, a drawn mask is one bit,
+    and the table is built from the int in one conversion."""
+    full = (1 << m) - 1
     if monotone:
-        seeds = [rng.getrandbits(m) for _ in range(rng.randint(1, 3))]
-        ones = {mask for mask in range(size) if any(mask & s == s for s in seeds)}
+        ones = 0
+        for _ in range(rng.randint(1, 3)):  # the supersets of 1-3 seeds
+            s = rng.getrandbits(m)
+            ones |= _submasks(full ^ s) << s
     else:
+        every = (1 << (1 << m)) - 1  # all 2^m masks
         shape = rng.randrange(4)
-        if shape == 0:  # sparse desirable bundles
-            ones = {rng.getrandbits(m) for _ in range(rng.randint(0, 4))}
-        elif shape == 1:  # dense desirable bundles
-            zeros = {rng.getrandbits(m) for _ in range(rng.randint(0, 4))}
-            ones = {mask for mask in range(size) if mask not in zeros}
-        elif shape == 2:  # bundles hitting a target set
+        if shape <= 1:  # sparse desirable bundles, or the complement of such
+            ones = 0
+            for _ in range(rng.randint(0, 4)):
+                ones |= 1 << rng.getrandbits(m)
+            if shape == 1:  # dense desirable bundles
+                ones ^= every
+        else:  # bundles hitting a target set, or (v(empty) = 1) avoiding it
             target = rng.getrandbits(m) or 1
-            ones = {mask for mask in range(size) if mask & target}
-        else:  # bundles avoiding a target set (non-monotone, v(empty) = 1)
-            target = rng.getrandbits(m) or 1
-            ones = {mask for mask in range(size) if not mask & target}
+            ones = _submasks(full & ~target)
+            if shape == 2:
+                ones ^= every
         for _ in range(rng.randint(0, 2)):  # jitter
-            ones ^= {rng.getrandbits(m)}
+            ones ^= 1 << rng.getrandbits(m)
     if normalized:
-        ones.discard(0)
-    return BinaryTable(m, ones)
+        ones &= ~1
+    return BinaryTable._from_bits(m, ones)
 
 
 def random_binary_mms_feasible(

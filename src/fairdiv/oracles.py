@@ -223,7 +223,9 @@ def clear_caches() -> None:
 # failures only. Every loop over pairs (``_failures``, the existence search,
 # ``algorithms._first_envied``) tests an empty bundle only against those
 # that hold an item: two empty bundles pass every pair test, as EFX has no
-# item to drop and PMMS compares v_i(empty) with itself.
+# item to drop and PMMS compares v_i(empty) with itself. ``_first_envied``
+# wants only the first envied bundle, so it tests any other bundle against
+# the first empty one alone: every empty one gives the same verdict.
 
 
 class _Test(NamedTuple):

@@ -8,9 +8,11 @@ matching oracles the polynomial matcher is checked against; the table
 materializer every representation is checked against; and the Fraction
 brute-force references the integer kernel, the interchangeable-item
 classes, the existence search and the bivalued sampler are checked
-against; the per-count loop the closed-form bivalued share is checked
-against; and the standard library's encoding the canonical JSON text is
-checked against."""
+against; the set-built proposal drawer the binary sampler's bitset draw is
+checked against; the per-count loop the closed-form bivalued share and
+the sort the one-pass pair-demand share are checked against; the plain
+loop the cut graph is checked against; and the standard library's
+encoding the canonical JSON text is checked against."""
 
 import functools
 import itertools
@@ -297,6 +299,19 @@ def reference_ccg_step(inst: Instance, bundles, s: int):
     return new, pi, tuple(walk), case, swap_applied
 
 
+def reference_cut_graph(inst: Instance, bundles, s: int) -> tuple[int, ...]:
+    """pi relative to agent s by the plain loop: every agent i, holding X_s,
+    is tested against every bundle j != s in index order on Fraction
+    values, empty bundles included; pi(i) is the first j agent i envies,
+    else s."""
+    pi = []
+    for v in inst.valuations:
+        own = reference_value(v, bundles[s])
+        pi.append(next((j for j in range(inst.n) if j != s
+                        and own < reference_mu(v, bundles[s] | bundles[j], 2)[0]), s))
+    return tuple(pi)
+
+
 # ---------------------------------------------------------------------------
 # Matching oracles: exhaustive enumeration for small graphs; the bitmask DP
 # that was the production matcher, for mid-size graphs; and the Hungarian
@@ -574,6 +589,14 @@ def loop_share2(a: int, b: int, h: int, l: int) -> int:
     return best
 
 
+def sorted_pair_demand_share2(v: PairDemand, S: int) -> int:
+    """The scaled 2-part fair share of a pair-demand valuation on S by the
+    sort-based formula: the four largest item values of S, 0 for a missing
+    one, x1 >= x2 >= x3 >= x4, give min(x1 + x4, x2 + x3)."""
+    x1, x2, x3, x4 = (sorted((v._ints[g] for g in items_of(S)), reverse=True) + [0] * 4)[:4]
+    return min(x1 + x4, x2 + x3)
+
+
 # ---------------------------------------------------------------------------
 # Fraction references for the integer kernel: each recomputes from the
 # public Fraction fields what fairdiv computes on scaled integers.
@@ -767,6 +790,34 @@ def reference_random_bivalued(n: int, m: int, seed: int, factored: bool = False)
         high = rng.getrandbits(m)
         valuations.append(PersonalizedBivalued(a, b, high, m))
     return Instance(n, m, tuple(valuations))
+
+
+def reference_draw_binary_table(rng: random.Random, m: int, monotone: bool,
+                                normalized: bool) -> BinaryTable:
+    """``instances._draw_binary_table`` as it was written on Python sets,
+    one membership test per mask: the same draws in the same order."""
+    size = 1 << m
+    if monotone:
+        seeds = [rng.getrandbits(m) for _ in range(rng.randint(1, 3))]
+        ones = {mask for mask in range(size) if any(mask & s == s for s in seeds)}
+    else:
+        shape = rng.randrange(4)
+        if shape == 0:  # sparse desirable bundles
+            ones = {rng.getrandbits(m) for _ in range(rng.randint(0, 4))}
+        elif shape == 1:  # dense desirable bundles
+            zeros = {rng.getrandbits(m) for _ in range(rng.randint(0, 4))}
+            ones = {mask for mask in range(size) if mask not in zeros}
+        elif shape == 2:  # bundles hitting a target set
+            target = rng.getrandbits(m) or 1
+            ones = {mask for mask in range(size) if mask & target}
+        else:  # bundles avoiding a target set (non-monotone, v(empty) = 1)
+            target = rng.getrandbits(m) or 1
+            ones = {mask for mask in range(size) if not mask & target}
+        for _ in range(rng.randint(0, 2)):  # jitter
+            ones ^= {rng.getrandbits(m)}
+    if normalized:
+        ones.discard(0)
+    return BinaryTable(m, ones)
 
 
 def reference_dumps(doc) -> str:

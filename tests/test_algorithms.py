@@ -48,6 +48,7 @@ from helpers import (
     pair_demand_mu_closed_form,
     ratio_substitute,
     reference_ccg_step,
+    reference_cut_graph,
     sufficient_no_envy,
 )
 
@@ -241,6 +242,32 @@ def test_ccg_state_and_graph_agree_with_pmms_check():
             if s is not None:
                 envied = min(f.envied for f in violations if f.envier == s)
                 assert build_cut_and_choose_graph(inst, X, s)[s] == envied
+
+
+def test_cut_graph_matches_plain_loop():
+    """From every agent, pi read off allocations with several empty bundles
+    (uneven bundle sizes, often more agents than items) equals the plain
+    loop that tests every bundle, empty ones included. The sweep must reach
+    an agent whose first envied bundle, from a held bundle that holds an
+    item, is an empty one."""
+    rng = random.Random(39)
+    seen = Counter()
+    for trial in range(80):
+        n, m = rng.randint(3, 7), rng.randint(1, 6)
+        inst = random_binary_mms_feasible(n, m, trial, monotone=trial % 3 == 0,
+                                          normalized=trial % 2 == 0)
+        for _ in range(3):
+            weights = [rng.random() ** 3 for _ in range(n)]
+            X = [0] * n
+            for g in range(m):
+                X[rng.choices(range(n), weights)[0]] |= 1 << g
+            for s in range(n):
+                pi = build_cut_and_choose_graph(inst, X, s)
+                assert pi == reference_cut_graph(inst, X, s), (inst, X, s)
+                if X[s] and X.count(0) >= 2:
+                    seen["held, several empty"] += 1
+                    seen["empty envied"] += any(j != s and not X[j] for j in pi)
+    assert seen["held, several empty"] >= 100 and seen["empty envied"] >= 1, seen
 
 
 def test_ccg_step_matches_two_branch_reference():

@@ -7,6 +7,7 @@ import pytest
 from fairdiv import instances, serialize
 from fairdiv.core import is_monotone, mask_of
 from fairdiv.instances import (
+    _draw_binary_table,
     gen_mnw_counterexample,
     gen_nonexistence_stars,
     gen_pmms_not_efx_example,
@@ -21,7 +22,7 @@ from fairdiv.instances import (
 )
 from fairdiv.oracles import check_mms_feasible
 
-from helpers import reference_random_bivalued
+from helpers import reference_draw_binary_table, reference_random_bivalued
 
 
 def test_stars_parameters():
@@ -129,6 +130,21 @@ def test_random_bivalued_equals_its_fraction_reference(factored):
                 assert [(v.scale, v._a, v._b) for v in inst.valuations] == \
                     [(v.scale, v._a, v._b) for v in ref.valuations]
                 assert all(type(v.a) is type(v.b) is Fraction for v in inst.valuations)
+
+
+@pytest.mark.parametrize("monotone", [False, True])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_bitset_draw_matches_set_built_draw(monotone, normalized):
+    """Each proposal table equals the set-built one drawn from an equal
+    rng state, and leaves the rng in the same state, so a reordered or
+    extra call fails even where the two tables happen to agree."""
+    for m in range(11):
+        for seed in range(60):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                v = _draw_binary_table(rng, m, monotone, normalized)
+                assert v._cells == reference_draw_binary_table(ref, m, monotone, normalized)._cells
+                assert rng.getstate() == ref.getstate(), (m, seed)
 
 
 def test_random_factored_bivalued_allows_b_zero():

@@ -7,6 +7,7 @@ include b = 0.
 
 import gc
 import importlib
+import itertools
 import pkgutil
 import random
 import weakref
@@ -68,6 +69,7 @@ from helpers import (
     reference_nash_welfare,
     reference_pmms_violations,
     reference_value,
+    sorted_pair_demand_share2,
 )
 
 KERNEL = settings(max_examples=150, deadline=None, database=None)
@@ -427,6 +429,17 @@ def test_factored_share_matches_loop(a, b):
         for l in range(81):
             S = (1 << h) - 1 | ((1 << l) - 1) << 81
             assert v._share2(S) == loop_share2(v._a, v._b, h, l), (h, l)
+
+
+def test_pair_demand_share_matches_sorted_formula():
+    """The one-pass share against the sort of S's item values, on every
+    vector of values 0..3 over 0..6 items and every subset: ties, zeros
+    and subsets of fewer than four items included."""
+    for m in range(7):
+        for values in itertools.product(range(4), repeat=m):
+            v = PairDemand(values)
+            for S in range(1 << m):
+                assert v._share2(S) == sorted_pair_demand_share2(v, S), (values, S)
 
 
 class PlainAdditive(Additive):

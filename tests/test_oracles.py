@@ -493,14 +493,17 @@ def test_many_agents_need_no_recursion(notion, first):
 # hold an item, 19,996 tests in all; testing every pair took 24,995,002.
 # So do check and allocation_satisfies on the allocation found, and
 # cut-and-choose on its round-robin start, the same allocation, and on the
-# cut graph from an empty bundle: 19,994 tests, or 10,000 for the graph. Each
-# item is worth 1 under both valuations.
+# cut graph from an empty bundle: 19,994 tests, or 10,000 for the graph.
+# From a bundle that holds an item every empty bundle gives one verdict, so
+# the cut graph tests the first empty one only: 10,000 tests, where testing
+# every bundle took 24,995,000. Each item is worth 1 under both valuations.
 PAIR_LOOPS = {
     "search": lambda inst, notion, X: exists_fair_allocation(inst, notion) == X,
     "check": lambda inst, notion, X: check(inst, X, notion).holds,
     "satisfies": lambda inst, notion, X: allocation_satisfies(inst, X, notion),
     "ccg": lambda inst, notion, X: cut_and_choose_graph_procedure(inst)[0] == X,
     "cut-graph": lambda inst, notion, X: build_cut_and_choose_graph(inst, X, 2) == (2,) * inst.n,
+    "cut-graph-held": lambda inst, notion, X: build_cut_and_choose_graph(inst, X, 0) == (0,) * inst.n,
 }
 
 
@@ -513,8 +516,9 @@ PAIR_LOOPS = {
     ("satisfies", FairnessNotion.PMMS, Additive.of([1, 1])),
     ("ccg", FairnessNotion.PMMS, BinaryTable(2, (0b01, 0b10, 0b11))),
     ("cut-graph", FairnessNotion.PMMS, BinaryTable(2, (0b01, 0b10, 0b11))),
+    ("cut-graph-held", FairnessNotion.PMMS, BinaryTable(2, (0b01, 0b10, 0b11))),
 ], ids=["efx", "pmms", "check-efx", "check-pmms", "satisfies-efx", "satisfies-pmms", "ccg",
-        "cut-graph"])
+        "cut-graph", "cut-graph-held"])
 def test_many_empty_bundles_are_not_tested_in_pairs(monkeypatch, loop, notion, v):
     n = 5000
     calls = count_envy_tests(monkeypatch, notion)
