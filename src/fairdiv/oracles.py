@@ -10,10 +10,11 @@ is asked of one bound test (``_pmms_test``), whose share
 (``_pmms_share``) is a class's closed form (``Valuation._share2``) or
 one pass over the bipartitions, memoized for that test's life alone.
 MMS-feasibility (``check_mms_feasible``) is charged its 3^m splits before
-anything is built; a table of at most two values is then decided by
-disjoint-union bitsets, at most 2^(m-1) big-int steps (one per mask
+anything is built, then reads the table's levels once as bit planes. One
+plane, at most two values, is decided by disjoint-union bitsets: at once
+for a constant table, else in at most 2^(m-1) big-int steps (one per mask
 without item m - 1: of two disjoint masks, at most one holds it) in about
-2^(3m/2) bits of memory, and any other by the bipartition pass of every
+2^(3m/2) bits of memory. More planes take the bipartition pass of every
 subset. Exceeding the enumeration budget is a hard error, never an
 approximation.
 
@@ -32,6 +33,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import (
+    MAX_ITEMS,
+    BinaryTable,
     FairnessNotion,
     Instance,
     UnsupportedValuationError,
@@ -196,12 +199,14 @@ def mu(v: Valuation, S: int, k: int) -> MaximinResult:
     """Exact fair share: max over labeled k-part partitions of S of the
     minimum part value, with a witness partition attaining it. The budget
     is charged the walk's leaves, the restricted growth strings of S with
-    at most k labels."""
+    at most k labels, and then k is refused past MAX_ITEMS + 1 parts."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if S < 0 or S >> v.num_items:
         raise ValueError("S addresses items outside the valuation's range")
     _check_leaves(S.bit_count(), k)
+    if k > MAX_ITEMS + 1:
+        raise ValueError(f"k must be at most {MAX_ITEMS + 1}")
     return _mu_search(v, S, k)
 
 
@@ -531,24 +536,20 @@ def check_mms_feasible(v: Valuation, budget: Optional[int] = None) -> bool:
     built once). The budget is charged 3^m, the splits of every subset,
     first; ``budget``, when given, caps this call in place of ``BUDGET``.
 
-    A table with at most two distinct values is decided by
-    ``_two_valued_feasible``: one step per mask without item m - 1, a
-    submask product and a masked shift, so at most 2^(m-1) big-int steps.
-    Any other table is decided by one pass over the bipartitions of each
-    subset, (3^m + 1) / 2 splits, which stops at the first subset that
-    fails."""
+    The levels are then read once, as bit planes (``core._bit_planes``).
+    One plane is at most two values, H the bitset of the higher one's
+    masks: a constant table (H empty, or full) is feasible at once, and
+    any other goes to ``_two_valued_feasible``, at most 2^(m-1) big-int
+    steps. More planes take one pass over the bipartitions of each
+    subset, (3^m + 1) / 2 splits, which stops at the first that fails."""
     # The one budget parameter left: perfbench/tracer.py wraps this function
     # as check_mms_feasible(v, budget), two positional arguments.
     m = v.num_items
     _check_budget(3, m, budget)
     table = v._cells if isinstance(v, _Table) else list(map(v._value, range(1 << m)))
-    levels = set(table)
-    if len(levels) == 1:
-        return True
-    if len(levels) == 2:
-        # a BinaryTable's bytes are already 1 at the higher value's masks
-        in_h = table if isinstance(table, bytes) else bytes(map(max(levels).__eq__, table))
-        return _two_valued_feasible(in_h, m)
+    H, planes = _bit_planes(table)
+    if planes == 1:
+        return H in (0, (1 << (1 << m)) - 1) or _two_valued_feasible(H, m)
     value = table.__getitem__
     for S in range(1 << m):
         maxmin, minmax = _split_bounds(value, S)
@@ -557,22 +558,21 @@ def check_mms_feasible(v: Valuation, budget: Optional[int] = None) -> bool:
     return True
 
 
-def _two_valued_feasible(in_h: bytes, m: int) -> bool:
-    """MMS-feasibility of a two-valued table, given as ``in_h``: 2^m bytes,
-    1 at the masks H of the higher value ``top``, 0 at the rest, L. S fails
-    exactly when some split of S has both sides in H (mu(v, S, 2) = top)
-    and some split has both sides in L (every split has a side below top):
-    when S is a disjoint union of two members of H and also of two
-    members of L.
+def _two_valued_feasible(H: int, m: int) -> bool:
+    """MMS-feasibility of a table of two values on m items, given as the
+    bitset H (bit S for mask S) of the higher value's masks; neither H nor
+    the rest, L, is empty. S fails exactly when some split of S has both
+    sides in H (mu(v, S, 2) is the higher value) and some split has both
+    sides in L (every split has a side below it): when S is a disjoint
+    union of two members of H and also of two members of L.
 
-    Sets of masks are bitsets, bit S for mask S. The disjoint unions A | B
-    of a member A of H (of L) with the members B of H (of L) are one step,
-    (members & sub(full ^ A)) << A, where sub(C) holds the submasks of C:
-    B and A are disjoint, so A | B = A + B. sub(C) is the product of a
-    table entry for C's low ``lo`` bits and one for its high bits; the
-    high entries' bits are 2^lo apart and a low entry is below 2^(2^lo),
-    so the product has no carries. The tables take about 2^(3m/2) bits,
-    2 MB at m = 16.
+    The disjoint unions A | B of a member A of H (of L) with the members B
+    of H (of L) are one step, (members & sub(full ^ A)) << A, where sub(C)
+    is the bitset of the submasks of C: B and A are disjoint, so
+    A | B = A + B. sub(C) is the product of a table entry for C's low
+    ``lo`` bits and one for its high bits; the high entries' bits are
+    2^lo apart and a low entry is below 2^(2^lo), so the product has no
+    carries. The tables take about 2^(3m/2) bits, 2 MB at m = 16.
 
     Only the masks A without item m - 1 take a step. Of two disjoint
     masks at most one holds item m - 1, and the other one's step collects
@@ -589,11 +589,12 @@ def _two_valued_feasible(in_h: bytes, m: int) -> bool:
     for b in range(lo, m):
         high += [x | x << (1 << b) for x in high]
     low_bits = (1 << lo) - 1
-    H = _bit_planes(in_h)[0]
-    members = (((1 << (1 << m)) - 1) ^ H, H)  # L, H: indexed by in_h
+    members = (((1 << (1 << m)) - 1) ^ H, H)  # L, H: indexed by A's bit of H
     unions = [0, 0]
-    for A in range(1 << m >> 1):
-        bit = in_h[A]
+    # H's bits below 2^(m-1), the masks A without item m - 1, read once as a
+    # table's cells: a per-step H >> A costs a 2^m-bit shift
+    below = BinaryTable._from_bits(m - 1, H & ((1 << (1 << m >> 1)) - 1))._cells
+    for A, bit in enumerate(below):
         C = full ^ A
         step = (members[bit] & low[C & low_bits] * high[C >> lo]) << A
         if step & unions[not bit]:

@@ -52,9 +52,7 @@ JsonRational = Union[int, str]
 
 def rational_to_json(x: Fraction) -> JsonRational:
     x = as_fraction(x)
-    if x.denominator == 1:
-        return x.numerator
-    return f"{x.numerator}/{x.denominator}"
+    return _scaled_to_json(x.numerator, x.denominator)
 
 
 _JSON_NAMES = {int: "an integer", bool: "a boolean", str: "a string", list: "a list",
@@ -98,7 +96,7 @@ def _rationals(x, name: str, loaded=None) -> tuple:
 
 
 def _scaled_to_json(x: int, scale: int) -> JsonRational:
-    """x / scale as ``rational_to_json`` writes it, with no Fraction built."""
+    """x / scale, scale > 0: an int if integral, else a reduced "p/q"; no Fraction."""
     if scale == 1:
         return x
     g = math.gcd(x, scale)

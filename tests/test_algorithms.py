@@ -35,7 +35,7 @@ from fairdiv.instances import (
     random_bivalued,
     random_pair_demand,
 )
-from fairdiv.oracles import _pmms_test, check, check_efx, check_pmms, mu
+from fairdiv.oracles import _pmms_test, check, check_efx, check_mms_feasible, check_pmms, mu
 
 from helpers import (
     agent_ratios,
@@ -337,6 +337,25 @@ def test_ccg_potential_increases():
             assert cur > prev
             assert 0 <= it.W <= inst.n and 0 <= it.E <= inst.n
             prev = cur
+
+
+def test_ccg_every_binary_mms_feasible_pair_on_three_items():
+    """Cut-and-choose on every ordered pair of the 118 MMS-feasible binary
+    tables on 3 items (of all 256), monotone or not, normalized or not, as
+    a 2-agent instance: each of the 13,924 runs ends in a PMMS allocation
+    within one step."""
+    tables = [BinaryTable(3, frozenset(S for S in range(8) if ones >> S & 1))
+              for ones in range(256)]
+    feasible = [v for v in tables if check_mms_feasible(v)]
+    assert len(feasible) == 118
+    steps = Counter()
+    for pair in itertools.product(feasible, repeat=2):
+        inst = Instance(2, 3, pair, monotone_required=False, normalized_required=False)
+        bundles, trace = cut_and_choose_graph_procedure(inst)
+        assert check(inst, bundles, FairnessNotion.PMMS).holds, pair
+        assert len(trace.iterations) <= 1, pair
+        steps.update(it.case for it in trace.iterations)
+    assert steps == {"lollipop": 452, "cycle": 2864}
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from fairdiv import algorithms, oracles
 from fairdiv.algorithms import build_cut_and_choose_graph, cut_and_choose_graph_procedure
 from fairdiv.core import (
+    MAX_ITEMS,
     Additive,
     BinaryTable,
     ExplicitTable,
@@ -173,6 +174,18 @@ def test_mu_refuses_a_huge_walk_at_once():
         assert str(err.value) == f"enumeration of {size} exceeds budget {DEFAULT_BUDGET}"
 
 
+# After its charge, mu refuses more parts than MAX_ITEMS + 1, more than any
+# instance has bundles: a 2-item S is charged 2 leaves whatever k is, and a
+# witness of 10^7 parts is never built. MAX_ITEMS + 1 parts are returned.
+def test_mu_refuses_more_parts_than_any_instance_holds():
+    v = Additive.of([1, 2])
+    with pytest.raises(ValueError, match=f"^k must be at most {MAX_ITEMS + 1}$"):
+        mu(v, 0b11, 10**7)
+    result = mu(v, 0b11, MAX_ITEMS + 1)
+    assert result.mu == 0 and len(result.witness) == MAX_ITEMS + 1
+    assert result.witness[:3] == (0b11, 0, 0)  # every split has an empty part
+
+
 # One part has one leaf, whatever S: charged 1, and no walk runs. The walk
 # holds item indices, not the 65,536 item masks (268 MB).
 def test_mu_one_part_of_65536_items():
@@ -316,6 +329,25 @@ def test_mms_feasible_reads_table_without_value_calls(monkeypatch, v, feasible):
     for cls in (ExplicitTable, BinaryTable):
         monkeypatch.setattr(cls, "_value", refuse)
     assert check_mms_feasible(v) is feasible
+
+
+# A table of one value is feasible before any bitset test: a one-valued
+# ExplicitTable, negative or not, and an all-zero or all-one BinaryTable,
+# which the non-monotone sampler shape can draw. A two-valued table still
+# reaches the test.
+@pytest.mark.parametrize("m", range(7))
+def test_mms_feasible_constant_table_exits_first(monkeypatch, m):
+    def refuse(H, m):
+        raise AssertionError("a constant table reached _two_valued_feasible")
+
+    monkeypatch.setattr(oracles, "_two_valued_feasible", refuse)
+    for v in (ExplicitTable((Fraction(-3, 7),) * (1 << m)), ExplicitTable((0,) * (1 << m)),
+              ExplicitTable((Fraction(5, 2),) * (1 << m)), BinaryTable(m, frozenset()),
+              BinaryTable(m, frozenset(range(1 << m)))):
+        assert check_mms_feasible(v) is True
+    if m:
+        with pytest.raises(AssertionError, match="reached _two_valued_feasible"):
+            check_mms_feasible(BinaryTable(m, frozenset({full_mask(m)})))
 
 
 def test_exists_fair_allocation_and_first_witness():

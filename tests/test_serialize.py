@@ -38,6 +38,17 @@ def test_rational_round_trip():
         serialize.rational_from_json("1/0")
 
 
+# A rational is spelled by one writer: a Fraction as its scaled integers.
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.integers(), st.integers(min_value=1))
+@example(-6, 4)
+@example(-8, 4)
+def test_rational_to_json_is_scaled_to_json(p, q):
+    written = serialize.rational_to_json(Fraction(p, q))
+    assert written == serialize._scaled_to_json(p, q)
+    assert type(written) is (int if p % q == 0 else str)
+
+
 # An int is read as a Fraction before any other test; a bool or a float is
 # still refused, by name, and every value read is a Fraction.
 @pytest.mark.parametrize("x,result", [
